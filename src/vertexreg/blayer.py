@@ -10,7 +10,6 @@ Lyapunov functional decays.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -18,6 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
+from ._csvtable import write_csv
 from .errors import InstabilityError, UnsupportedOrder
 
 # decaying root pair of the fourth-order symbol; lam**3 == 1/4 exactly
@@ -269,19 +269,12 @@ def export_profile_csv(profile: BLProfile, xis: Sequence[float],
                        path: str) -> None:
     """Tabulate (xi, g0, g0', g0'') rows to a CSV file."""
     xis = np.asarray(xis, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["xi", "g0", "dg0", "d2g0"])
-        cols = [profile.deriv(xis, k) for k in range(3)]
-        for row in zip(xis, *cols):
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_csv(path, ["xi", "g0", "dg0", "d2g0"],
+              zip(xis, *[profile.deriv(xis, k) for k in range(3)]))
 
 
 def export_trace_csv(traj: LimitTrajectory, path: str) -> None:
     """Write the Lyapunov trace (s, L, distances to g0) to a CSV file."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "lyapunov", "weighted_distance", "sup_distance"])
-        for row in zip(traj.s, traj.lyapunov, traj.weighted_distance,
-                       traj.sup_distance):
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_csv(path, ["s", "lyapunov", "weighted_distance", "sup_distance"],
+              zip(traj.s, traj.lyapunov, traj.weighted_distance,
+                  traj.sup_distance))

@@ -33,6 +33,7 @@ import yaml
 from scipy.integrate import simpson
 
 from . import __version__, blayer, criterion, funcs, pdesim, petrovskii, spectral
+from ._csvtable import write_csv
 from .errors import ConfigError, DomainError, FitError, NoConvergence
 
 __all__ = ["Scenario", "Report", "load_config", "run_scenarios",
@@ -438,21 +439,6 @@ def _jsonable(obj):
     return obj
 
 
-def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return "%.17g" % value
-    return str(value)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # task runners
 
@@ -658,7 +644,6 @@ def _check_rows_biharmonic():
 
 
 def _check_rows_consistency(tau_max):
-    regularity = {"Divergent": "Regular", "Convergent": "Irregular"}
     zero = funcs.lookup("zero-kappa")
     widths = [f for f in funcs.builtin_catalog()
               if isinstance(f, funcs.SlowGrowthFn)]
@@ -668,7 +653,8 @@ def _check_rows_consistency(tau_max):
         traj = criterion.integrate(
             criterion.build_criterion(1, "multiplicative", phi, zero),
             -1.0, 10.0, tau_max)
-        if regularity.get(str(cls.value)) == criterion.verdict(traj).verdict:
+        implied = _IMPLIED_REGULARITY.get(str(cls.value))
+        if implied == criterion.verdict(traj).verdict:
             agree += 1
     yield ("petrovskii-criterion-agreement", float(agree), float(len(widths)),
            agree == len(widths))
@@ -689,8 +675,8 @@ def _run_validate(params, outdir):
             rows.extend(_check_rows_biharmonic())
         else:
             rows.extend(_check_rows_consistency(params["consistency_tau_max"]))
-    _write_csv(os.path.join(outdir, "checks.csv"),
-               ["check", "value", "threshold", "passed"], rows)
+    write_csv(os.path.join(outdir, "checks.csv"),
+              ["check", "value", "threshold", "passed"], rows)
     payload = {
         "all_passed": all(r[3] for r in rows),
         "checks": [{"check": r[0], "value": r[1], "threshold": r[2],
@@ -714,10 +700,10 @@ def _run_sweep(params, outdir):
         summary["payload"] = sub_payload
         points.append(summary)
         artifacts.extend(f"point-{i:02d}/{a}" for a in sub_artifacts)
-    _write_csv(os.path.join(outdir, "sweep.csv"),
-               ["value", "outcome"],
-               [(p["value"], p.get("verdict", p.get("classification", "")))
-                for p in points])
+    write_csv(os.path.join(outdir, "sweep.csv"),
+              ["value", "outcome"],
+              [(p["value"], p.get("verdict", p.get("classification", "")))
+               for p in points])
     payload = {"task": params["task"], "axis": params["field"],
                "points": points}
     return payload, ["sweep.csv"] + artifacts
@@ -793,8 +779,7 @@ def _consistency_checks(reports):
     return pairs
 
 
-def run_scenarios(config_path, out_dir, workers=1, seed=None,
-                  default_task=None):
+def run_scenarios(config_path, out_dir, workers=1, default_task=None):
     """Run every scenario in the config; returns (exit_code, report doc).
 
     Reports keep config order regardless of worker count. The exit code
@@ -814,7 +799,6 @@ def run_scenarios(config_path, out_dir, workers=1, seed=None,
                              .isoformat(timespec="seconds"),
         "tool_version": __version__,
         "schema_version": SCHEMA_VERSION,
-        "seed": seed,
         "status": "error" if failed else "ok",
         "failed_scenarios": failed,
         "config": _jsonable(doc),
@@ -946,8 +930,6 @@ def main(argv=None):
         sp.add_argument("--out", default="runs", help="output directory")
         sp.add_argument("--workers", type=int, default=1,
                         help="concurrent scenarios")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="reserved; runs are deterministic")
     rp = sub.add_parser("repro", help="write the canonical acceptance configs")
     rp.add_argument("--out", default="repro-configs", help="output directory")
     args = parser.parse_args(argv)
@@ -960,7 +942,7 @@ def main(argv=None):
     try:
         code, doc = run_scenarios(args.config, args.out,
                                   workers=max(1, args.workers),
-                                  seed=args.seed, default_task=args.command)
+                                  default_task=args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

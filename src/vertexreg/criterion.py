@@ -12,7 +12,6 @@ cross-checks.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -22,15 +21,16 @@ from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
 from scipy.optimize import brentq
 
 from . import spectral
+from ._csvtable import write_csv
 from .blayer import bl_profile
 from .errors import (ConfigError, DomainError, NoConvergence, QuadratureError,
                      StiffnessError)
-from .funcs import Kappa, SlowGrowthFn
+from .funcs import Kappa, SlowGrowthFn, lookup
 
 _SQRT_PI = math.sqrt(math.pi)
 _LN_UNDERFLOW = -745.0  # exp() underflows to 0 just below this
 _MAX_TAU = 1.0e12
-_PERIOD_CAP = 100000
+_PERIOD_CAP = 1.0e5  # most carrier half-periods a period sum will integrate
 
 DEFAULT_THRESHOLDS = {
     "drop": 10.0,        # required fall of ln a0 below its initial value
@@ -181,39 +181,39 @@ def _fit_m2_constants(kernel, fit_window, switchover: float) -> M2Constants:
         C1=fit.C1, C2=fit.C2, d_fit=fit.d_fit, b_fit=fit.b_fit)
 
 
+def _m1_linear_value(ph):
+    """The m=1 linear term -phi e^{-phi^2/4} / (4 sqrt(pi))."""
+    return -(1.0 / (4.0 * _SQRT_PI)) * ph * np.exp(-ph * ph / 4.0)
+
+
 def _m2_linear_parts(m2c: M2Constants, kernel):
-    """Composite evaluators for the m=2 linear term and the bare kernel."""
+    """Composite evaluators for the m=2 linear term and the bare kernel:
+    exact up to phi = switchover, the fitted asymptotic form beyond."""
 
-    def kernel_value(ph):
-        out = np.empty_like(ph)
-        mask = ph <= m2c.switchover
-        if mask.any():
-            out[mask] = kernel.F(ph[mask])
-        if (~mask).any():
-            pp = ph[~mask]
-            t = pp ** m2c.alpha
-            out[~mask] = (pp ** (-m2c.delta0)
-                          * (m2c.C1 * np.sin(m2c.b_fit * t)
-                             + m2c.C2 * np.cos(m2c.b_fit * t))
-                          * np.exp(-m2c.d_fit * t))
-        return out
+    def split(exact, asymptotic):
+        def value(ph):
+            out = np.empty_like(ph)
+            mask = ph <= m2c.switchover
+            if mask.any():
+                out[mask] = exact(ph[mask])
+            if (~mask).any():
+                pp = ph[~mask]
+                out[~mask] = asymptotic(pp, pp ** m2c.alpha)
+            return out
+        return value
 
-    def linear_value(ph):
-        out = np.empty_like(ph)
-        mask = ph <= m2c.switchover
-        if mask.any():
-            pm = ph[mask]
-            out[mask] = (m2c.gamma2 * pm * kernel.F(pm)
-                         + m2c.gamma1 * pm ** (2.0 / 3.0)
-                         * kernel.F_deriv(pm, 1))
-        if (~mask).any():
-            pp = ph[~mask]
-            t = pp ** m2c.alpha
-            out[~mask] = (pp ** (2.0 / 3.0) * m2c.C3
-                          * np.cos(m2c.b0 * t + m2c.C4)
-                          * np.exp(-m2c.d0 * t))
-        return out
-
+    kernel_value = split(
+        kernel.F,
+        lambda pp, t: (pp ** (-m2c.delta0)
+                       * (m2c.C1 * np.sin(m2c.b_fit * t)
+                          + m2c.C2 * np.cos(m2c.b_fit * t))
+                       * np.exp(-m2c.d_fit * t)))
+    linear_value = split(
+        lambda pm: (m2c.gamma2 * pm * kernel.F(pm)
+                    + m2c.gamma1 * pm ** (2.0 / 3.0) * kernel.F_deriv(pm, 1)),
+        lambda pp, t: (pp ** (2.0 / 3.0) * m2c.C3
+                       * np.cos(m2c.b0 * t + m2c.C4)
+                       * np.exp(-m2c.d0 * t)))
     return linear_value, kernel_value
 
 
@@ -266,10 +266,7 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
         m2c = _fit_m2_constants(kernel, fit_window, switchover)
         linear_value, kernel_value = _m2_linear_parts(m2c, kernel)
     else:
-        coef = 1.0 / (4.0 * _SQRT_PI)
-
-        def linear_value(ph):
-            return -coef * ph * np.exp(-ph * ph / 4.0)
+        linear_value = _m1_linear_value
 
     n_extra = radial_exponent - 1
 
@@ -424,73 +421,75 @@ def verdict(trajectory: CriterionTrajectory, thresholds: Optional[dict] = None,
 
 # -- comparison solutions -------------------------------------------------------
 
-def linear_closed_form(m: int, phi: SlowGrowthFn, tau: float, tau0: float,
-                       opts: Optional[dict] = None) -> float:
-    """Quadrature value of ln a0(tau) - ln a0(tau0) for the kappa=0 system.
+def _linear_in_ln_tau(s: float, ode: CriterionODE) -> float:
+    """The linear term per unit ln tau, at ln tau = s."""
+    t = math.exp(s)
+    return t * ode.linear_rhs(t)
 
-    m=1 integrates the sign-definite linear term directly; m=2 splits
-    the oscillatory integrand at the zeros of its cosine carrier and
-    sums the pieces.
+
+def _period_sum(ode: CriterionODE, s0: float, s1: float):
+    """Integrate the m=2 linear term in ln tau, one carrier half-period at a time.
+
+    The cuts are s0, every point where the carrier phase b0 phi^alpha + C4
+    crosses pi/2 + k pi, and s1; one quad value per piece between them.
+    Returns (cuts, pieces, flags); flags names each piece whose quad
+    returned an error flag, with its error estimate and quad's message.
     """
-    opts = dict(opts or {})
-    radial_exponent = int(opts.pop("radial_exponent", 1))
-    if tau <= tau0:
-        raise ValueError("need tau > tau0")
-    s0, s1 = math.log(tau0), math.log(tau)
-
-    if m == 1:
-        coef = 1.0 / (4.0 * _SQRT_PI)
-
-        def f(s):
-            t = math.exp(s)
-            ph = float(phi.phi(t))
-            return -t * coef * ph ** radial_exponent * math.exp(-ph * ph / 4.0)
-
-        val, _ = quad(f, s0, s1, epsabs=1e-13, epsrel=1e-11, limit=500)
-        return val
-    if m != 2:
-        raise ConfigError(f"unsupported order m={m}")
-
-    kernel = opts.pop("kernel", None) or spectral.default_kernel(2)
-    fit_window = opts.pop("fit_window", (5.0, 15.0))
-    switchover = float(opts.pop("switchover", 20.0))
-    if opts:
-        raise ConfigError("unknown options: " + ", ".join(sorted(opts)))
-    m2c = _fit_m2_constants(kernel, fit_window, switchover)
-    linear_value, _ = _m2_linear_parts(m2c, kernel)
-
-    def f(s):
-        t = math.exp(s)
-        ph = np.atleast_1d(np.asarray(phi.phi(t), dtype=float))
-        return t * float(linear_value(ph)[0] * ph[0] ** (radial_exponent - 1))
+    m2c = ode.m2_constants
 
     def phase(s):
-        return m2c.b0 * float(phi.phi(math.exp(s))) ** m2c.alpha + m2c.C4
+        return m2c.b0 * float(ode.phi.phi(math.exp(s))) ** m2c.alpha + m2c.C4
 
     th0, th1 = phase(s0), phase(s1)
     if (th1 - th0) / math.pi > _PERIOD_CAP:
         raise QuadratureError(
             f"period sum needs {(th1 - th0) / math.pi:.3g} segments; "
-            f"integrand oscillates too fast for phi={phi.name!r}")
+            f"integrand oscillates too fast for phi={ode.phi.name!r}")
     cuts = [s0]
     k = math.ceil((th0 - math.pi / 2.0) / math.pi)
     target = math.pi / 2.0 + k * math.pi
     lo = s0
     while target < th1:
         if target > th0:
-            root = brentq(lambda s: phase(s) - target, lo, s1, xtol=1e-13)
-            cuts.append(root)
-            lo = root
-        k += 1
-        target = math.pi / 2.0 + k * math.pi
+            cuts.append(brentq(lambda s: phase(s) - target, lo, s1, xtol=1e-13))
+            lo = cuts[-1]
+        target += math.pi
     cuts.append(s1)
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a < 1e-14:
-            continue
-        piece, _ = quad(f, a, b, epsabs=1e-13, epsrel=1e-10, limit=200)
-        total += piece
-    return total
+    pieces, flags = [], []
+    for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        val, abserr, *rest = quad(_linear_in_ln_tau, a, b, args=(ode,),
+                                  epsabs=1e-13, epsrel=1e-10, limit=200,
+                                  full_output=1)
+        pieces.append(val)
+        if len(rest) > 1:  # quad appends its message only when it flags
+            message = " ".join(rest[1].splitlines()[0].split())
+            flags.append(f"quad flagged half-period {i} of {len(cuts) - 1} "
+                         f"(tau {math.exp(a):.4g} to {math.exp(b):.4g}, "
+                         f"abserr {abserr:.2g}): {message}")
+    return cuts, pieces, flags
+
+
+def linear_closed_form(m: int, phi: SlowGrowthFn, tau: float, tau0: float,
+                       opts: Optional[dict] = None) -> float:
+    """Quadrature value of ln a0(tau) - ln a0(tau0) for the kappa=0 system.
+
+    m=1 integrates the sign-definite linear term directly; m=2 splits
+    the oscillatory integrand at the zeros of its cosine carrier and
+    sums the pieces, raising QuadratureError if quad flags any piece.
+    opts are build_criterion's.
+    """
+    if tau <= tau0:
+        raise ValueError("need tau > tau0")
+    ode = build_criterion(m, "multiplicative", phi, lookup("zero-kappa"), opts)
+    s0, s1 = math.log(tau0), math.log(tau)
+    if m == 1:
+        val, _ = quad(_linear_in_ln_tau, s0, s1, args=(ode,),
+                      epsabs=1e-13, epsrel=1e-11, limit=500)
+        return val
+    _, pieces, flags = _period_sum(ode, s0, s1)
+    if flags:
+        raise QuadratureError("; ".join(flags))
+    return sum(pieces)
 
 
 def irregularity_iteration(ode: CriterionODE, n_iters: int = 8, *,
@@ -596,8 +595,7 @@ def gradient_negligibility(phi: SlowGrowthFn, kappa: Kappa,
     sg = np.linspace(math.log(tau0), math.log(hi), n_points)
     tau = np.exp(sg)
     ph = np.asarray(phi.phi(tau), dtype=float)
-    coef = 1.0 / (4.0 * _SQRT_PI)
-    lin = -coef * ph * np.exp(-ph * ph / 4.0)
+    lin = _m1_linear_value(ph)
     if freeze_amplitude is None:
         x = ln_a0_init + cumulative_trapezoid(tau * lin, sg, initial=0.0)
         a = _amplitude(x, kappa.u_max)
@@ -615,9 +613,6 @@ def gradient_negligibility(phi: SlowGrowthFn, kappa: Kappa,
 
 def export_trajectory_csv(trajectory: CriterionTrajectory, path: str) -> None:
     """Write (tau, ln a0, linear rhs, nonlinear rhs) rows to a CSV file."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "ln_a0", "rhs_linear", "rhs_nonlinear"])
-        for row in zip(trajectory.tau, trajectory.ln_a0,
-                       trajectory.rhs_linear, trajectory.rhs_nonlinear):
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_csv(path, ["tau", "ln_a0", "rhs_linear", "rhs_nonlinear"],
+              zip(trajectory.tau, trajectory.ln_a0,
+                  trajectory.rhs_linear, trajectory.rhs_nonlinear))

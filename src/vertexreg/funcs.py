@@ -24,8 +24,6 @@ __all__ = [
     "validate_kappa",
     "builtin_catalog",
     "lookup",
-    "phi_from_expression",
-    "kappa_from_expression",
     "BIHARMONIC_CRITICAL_C",
 ]
 
@@ -96,16 +94,6 @@ class ValidityReport:
             if c.condition == condition:
                 return c
         raise KeyError(condition)
-
-    def as_dict(self):
-        return {
-            "subject": self.subject,
-            "passed": self.passed,
-            "checks": [
-                {"condition": c.condition, "passed": c.passed, "witness": c.witness}
-                for c in self.checks
-            ],
-        }
 
 
 def _eval_finite(fn, x, what):
@@ -340,41 +328,3 @@ def builtin_catalog():
         lookup("critical-kappa"),
         lookup("negative-power"),
     ]
-
-
-# ---------------------------------------------------------------------------
-# user-defined functions from config expressions
-
-_EXPR_NAMES = {
-    "np": np, "pi": np.pi, "e": np.e,
-    "sqrt": np.sqrt, "log": np.log, "exp": np.exp, "abs": np.abs,
-    "cbrt": np.cbrt, "sin": np.sin, "cos": np.cos, "minimum": np.minimum,
-    "maximum": np.maximum,
-}
-
-
-def _compile_expr(expr, var):
-    code = compile(expr, "<config-expression>", "eval")
-    for name in code.co_names:
-        if name != var and name not in _EXPR_NAMES:
-            raise DomainError("name %r not allowed in expression %r" % (name, expr))
-
-    def fn(x):
-        return eval(code, {"__builtins__": {}}, dict(_EXPR_NAMES, **{var: x}))
-
-    return fn
-
-
-def phi_from_expression(name, expr, dexpr, tau_min=2.0):
-    """Boundary shape from config strings in the variable tau.
-
-    Only numpy-style math names are allowed; anything else is rejected up
-    front so config typos fail before a run starts.
-    """
-    return SlowGrowthFn(name, _compile_expr(expr, "tau"),
-                        _compile_expr(dexpr, "tau"), tau_min=tau_min)
-
-
-def kappa_from_expression(name, expr, u_max=1.0, sign="mixed"):
-    """Reaction coefficient from a config string in the variable u."""
-    return Kappa(name, _compile_expr(expr, "u"), u_max=u_max, sign=sign)

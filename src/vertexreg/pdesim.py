@@ -11,6 +11,7 @@ derivative laws) is measured from the grid solution for cross-checking.
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,6 +19,7 @@ from scipy.integrate import simpson
 from scipy.linalg import solve_banded
 
 from . import spectral
+from ._csvtable import write_csv
 from .blayer import BLProfile, bl_profile
 from .errors import BlowupError, ConfigError, ResolutionError, StepFailure
 from .funcs import Kappa, SlowGrowthFn
@@ -481,26 +483,17 @@ def export_series_csv(trajectory: PdeTrajectory, path: str) -> None:
     else:
         bnd_cols = ["v_yy", "v_yyy"]
     header = ["tau", "vertex", "a0", "rho_opt", "bl_deviation"] + bnd_cols
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(trajectory.vertex_values.shape[0]):
-            row = [trajectory.vertex_values[i, 0],
-                   trajectory.vertex_values[i, 1],
-                   trajectory.a0_series[i, 1],
-                   trajectory.rho_series[i, 1],
-                   trajectory.bl_deviation[i, 1]]
-            row.extend(trajectory.boundary_derivs[i, 1:])
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    write_csv(path, header, np.column_stack([
+        trajectory.vertex_values[:, :2], trajectory.a0_series[:, 1],
+        trajectory.rho_series[:, 1], trajectory.bl_deviation[:, 1],
+        trajectory.boundary_derivs[:, 1:]]))
 
 
 def export_snapshots_csv(trajectory: PdeTrajectory, path: str) -> None:
     """Long-format (tau, z, w) rows for every checkpoint."""
-    z = trajectory.z
-    with open(path, "w") as fh:
-        fh.write("tau,z,w\n")
-        for t, w in trajectory.snapshots:
-            for zi, wi in zip(z, w):
-                fh.write("%.17g,%.17g,%.17g\n" % (t, zi, wi))
+    z = trajectory.z.tolist()  # Python floats format faster than numpy scalars
+    write_csv(path, ["tau", "z", "w"], chain.from_iterable(
+        zip(repeat(t), z, w.tolist()) for t, w in trajectory.snapshots))
 
 
 def export_metadata_json(trajectory: PdeTrajectory, path: Optional[str] = None):

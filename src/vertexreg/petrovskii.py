@@ -13,11 +13,11 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
-from scipy.optimize import brentq
+from scipy.integrate import cumulative_trapezoid
 
 from . import criterion, funcs, spectral
-from .errors import DomainError, QuadratureError
+from ._csvtable import write_csv
+from .errors import DomainError
 from .funcs import SlowGrowthFn
 
 __all__ = [
@@ -40,8 +40,6 @@ _Q_MARGIN = 0.05
 # ln of the smallest positive subnormal float; density values at or below
 # the clip are treated as quadrature-exact zero tail.
 _LN_TINY = -700.0
-
-_PERIOD_CAP = 1.0e5
 
 
 class Classification(str, Enum):
@@ -201,6 +199,7 @@ def biharmonic_linear_criterion(phi: SlowGrowthFn, kernel=None, *,
     irregular side; marginal oscillation (non-decaying alternating period
     contributions) stays Undetermined because deciding it would need the
     oscillatory cut-off construction, which this module does not attempt.
+    Pieces whose quadrature came back flagged are named in the diagnostic.
     """
     if kernel is None:
         kernel = spectral.default_kernel(2)
@@ -213,44 +212,9 @@ def biharmonic_linear_criterion(phi: SlowGrowthFn, kernel=None, *,
                                     dict(opts or {}, kernel=kernel))
     m2c = ode.m2_constants
     s0, s1 = math.log(tau0), math.log(tau_max)
-
-    def phase(s):
-        return m2c.b0 * float(phi.phi(math.exp(s))) ** m2c.alpha + m2c.C4
-
-    def integrand(s):
-        t = math.exp(s)
-        return t * ode.linear_rhs(t)
-
-    th0, th1 = phase(s0), phase(s1)
-    window = (tau0, tau_max)
-    envelope_slope = (m2c.d0 * (float(phi.phi(tau_max)) ** m2c.alpha
-                                - float(phi.phi(tau0)) ** m2c.alpha) / (s1 - s0))
-    if th1 - th0 < 1.0e-3:
-        total, _ = quad(integrand, s0, s1, limit=400)
-        pv = np.array([[tau0, 0.0], [tau_max, total]])
-        fit = TailFit(envelope_slope, None, window, math.nan)
-        return IntegralTrace("tau", pv, Classification.UNDETERMINED, fit,
-                             "integrand envelope does not decay: the width is "
-                             "constant over the horizon")
-    if (th1 - th0) / math.pi > _PERIOD_CAP:
-        raise QuadratureError(
-            f"period sum needs {(th1 - th0) / math.pi:.3g} segments; "
-            f"integrand oscillates too fast for phi={phi.name!r}")
-
-    cuts = [s0]
-    k = math.ceil((th0 - math.pi / 2.0) / math.pi)
-    target = math.pi / 2.0 + k * math.pi
-    lo = s0
-    while target < th1:
-        if target > th0:
-            cuts.append(brentq(lambda s: phase(s) - target, lo, s1, xtol=1e-13))
-            lo = cuts[-1]
-        target += math.pi
-    cuts.append(s1)
-    pieces = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        val, _ = quad(integrand, a, b, epsabs=1e-13, epsrel=1e-10, limit=200)
-        pieces.append(val)
+    spread = float(phi.phi(tau_max)) ** m2c.alpha - float(phi.phi(tau0)) ** m2c.alpha
+    envelope_slope = m2c.d0 * spread / (s1 - s0)
+    cuts, pieces, flags = criterion._period_sum(ode, s0, s1)
     partial = np.concatenate([[0.0], np.cumsum(pieces)])
     pv = np.column_stack([np.exp(cuts), partial])
 
@@ -259,7 +223,11 @@ def biharmonic_linear_criterion(phi: SlowGrowthFn, kernel=None, *,
     contribs = np.asarray(pieces[1:-1], dtype=float)
     diagnostic = ""
     extrapolation = math.nan
-    if contribs.size < 4:
+    if m2c.b0 * spread < 1.0e-3:  # the carrier phase barely moves
+        cls = Classification.UNDETERMINED
+        diagnostic = ("integrand envelope does not decay: the width is "
+                      "constant over the horizon")
+    elif contribs.size < 4:
         mid = np.interp(0.5 * (s0 + s1), cuts, partial)
         if all(p < 0.0 for p in pieces) and abs(partial[-1]) > 1.5 * abs(mid):
             cls = Classification.DIVERGENT_TO_MINUS_INFINITY
@@ -284,7 +252,8 @@ def biharmonic_linear_criterion(phi: SlowGrowthFn, kernel=None, *,
         else:
             cls = Classification.UNDETERMINED
             diagnostic = "half-period contributions do not alternate in sign"
-    fit = TailFit(envelope_slope, None, window, extrapolation)
+    fit = TailFit(envelope_slope, None, (tau0, tau_max), extrapolation)
+    diagnostic = "; ".join(filter(None, [diagnostic] + flags))
     return IntegralTrace("tau", pv, cls, fit, diagnostic)
 
 
@@ -310,7 +279,4 @@ def envelope_exponent(phi: SlowGrowthFn, kernel=None, *, tau_lo: float = 1.0e4,
 
 def export_trace_csv(trace: IntegralTrace, path: str) -> None:
     """Write (variable, partial value) rows; full float precision."""
-    with open(path, "w") as fh:
-        fh.write("%s,partial_value\n" % trace.variable)
-        for x, s in trace.partial_values:
-            fh.write("%.17g,%.17g\n" % (x, s))
+    write_csv(path, [trace.variable, "partial_value"], trace.partial_values)

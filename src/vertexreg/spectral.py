@@ -8,7 +8,6 @@ the two eigenfunction families. Everything downstream (reduced ODEs,
 projections, criterion integrands) pulls its constants from here.
 """
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.signal import argrelmax
 
+from ._csvtable import write_csv
 from .errors import FitError, QuadratureError, UnsupportedOrder
 
 __all__ = [
@@ -295,12 +295,6 @@ class ExactPolynomial:
     def degree(self):
         return self.coefficients[0][0]
 
-    def coeff(self, power):
-        for p, c in self.coefficients:
-            if p == power:
-                return c
-        return Fraction(0)
-
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
         out = np.zeros_like(y)
@@ -428,11 +422,7 @@ def export_kernel_csv(model, ys, path):
     """Tabulate y, F and the first three derivatives as CSV."""
     ys = np.asarray(ys, dtype=float)
     cols = [ys] + [model.fourier_derivative(ys, k) for k in range(4)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y", "F", "dF", "d2F", "d3F"])
-        for row in zip(*cols):
-            writer.writerow(["%.17g" % v for v in row])
+    write_csv(path, ["y", "F", "dF", "d2F", "d3F"], zip(*cols))
     return path
 
 

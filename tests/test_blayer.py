@@ -177,6 +177,7 @@ def test_export_profile_csv(tmp_path):
     prof = blayer.bl_profile(2)
     path = tmp_path / "profile.csv"
     blayer.export_profile_csv(prof, np.linspace(0.0, 5.0, 11), str(path))
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "xi,g0,dg0,d2g0"
     assert len(lines) == 12
@@ -188,6 +189,7 @@ def test_export_trace_csv(tmp_path):
     traj = blayer.solve_limit_equation(1, blayer.bl_profile(1).g0, steps=10)
     path = tmp_path / "trace.csv"
     blayer.export_trace_csv(traj, str(path))
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "s,lyapunov,weighted_distance,sup_distance"
     assert len(lines) == 12

@@ -293,9 +293,8 @@ def test_validate_task_passes_all_default_checks(tmp_path):
 def test_report_document_shape(tmp_path):
     doc = one_scenario("k1", "kernel", {"m": 1})
     _, report = cli.run_scenarios(write_config(tmp_path, doc),
-                                  str(tmp_path / "out"), seed=7)
+                                  str(tmp_path / "out"))
     assert report["schema_version"] == 1
-    assert report["seed"] == 7
     assert report["status"] == "ok"
     assert report["config"]["version"] == 1
     on_disk = json.load(open(tmp_path / "out" / "report.json"))

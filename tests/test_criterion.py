@@ -278,6 +278,10 @@ def test_m2_period_summed_quadrature():
                               lambda t: 0.5 / np.sqrt(np.asarray(t, dtype=float)))
     with pytest.raises(QuadratureError):
         criterion.linear_closed_form(2, fast, 1e9, 10.0)
+    # a half-period whose quad is flagged fails the sum instead of warning
+    with pytest.raises(QuadratureError, match="half-period 6"):
+        criterion.linear_closed_form(
+            2, funcs.lookup("biharmonic-critical", c=3.5), 1e9, 10.0)
 
 
 # -- irregularity iteration --------------------------------------------------------
@@ -359,6 +363,7 @@ def test_export_trajectory_csv(tmp_path):
     traj = criterion.integrate(ode, -1.0, 10.0, 1e4)
     path = tmp_path / "trajectory.csv"
     criterion.export_trajectory_csv(traj, str(path))
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "tau,ln_a0,rhs_linear,rhs_nonlinear"
     assert len(lines) == traj.tau.size + 1

@@ -152,23 +152,6 @@ def test_lookup_names_and_parameters():
         funcs.lookup("no-such-member")
 
 
-def test_expression_functions_round_trip():
-    f = funcs.phi_from_expression("expr-phi", "2*sqrt(log(tau))",
-                                  "1/(tau*sqrt(log(tau)))")
-    ref = funcs.lookup("petrovskii-critical")
-    assert f.phi(100.0) == pytest.approx(ref.phi(100.0), rel=1e-15)
-    assert f.dphi(100.0) == pytest.approx(ref.dphi(100.0), rel=1e-15)
-    k = funcs.kappa_from_expression("expr-kappa", "-u", u_max=1.0, sign="negative")
-    assert k.kappa(0.25) == pytest.approx(-0.25)
-
-
-def test_expressions_reject_unknown_names():
-    with pytest.raises(DomainError):
-        funcs.phi_from_expression("evil", "__import__('os')", "1")
-    with pytest.raises(DomainError):
-        funcs.kappa_from_expression("typo", "lug(u)")
-
-
 @settings(max_examples=25, deadline=None)
 @given(p=st.floats(min_value=0.3, max_value=3.0))
 def test_log_power_family_validates(p):

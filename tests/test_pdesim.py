@@ -401,6 +401,7 @@ def test_step_failure_on_poisoned_source():
 def test_series_csv_roundtrip(tmp_path, star_run):
     path = tmp_path / "series.csv"
     pdesim.export_series_csv(star_run, str(path))
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "tau,vertex,a0,rho_opt,bl_deviation,v_y"
     assert len(lines) - 1 == star_run.vertex_values.shape[0]
@@ -422,6 +423,7 @@ def test_snapshot_csv_shape(tmp_path):
     traj = pdesim.run(cfg)
     path = tmp_path / "snaps.csv"
     pdesim.export_snapshots_csv(traj, str(path))
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "tau,z,w"
     assert len(lines) - 1 == len(traj.snapshots) * traj.z.size

@@ -2,6 +2,7 @@
 form equivalence, and the oscillatory fourth-order partial sums."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,18 @@ def test_biharmonic_supercritical_bounded():
     assert trace.fit.extrapolation == pytest.approx(limit, abs=1e-4)
 
 
+def test_biharmonic_flagged_quadrature_is_reported():
+    # one half-period's quad stops on roundoff at c=3.5; the flag must reach
+    # the trace instead of escaping as a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = petrovskii.biharmonic_linear_criterion(
+            funcs.lookup("biharmonic-critical", c=3.5))
+    assert trace.classification is Classification.BOUNDED
+    assert "quad flagged half-period 6 of 14" in trace.diagnostic
+    assert "abserr" in trace.diagnostic
+
+
 def test_biharmonic_slow_width_diverges_to_minus_infinity():
     trace = petrovskii.biharmonic_linear_criterion(funcs.lookup("log-power", p=0.25))
     assert trace.classification is Classification.DIVERGENT_TO_MINUS_INFINITY
@@ -274,6 +287,7 @@ def test_export_trace_csv(tmp_path):
     trace = petrovskii.petrovskii_integral(STAR, 1, 10.0, 1e6, n_points=50)
     path = tmp_path / "trace.csv"
     petrovskii.export_trace_csv(trace, str(path))
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "tau,partial_value"
     assert len(lines) == 51

@@ -309,6 +309,7 @@ def test_export_kernel_csv(tmp_path):
     model = spectral.build_kernel(2)
     path = tmp_path / "kernel.csv"
     spectral.export_kernel_csv(model, np.linspace(0.0, 2.0, 5), str(path))
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "y,F,dF,d2F,d3F"
     assert len(lines) == 6
