@@ -295,7 +295,9 @@ def _validate_simulate(sid, params, extra=None):
 
 
 def _validate_compare(sid, params):
+    # the ODE side needs a width even where the simulation freezes it
     return _validate_simulate(sid, params, extra={
+        "phi": (_as_fn, _REQUIRED),
         "window": (_as_pair, _REQUIRED),
         "opts": (_check_criterion_opts, {}),
     })
@@ -449,6 +451,7 @@ def _run_criterion(params, outdir):
     ode = criterion.build_criterion(params["m"], params["kind"], phi, kappa,
                                     params["opts"] or None)
     payload = {"m": params["m"], "kind": params["kind"], "phi": phi.name,
+               "radial_exponent": ode.radial_exponent,
                "kappa": kappa.name, "kappa_linear": kappa.linear,
                "tau0": params["tau0"], "tau_max": params["tau_max"],
                "tol": params["tol"]}
@@ -497,9 +500,12 @@ def _run_criterion(params, outdir):
 def _run_petrovskii(params, outdir):
     phi = _resolve(params["phi"])
     variant = params["variant"]
+    # the order m and radial exponent N of the problem the integral decides
+    m, radial_exponent = 1, 1
     if variant == "tau":
+        radial_exponent = params["radial_exponent"]
         trace = petrovskii.petrovskii_integral(
-            phi, params["radial_exponent"], params["tau0"], params["tau_max"],
+            phi, radial_exponent, params["tau0"], params["tau_max"],
             n_points=params["n_points"])
     elif variant == "dini":
         def rho(h):
@@ -513,12 +519,15 @@ def _run_petrovskii(params, outdir):
                                             ell_max=params["ell_max"],
                                             n_points=params["n_points"])
     else:
+        m = 2
+        radial_exponent = int(params["opts"].get("radial_exponent", 1))
         trace = petrovskii.biharmonic_linear_criterion(
             phi, tau0=params["tau0"], tau_max=params["tau_max"],
             opts=params["opts"] or None)
     petrovskii.export_trace_csv(trace, os.path.join(outdir, "trace.csv"))
     fit = trace.fit
-    payload = {"phi": phi.name, "variant": variant,
+    payload = {"phi": phi.name, "variant": variant, "m": m,
+               "radial_exponent": radial_exponent,
                "classification": str(trace.classification.value),
                "total": trace.total, "diagnostic": trace.diagnostic,
                "fit": {"slope": fit.slope, "refinement": fit.refinement,
@@ -531,10 +540,7 @@ def _run_petrovskii(params, outdir):
 
 def _kernel_mass(model, span, n=8001):
     ys = np.linspace(0.0, span, n)
-    vals = np.empty_like(ys)
-    for i in range(0, n, 2048):  # chunked: F builds an (len(y), s-nodes) matrix
-        vals[i:i + 2048] = model.F(ys[i:i + 2048])
-    return 2.0 * float(simpson(vals, x=ys))
+    return 2.0 * float(simpson(model.F(ys), x=ys))
 
 
 _MASS_SPAN = {1: 30.0, 2: 60.0}
@@ -747,12 +753,18 @@ _IMPLIED_REGULARITY = {
 
 
 def _consistency_checks(reports):
-    """Pair integral classifications with ODE verdicts on the same width.
+    """Pair integral classifications with ODE verdicts on the same problem.
 
-    Only linear-reaction criterion runs are comparable to the bare
-    integral test. Undetermined classifications and Inconclusive verdicts
-    leave the pair flag null.
+    A pair shares the width phi, the order m and the radial exponent N, so
+    the tau and density forms meet only m=1 verdicts and the biharmonic
+    integral only m=2 ones. Only linear-reaction criterion runs are
+    comparable to the bare integral test. Undetermined classifications
+    and Inconclusive verdicts leave the pair flag null.
     """
+    def problem(report):
+        p = report.payload
+        return p["phi"], p["m"], p["radial_exponent"]
+
     pairs = []
     integral = [r for r in reports
                 if r.task == "petrovskii" and r.status == "ok"]
@@ -761,7 +773,7 @@ def _consistency_checks(reports):
             and r.payload.get("kappa_linear")]
     for left in integral:
         for right in odes:
-            if left.payload["phi"] != right.payload["phi"]:
+            if problem(left) != problem(right):
                 continue
             implied = _IMPLIED_REGULARITY.get(left.payload["classification"])
             verdict = right.payload["verdict"]

@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 from scipy.optimize import least_squares
-from scipy.signal import argrelmax
 
 from ._csvtable import write_csv
 from .errors import FitError, QuadratureError, UnsupportedOrder
@@ -46,6 +46,18 @@ TAIL_TOL = 1e-14
 # matrix extends internally up to _EXTENDED_ORDER_MAX.
 DERIV_ORDER_MAX = 3
 _EXTENDED_ORDER_MAX = 8
+
+# The m=2 interpolant of F and its first three derivatives may differ from
+# quadrature at off-node points by at most this, or the kernel refuses to
+# build.
+INTERP_TOL = 1e-13
+
+# Panel width and degree of that interpolant. F is entire, so the error
+# falls geometrically with the degree; these reach round-off (measured).
+_CHEB_PANEL_WIDTH = 1.5
+_CHEB_DEGREE = 14
+
+_GAUSS_NORM = 1.0 / math.sqrt(4.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -106,11 +118,88 @@ def _tail_bound(s_max, m, order):
     return s_max ** order * math.exp(-s_max ** (2 * m)) * 2.0 / decay
 
 
+def _gaussian_derivative(y, order):
+    """G = (4 pi)^{-1/2} e^{-y^2/4} and its derivatives up to order 3."""
+    g = _GAUSS_NORM * np.exp(-0.25 * y * y)
+    if order == 0:
+        return g
+    if order == 1:
+        return -0.5 * y * g
+    if order == 2:
+        return (0.25 * y * y - 0.5) * g
+    return (0.75 - 0.125 * y * y) * y * g
+
+
+class _PiecewiseChebyshev:
+    """Interpolants of an even function and its derivatives up to order 3.
+
+    sample(y, order) supplies the values at the Chebyshev nodes of equal
+    panels covering [0, span]; evaluation takes |y| <= span and applies the
+    parity (-1)^order for y < 0. Refuses to build when the interpolant
+    misses sample by more than INTERP_TOL at the points between the nodes.
+    """
+
+    def __init__(self, sample, span):
+        n_panels = math.ceil(span / _CHEB_PANEL_WIDTH)
+        n = _CHEB_DEGREE + 1
+        self._width = span / n_panels
+        self._last = n_panels - 1
+        left = self._width * np.arange(n_panels)
+
+        def on_panels(x):
+            return (left[:, None] + 0.5 * self._width * (x + 1.0)).ravel()
+
+        # first-kind nodes: discrete orthogonality of T_k gives the coefficients
+        nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        to_coef = chebvander(nodes, _CHEB_DEGREE) * (2.0 / n)
+        to_coef[:, 0] *= 0.5
+        # stored (degree + 1, panels), so one gather gives a row per degree
+        self._coef = [
+            np.ascontiguousarray(
+                (sample(on_panels(nodes), k).reshape(n_panels, n) @ to_coef).T)
+            for k in range(DERIV_ORDER_MAX + 1)]
+
+        # second-kind points, panel edges included, interlace the nodes
+        check = on_panels(np.cos(np.pi * np.arange(n + 1) / n))
+        for k in range(DERIV_ORDER_MAX + 1):
+            miss = float(np.max(np.abs(self(check, k) - sample(check, k))))
+            if miss > INTERP_TOL:
+                raise QuadratureError(
+                    "Chebyshev interpolant of derivative %d misses quadrature "
+                    "by %.3g > %.1g on [0, %g]" % (k, miss, INTERP_TOL, span))
+
+    def __call__(self, y, order):
+        x = np.abs(y) / self._width
+        panel = np.minimum(x.astype(np.intp), self._last)
+        t = 2.0 * (x - panel) - 1.0
+        coef = self._coef[order].take(panel, axis=1)
+        # Clenshaw recurrence, one row of coefficients per degree; in place,
+        # since this is the hot loop of every m=2 projection
+        two_t = t + t
+        b1, b2, tmp = coef[-1].copy(), np.zeros_like(t), np.empty_like(t)
+        for c in coef[-2:0:-1]:
+            np.multiply(two_t, b1, out=tmp)
+            tmp -= b2
+            tmp += c
+            b1, b2, tmp = tmp, b1, b2
+        out = t * b1
+        out += coef[0]
+        out -= b2
+        if order % 2:
+            out *= np.sign(y)  # odd: exact negation, and exactly 0 at y = 0
+        return out
+
+
 class KernelModel:
-    """Rescaled kernel F of order m with quadrature-backed evaluators.
+    """Rescaled kernel F of order m.
 
     F(y) = normalizer * int_0^{s_max} e^{-s^{2m}} cos(s y) ds; derivatives
     pick up a factor s^order and a quarter-period phase shift per order.
+    That quadrature builds the model and serves fourier_derivative (orders
+    0-8). F and F_deriv (orders 0-3) are served without it: for m=1 by the
+    closed-form Gaussian G and G', G'', G'''; for m=2 by a piecewise
+    Chebyshev interpolant of the quadrature on |y| <= y_span, checked
+    against it at build, and by the quadrature beyond.
     Immutable after construction; evaluation is pure and safe to share.
     """
 
@@ -142,6 +231,11 @@ class KernelModel:
         nodes, weights = self._y_rule(self._y_span)
         raw_mass = 2.0 * (weights @ self._raw(nodes, 0))
         self.normalizer = 1.0 / raw_mass
+        self._interp = None
+        if m == 2:
+            self._interp = _PiecewiseChebyshev(
+                lambda y, order: self.normalizer * self._raw(y, order),
+                self._y_span)
 
     # -- quadrature plumbing ------------------------------------------------
 
@@ -165,17 +259,30 @@ class KernelModel:
         out = self.normalizer * self._raw(y, order)
         return float(out[0]) if scalar else out
 
+    def _eval_fast(self, y, order):
+        scalar = np.isscalar(y) or np.ndim(y) == 0
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        if self._interp is None:
+            out = _gaussian_derivative(y, order)
+        elif np.max(np.abs(y)) <= self._y_span:  # False for NaN too
+            out = self._interp(y, order)
+        else:
+            far = ~(np.abs(y) <= self._y_span)
+            out = self._interp(np.where(far, 0.0, y), order)
+            out[far] = self.normalizer * self._raw(y[far], order)
+        return float(out[0]) if scalar else out
+
     # -- public evaluators --------------------------------------------------
 
     def F(self, y):
         """Kernel value; the Gaussian (4 pi)^{-1/2} e^{-y^2/4} when m=1."""
-        return self._eval(y, 0)
+        return self._eval_fast(y, 0)
 
     def F_deriv(self, y, order):
         """Derivative of F up to the guaranteed order 3."""
         if not 0 <= order <= DERIV_ORDER_MAX:
             raise ValueError("F_deriv supports orders 0..%d" % DERIV_ORDER_MAX)
-        return self._eval(y, order)
+        return self._eval_fast(y, order)
 
     def fourier_derivative(self, y, order):
         """Extended-order derivative used by the bi-orthonormality matrix.
@@ -225,6 +332,11 @@ class AsymptoticFit:
     n_zeros: int
 
 
+def _local_maxima(a):
+    """Indices of the strict interior local maxima of a 1-D array."""
+    return np.flatnonzero((a[1:-1] > a[:-2]) & (a[1:-1] > a[2:])) + 1
+
+
 def kernel_asymptotic_fit(model, window):
     """Fit decay rate and wavenumber of the oscillatory kernel tail.
 
@@ -251,7 +363,7 @@ def kernel_asymptotic_fit(model, window):
     t_zero = t[flips] - G[flips] * (t[flips + 1] - t[flips]) / (G[flips + 1] - G[flips])
     b_init = math.pi / float(np.mean(np.diff(t_zero)))
 
-    peaks = argrelmax(np.abs(G))[0]
+    peaks = _local_maxima(np.abs(G))
     if peaks.size < 2:
         raise FitError("window too narrow to see the decay envelope")
     slope, _ = np.polyfit(t[peaks], np.log(np.abs(G[peaks])), 1)
@@ -421,7 +533,7 @@ def biorthonormality_matrix(m, k_max, quad=None):
 def export_kernel_csv(model, ys, path):
     """Tabulate y, F and the first three derivatives as CSV."""
     ys = np.asarray(ys, dtype=float)
-    cols = [ys] + [model.fourier_derivative(ys, k) for k in range(4)]
+    cols = [ys] + [model.F_deriv(ys, k) for k in range(DERIV_ORDER_MAX + 1)]
     write_csv(path, ["y", "F", "dF", "d2F", "d3F"], zip(*cols))
     return path
 

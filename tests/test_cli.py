@@ -159,6 +159,53 @@ def test_integral_and_ode_pair_agree(tmp_path):
         "criterion_verdict": "Regular", "consistent": True}]
 
 
+def _paired(report):
+    return [(p["petrovskii"], p["criterion"])
+            for p in report["consistency_checks"]]
+
+
+def test_biharmonic_integral_pairs_only_with_m2_verdict(tmp_path):
+    doc = {"version": 1, "scenarios": [
+        {"id": "bih-integral", "task": "petrovskii",
+         "parameters": {"phi": "biharmonic-critical", "variant": "biharmonic"}},
+        {"id": "bih-ode-m1", "task": "criterion",
+         "parameters": {"m": 1, "phi": "biharmonic-critical"}},
+        {"id": "bih-ode-m2", "task": "criterion",
+         "parameters": {"m": 2, "phi": "biharmonic-critical",
+                        "tau_max": 1.0e9}}]}
+    code, report = cli.run_scenarios(write_config(tmp_path, doc),
+                                     str(tmp_path / "out"))
+    assert code == 0
+    payload = report["reports"][0]["payload"]
+    assert (payload["m"], payload["radial_exponent"]) == (2, 1)
+    assert _paired(report) == [("bih-integral", "bih-ode-m2")]
+
+
+def test_radial_exponent_pairs_like_with_like(tmp_path):
+    doc = {"version": 1, "scenarios": [
+        {"id": "n3-integral", "task": "petrovskii",
+         "parameters": {"phi": "petrovskii-critical", "radial_exponent": 3}},
+        {"id": "n1-ode", "task": "criterion",
+         "parameters": {"m": 1, "phi": "petrovskii-critical"}},
+        {"id": "n3-ode", "task": "criterion",
+         "parameters": {"m": 1, "phi": "petrovskii-critical",
+                        "opts": {"radial_exponent": 3}}}]}
+    code, report = cli.run_scenarios(write_config(tmp_path, doc),
+                                     str(tmp_path / "out"))
+    assert code == 0
+    by_id = {r["scenario"]: r["payload"] for r in report["reports"]}
+    assert (by_id["n3-integral"]["m"], by_id["n3-integral"]["radial_exponent"]) == (1, 3)
+    assert by_id["n1-ode"]["radial_exponent"] == 1
+    assert _paired(report) == [("n3-integral", "n3-ode")]
+
+
+def test_compare_with_frozen_width_still_needs_phi(tmp_path):
+    path = write_config(tmp_path, one_scenario("frozen", "compare", {
+        "m": 1, "freeze_phi": 4.0, "window": [15.0, 25.0]}))
+    with pytest.raises(ConfigError, match="phi"):
+        cli.load_config(path)
+
+
 def test_epsilon_sweep_flips_verdict(tmp_path):
     doc = one_scenario("eps", "sweep", {
         "task": "criterion",

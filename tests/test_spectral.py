@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.signal import argrelmax
 
 from vertexreg import spectral
 from vertexreg.errors import FitError, QuadratureError, UnsupportedOrder
@@ -123,6 +129,62 @@ def test_weight_defaults_inside_admissible_interval():
         math.exp(-c.d0 * 3.0 ** c.alpha), rel=1e-12)
     with pytest.raises(ValueError):
         spectral.build_kernel(2, quad={"weight_exponent": 0.9})
+
+
+@settings(max_examples=60, deadline=None)
+@given(ys=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1,
+                   max_size=40))
+def test_fast_evaluators_match_quadrature(ys):
+    # m=2 interpolant to 1e-13, m=1 closed form to 1e-15, inside y_span
+    for m, tol in ((2, 1e-13), (1, 1e-15)):
+        model = spectral.default_kernel(m)
+        y = np.asarray(ys) * model._y_span
+        for k in range(4):
+            fast = model.F_deriv(y, k)
+            assert np.max(np.abs(fast - model.fourier_derivative(y, k))) < tol, (m, k)
+
+
+def test_m2_kernel_beyond_span_uses_quadrature():
+    model = spectral.default_kernel(2)
+    far = np.array([-75.0, 60.5, 64.0, 90.0])
+    for k in range(4):
+        assert np.array_equal(model.F_deriv(far, k),
+                              model.fourier_derivative(far, k))
+    mixed = np.array([-70.0, -3.0, 0.0, 12.5, 61.0])
+    assert np.max(np.abs(model.F(mixed) - model.fourier_derivative(mixed, 0))) < 1e-13
+    assert model.F(61.0) == model.fourier_derivative(61.0, 0)
+
+
+def test_m2_interpolant_refuses_low_degree(monkeypatch):
+    monkeypatch.setattr(spectral, "_CHEB_DEGREE", 4)
+    with pytest.raises(QuadratureError, match="interpolant"):
+        spectral.build_kernel(2)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_kernel_parity_is_exact(m):
+    model = spectral.default_kernel(m)
+    y = np.linspace(0.0, model._y_span, 997)
+    for k in range(4):
+        assert np.array_equal(model.F_deriv(-y, k), (-1.0) ** k * model.F_deriv(y, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-3, max_value=3), max_size=30))
+def test_local_maxima_match_argrelmax(values):
+    # small integers make ties and plateaus common
+    a = np.asarray(values, dtype=float)
+    assert np.array_equal(spectral._local_maxima(a), argrelmax(a)[0])
+
+
+def test_cli_import_skips_scipy_signal_and_stats():
+    src = os.path.dirname(os.path.dirname(spectral.__file__))
+    code = ("import sys, vertexreg.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.signal', 'scipy.stats'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 def test_kernel_evaluation_is_deterministic():
