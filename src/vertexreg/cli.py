@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,13 +41,6 @@ __all__ = ["Scenario", "Report", "load_config", "run_scenarios",
 SCHEMA_VERSION = 1
 TASKS = ("validate", "kernel", "criterion", "petrovskii", "simulate",
          "compare", "sweep")
-VALIDATION_CHECKS = ("kernel-mass", "spectral-identities", "biorthonormality",
-                     "bl-residual", "biharmonic-constant",
-                     "petrovskii-consistency")
-
-# criterion opts that may come from a config file (kernel objects may not)
-_CRITERION_OPTS = ("form", "switchover", "fit_window", "drop_linear",
-                   "radial_exponent")
 
 _REQUIRED = object()
 
@@ -91,17 +83,19 @@ def _as_number(sid, field, value):
     if isinstance(value, str):
         # YAML 1.1 floats need a signed exponent; "1.0e9" arrives as a string
         try:
-            return float(value)
+            value = float(value)
         except ValueError:
-            _fail(sid, f"parameters.{field} must be a number")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(sid, f"parameters.{field} must be a number")
+            pass
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        _fail(sid, f"parameters.{field} must be a finite number")
     return float(value)
 
 
 def _as_int(sid, field, value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(sid, f"parameters.{field} must be an integer")
+    # every integer field is an order, an exponent or a point count
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        _fail(sid, f"parameters.{field} must be a positive integer")
     return int(value)
 
 
@@ -162,12 +156,12 @@ def _resolve(spec):
     return funcs.lookup(spec["name"], **spec["params"])
 
 
-def _take(sid, params, spec):
+def _take(sid, params, spec, scope="this task"):
     if not isinstance(params, dict):
         _fail(sid, "parameters must be a mapping")
     for key in params:
         if key not in spec:
-            _fail(sid, f"unknown parameter {key!r} for this task")
+            _fail(sid, f"unknown parameter {key!r} for {scope}")
     out = {}
     for field, (checker, default) in spec.items():
         if field in params and params[field] is not None:
@@ -188,12 +182,23 @@ def _check_thresholds(sid, field, value):
     return value
 
 
-def _check_criterion_opts(sid, field, value):
-    value = _as_map(sid, field, value)
-    for key in value:
-        if key not in _CRITERION_OPTS:
-            _fail(sid, f"parameters.{field}.{key} is not a criterion option")
-    return value
+# build_criterion options a config may set. The kernel-form keys shape the
+# m=2 linear term only; the other two change the reduced ODE, which the
+# one-dimensional simulation does not follow.
+_KERNEL_OPTS = ("form", "switchover", "fit_window")
+_ODE_OPTS = ("drop_linear", "radial_exponent")
+_OPT_CHECKS = {"form": _as_enum(("auto", "exact", "practical")),
+               "switchover": _as_number, "fit_window": _as_pair,
+               "drop_linear": _as_bool, "radial_exponent": _as_int}
+
+
+def _check_opts(sid, opts, keys):
+    for key in opts:
+        if key not in keys:
+            _fail(sid, f"parameters.opts.{key} is ignored by this run; "
+                       "allowed here: " + (", ".join(keys) or "none"))
+    return {key: _OPT_CHECKS[key](sid, f"opts.{key}", v)
+            for key, v in opts.items()}
 
 
 def _check_m(sid, field, value):
@@ -211,7 +216,7 @@ def _check_init(sid, field, value):
 
 
 def _validate_criterion(sid, params):
-    return _take(sid, params, {
+    out = _take(sid, params, {
         "m": (_check_m, _REQUIRED),
         "kind": (_as_enum(("multiplicative", "gradient")), "multiplicative"),
         "phi": (_as_fn, _REQUIRED),
@@ -221,30 +226,46 @@ def _validate_criterion(sid, params):
         "tol": (_as_number, 1.0e-10),
         "init": (_check_init, -1.0),
         "thresholds": (_check_thresholds, {}),
-        "opts": (_check_criterion_opts, {}),
+        "opts": (_as_map, {}),
         "iteration": (_as_bool, False),
         "negligibility": (_as_bool, False),
         "osgood": (_as_bool, False),
     })
+    out["opts"] = _check_opts(sid, out["opts"], _ODE_OPTS + (
+        _KERNEL_OPTS if out["m"] == 2 else ()))
+    if out["negligibility"] and out["m"] == 2:
+        _fail(sid, "parameters.negligibility reports the m=1 ratio; "
+                   "it needs m: 1")
+    if out["iteration"] and (
+            out["kind"] != "multiplicative"
+            or _resolve(out["kappa"]).sign != "positive-increasing"):
+        _fail(sid, "parameters.iteration needs kind multiplicative and a "
+                   "kappa of sign positive-increasing")
+    return out
+
+
+# the fields of each petrovskii variant besides phi and variant, with
+# defaults; the dini variant runs h from e^-tau0 down to e^-ell_max
+_PETROVSKII_FIELDS = {
+    "tau": {"radial_exponent": (_as_int, 1), "tau0": (_as_number, 10.0),
+            "tau_max": (_as_number, 1.0e8), "n_points": (_as_int, 4000)},
+    "dini": {"tau0": (_as_number, 10.0), "ell_max": (_as_number, 690.0),
+             "n_points": (_as_int, 6000)},
+    "biharmonic": {"radial_exponent": (_as_int, 1), "tau0": (_as_number, 10.0),
+                   "tau_max": (_as_number, 1.0e9),
+                   "opts": (lambda sid, field, value: _check_opts(
+                       sid, _as_map(sid, field, value), _KERNEL_OPTS), {})},
+}
+_as_variant = _as_enum(tuple(_PETROVSKII_FIELDS))
 
 
 def _validate_petrovskii(sid, params):
-    out = _take(sid, params, {
-        "phi": (_as_fn, _REQUIRED),
-        "variant": (_as_enum(("tau", "dini", "biharmonic")), "tau"),
-        "radial_exponent": (_as_int, 1),
-        "tau0": (_as_number, 10.0),
-        "tau_max": (_as_number, None),
-        "n_points": (_as_int, None),
-        "h_max": (_as_number, None),
-        "ell_max": (_as_number, 690.0),
-        "opts": (_check_criterion_opts, {}),
-    })
-    if out["tau_max"] is None:
-        out["tau_max"] = 1.0e9 if out["variant"] == "biharmonic" else 1.0e8
-    if out["n_points"] is None:
-        out["n_points"] = 6000 if out["variant"] == "dini" else 4000
-    return out
+    variant = params.get("variant") if isinstance(params, dict) else None
+    variant = "tau" if variant is None else _as_variant(sid, "variant", variant)
+    return _take(sid, params, {"phi": (_as_fn, _REQUIRED),
+                               "variant": (_as_variant, "tau"),
+                               **_PETROVSKII_FIELDS[variant]},
+                 scope=f"the {variant} variant")
 
 
 def _validate_kernel(sid, params):
@@ -268,7 +289,6 @@ _SIM_FIELDS = {
     "amplitude": (_as_number, 1.0),
     "freeze_phi": (_as_number, None),
     "n_checkpoints": (_as_int, 200),
-    "write_snapshots": (_as_bool, True),
 }
 
 
@@ -283,10 +303,8 @@ def _sim_config(params):
         n_checkpoints=params["n_checkpoints"])
 
 
-def _validate_simulate(sid, params, extra=None):
-    spec = dict(_SIM_FIELDS)
-    spec.update(extra or {})
-    out = _take(sid, params, spec)
+def _validate_sim(sid, params, extra):
+    out = _take(sid, params, {**_SIM_FIELDS, **extra})
     try:
         _sim_config(out)
     except ConfigError as exc:
@@ -295,12 +313,16 @@ def _validate_simulate(sid, params, extra=None):
 
 
 def _validate_compare(sid, params):
-    # the ODE side needs a width even where the simulation freezes it
-    return _validate_simulate(sid, params, extra={
+    # the ODE side needs a width even where the simulation freezes it; a
+    # comparison writes no snapshots
+    out = _validate_sim(sid, params, {
         "phi": (_as_fn, _REQUIRED),
         "window": (_as_pair, _REQUIRED),
-        "opts": (_check_criterion_opts, {}),
+        "opts": (_as_map, {}),
     })
+    out["opts"] = _check_opts(sid, out["opts"],
+                              _KERNEL_OPTS if out["m"] == 2 else ())
+    return out
 
 
 def _validate_validate(sid, params):
@@ -311,10 +333,12 @@ def _validate_validate(sid, params):
     checks = out["checks"]
     if not (isinstance(checks, list) and checks):
         _fail(sid, "parameters.checks must be a nonempty list")
-    for name in checks:
-        if name not in VALIDATION_CHECKS:
-            _fail(sid, f"parameters.checks: unknown check {name!r}; known: "
-                       + ", ".join(VALIDATION_CHECKS))
+    for name in checks:  # non-string entries fail before any lookup
+        _as_enum(tuple(VALIDATION_CHECKS))(sid, "checks", name)
+    if (params.get("consistency_tau_max") is not None
+            and "petrovskii-consistency" not in checks):
+        _fail(sid, "parameters.consistency_tau_max needs the "
+                   "petrovskii-consistency check")
     return out
 
 
@@ -359,7 +383,8 @@ _VALIDATORS = {
     "criterion": _validate_criterion,
     "petrovskii": _validate_petrovskii,
     "kernel": _validate_kernel,
-    "simulate": lambda sid, params: _validate_simulate(sid, params),
+    "simulate": lambda sid, params: _validate_sim(
+        sid, params, {"write_snapshots": (_as_bool, True)}),
     "compare": _validate_compare,
     "validate": _validate_validate,
     "sweep": _validate_sweep,
@@ -501,9 +526,8 @@ def _run_petrovskii(params, outdir):
     phi = _resolve(params["phi"])
     variant = params["variant"]
     # the order m and radial exponent N of the problem the integral decides
-    m, radial_exponent = 1, 1
+    m, radial_exponent = 1, params.get("radial_exponent", 1)
     if variant == "tau":
-        radial_exponent = params["radial_exponent"]
         trace = petrovskii.petrovskii_integral(
             phi, radial_exponent, params["tau0"], params["tau_max"],
             n_points=params["n_points"])
@@ -512,18 +536,15 @@ def _run_petrovskii(params, outdir):
             width = np.asarray(phi.phi(-np.log(h)), dtype=float)
             return np.exp(-width * width / 4.0)
 
-        h_max = params["h_max"]
-        if h_max is None:
-            h_max = math.exp(-params["tau0"])
-        trace = petrovskii.dini_osgood_form(rho, h_max=h_max,
+        trace = petrovskii.dini_osgood_form(rho,
+                                            h_max=math.exp(-params["tau0"]),
                                             ell_max=params["ell_max"],
                                             n_points=params["n_points"])
     else:
         m = 2
-        radial_exponent = int(params["opts"].get("radial_exponent", 1))
         trace = petrovskii.biharmonic_linear_criterion(
             phi, tau0=params["tau0"], tau_max=params["tau_max"],
-            opts=params["opts"] or None)
+            opts=dict(params["opts"], radial_exponent=radial_exponent))
     petrovskii.export_trace_csv(trace, os.path.join(outdir, "trace.csv"))
     fit = trace.fit
     payload = {"phi": phi.name, "variant": variant, "m": m,
@@ -596,9 +617,7 @@ def _run_simulate(params, outdir):
 
 
 def _run_compare(params, outdir):
-    sim_params = {k: params[k] for k in _SIM_FIELDS}
-    sim_params["write_snapshots"] = False
-    traj = pdesim.run(_sim_config(sim_params))
+    traj = pdesim.run(_sim_config(params))
     ode = criterion.build_criterion(params["m"], params["kind"],
                                     _resolve(params["phi"]),
                                     _resolve(params["kappa"]),
@@ -611,13 +630,13 @@ def _run_compare(params, outdir):
     return payload, ["series.csv"]
 
 
-def _check_rows_kernel_mass():
+def _check_rows_kernel_mass(_params):
     for m in (1, 2):
         err = abs(_kernel_mass(spectral.default_kernel(m), _MASS_SPAN[m]) - 1.0)
         yield (f"kernel-mass[m={m}]", err, _MASS_TOL[m], err < _MASS_TOL[m])
 
 
-def _check_rows_spectral():
+def _check_rows_spectral(_params):
     for m in (1, 2):
         worst = max(
             float(spectral.adjoint_identity_residual(
@@ -626,20 +645,20 @@ def _check_rows_spectral():
         yield (f"spectral-identities[m={m}]", worst, 0.0, worst == 0.0)
 
 
-def _check_rows_biorth():
+def _check_rows_biorth(_params):
     for m in (1, 2):
         err = spectral.biorthonormality_matrix(m, 6).max_error
         yield (f"biorthonormality[m={m},k<=6]", err, 1.0e-6, err < 1.0e-6)
 
 
-def _check_rows_bl():
+def _check_rows_bl(_params):
     xi = np.linspace(0.0, 20.0, 2001)
     for m in (1, 2):
         worst = float(np.max(np.abs(blayer.bl_profile(m).residual(xi))))
         yield (f"bl-residual[m={m}]", worst, 1.0e-10, worst < 1.0e-10)
 
 
-def _check_rows_biharmonic():
+def _check_rows_biharmonic(_params):
     d0 = spectral.kernel_constants(2).d0
     err = abs(d0 ** -0.75 - 3.0 ** -0.75 * 2.0 ** 2.75)
     yield ("biharmonic-decay-constant", err, 1.0e-12, err < 1.0e-12)
@@ -649,8 +668,8 @@ def _check_rows_biharmonic():
     yield ("biharmonic-envelope-exponent", err, 1.0e-10, err < 1.0e-10)
 
 
-def _check_rows_consistency(tau_max):
-    zero = funcs.lookup("zero-kappa")
+def _check_rows_consistency(params):
+    zero, tau_max = funcs.lookup("zero-kappa"), params["consistency_tau_max"]
     widths = [f for f in funcs.builtin_catalog()
               if isinstance(f, funcs.SlowGrowthFn)]
     agree = 0
@@ -666,21 +685,21 @@ def _check_rows_consistency(tau_max):
            agree == len(widths))
 
 
+# check name -> generator of (check, value, threshold, passed) rows
+VALIDATION_CHECKS = {
+    "kernel-mass": _check_rows_kernel_mass,
+    "spectral-identities": _check_rows_spectral,
+    "biorthonormality": _check_rows_biorth,
+    "bl-residual": _check_rows_bl,
+    "biharmonic-constant": _check_rows_biharmonic,
+    "petrovskii-consistency": _check_rows_consistency,
+}
+
+
 def _run_validate(params, outdir):
     rows = []
     for name in params["checks"]:
-        if name == "kernel-mass":
-            rows.extend(_check_rows_kernel_mass())
-        elif name == "spectral-identities":
-            rows.extend(_check_rows_spectral())
-        elif name == "biorthonormality":
-            rows.extend(_check_rows_biorth())
-        elif name == "bl-residual":
-            rows.extend(_check_rows_bl())
-        elif name == "biharmonic-constant":
-            rows.extend(_check_rows_biharmonic())
-        else:
-            rows.extend(_check_rows_consistency(params["consistency_tau_max"]))
+        rows.extend(VALIDATION_CHECKS[name](params))
     write_csv(os.path.join(outdir, "checks.csv"),
               ["check", "value", "threshold", "passed"], rows)
     payload = {
@@ -794,16 +813,14 @@ def _consistency_checks(reports):
 def run_scenarios(config_path, out_dir, workers=1, default_task=None):
     """Run every scenario in the config; returns (exit_code, report doc).
 
-    Reports keep config order regardless of worker count. The exit code
-    is 1 when any scenario errored, else 0.
+    Scenarios run one after another in config order; workers accepts only
+    1. The exit code is 1 when any scenario errored, else 0.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1 (scenarios run serially), got {workers!r}")
     doc, scenarios = load_config(config_path, default_task)
     os.makedirs(out_dir, exist_ok=True)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda s: _execute(s, out_dir), scenarios))
-    else:
-        reports = [_execute(s, out_dir) for s in scenarios]
+    reports = [_execute(s, out_dir) for s in scenarios]
 
     failed = [r.scenario for r in reports if r.status == "error"]
     report_doc = {
@@ -940,8 +957,6 @@ def main(argv=None):
                        f"the {task} task)")
         sp.add_argument("--config", required=True, help="YAML scenario file")
         sp.add_argument("--out", default="runs", help="output directory")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="concurrent scenarios")
     rp = sub.add_parser("repro", help="write the canonical acceptance configs")
     rp.add_argument("--out", default="repro-configs", help="output directory")
     args = parser.parse_args(argv)
@@ -953,7 +968,6 @@ def main(argv=None):
 
     try:
         code, doc = run_scenarios(args.config, args.out,
-                                  workers=max(1, args.workers),
                                   default_task=args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -230,16 +230,15 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
                     opts: Optional[dict] = None) -> CriterionODE:
     """Assemble the amplitude ODE for the given problem order and reaction kind.
 
-    opts: kernel (m=2 KernelModel; None means refuse), form
-    ("auto"/"exact"/"practical"), switchover (phi value where the exact
-    kernel form hands over to the asymptotic one), fit_window,
-    drop_linear (keep only the reaction term; used by comparison tests),
-    radial_exponent (N; multiplies the linear term by phi^(N-1)).
+    opts: form ("auto"/"exact"/"practical"), switchover (phi value where
+    the exact kernel form hands over to the asymptotic one) and fit_window,
+    which shape the m=2 linear term only; drop_linear (keep only the
+    reaction term; used by comparison tests); radial_exponent (N;
+    multiplies the linear term by phi^(N-1)). m=2 uses the default kernel.
     """
     if m not in (1, 2) or kind not in ("multiplicative", "gradient"):
         raise ConfigError(f"unsupported criterion combination (m={m}, kind={kind!r})")
     opts = dict(opts or {})
-    kernel = opts.pop("kernel", "default")
     form = opts.pop("form", "auto")
     switchover = float(opts.pop("switchover", 20.0))
     fit_window = opts.pop("fit_window", (5.0, 15.0))
@@ -255,10 +254,7 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
     m2c = None
     kernel_value = None
     if m == 2:
-        if kernel is None:
-            raise ConfigError("m=2 criterion needs a kernel model")
-        if kernel == "default":
-            kernel = spectral.default_kernel(2)
+        kernel = spectral.default_kernel(2)
         if form == "exact":
             switchover = math.inf
         elif form == "practical":
@@ -312,8 +308,7 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
 # -- integration and verdicts ---------------------------------------------------
 
 def integrate(ode: CriterionODE, ln_a0_init: float, tau0: float,
-              tau_max: float, tol: float = 1e-10,
-              n_points: Optional[int] = None) -> CriterionTrajectory:
+              tau_max: float, tol: float = 1e-10) -> CriterionTrajectory:
     """March ln a0 from tau0 to tau_max on a logarithmic tau grid.
 
     Works in sigma = ln tau and in ln a0 throughout, so decay far below
@@ -324,9 +319,9 @@ def integrate(ode: CriterionODE, ln_a0_init: float, tau0: float,
     if not 1e-12 <= tol <= 1e-6:
         raise ConfigError(f"tol must lie in [1e-12, 1e-6], got {tol:g}")
     if tau0 < ode.phi.tau_min:
-        raise ValueError(f"tau0={tau0:g} below phi.tau_min={ode.phi.tau_min:g}")
+        raise ConfigError(f"tau0={tau0:g} below phi.tau_min={ode.phi.tau_min:g}")
     if not tau0 < tau_max <= _MAX_TAU:
-        raise ValueError(f"need tau0 < tau_max <= {_MAX_TAU:g}")
+        raise ConfigError(f"need tau0 < tau_max <= {_MAX_TAU:g}")
     if not _LN_UNDERFLOW <= ln_a0_init <= 0.0:
         raise DomainError(f"ln_a0_init={ln_a0_init:g} outside [{_LN_UNDERFLOW:g}, 0]")
 
@@ -346,8 +341,7 @@ def integrate(ode: CriterionODE, ln_a0_init: float, tau0: float,
     hit_overflow.terminal = True
     hit_overflow.direction = 1
 
-    if n_points is None:
-        n_points = max(300, int(150.0 * (s1 - s0) / math.log(10.0)))
+    n_points = max(300, int(150.0 * (s1 - s0) / math.log(10.0)))
     t_eval = np.linspace(s0, s1, n_points)
     sol = solve_ivp(rhs_sigma, (s0, s1), [float(ln_a0_init)], method="LSODA",
                     rtol=tol, atol=tol, t_eval=t_eval, max_step=0.25,
@@ -469,18 +463,17 @@ def _period_sum(ode: CriterionODE, s0: float, s1: float):
     return cuts, pieces, flags
 
 
-def linear_closed_form(m: int, phi: SlowGrowthFn, tau: float, tau0: float,
-                       opts: Optional[dict] = None) -> float:
+def linear_closed_form(m: int, phi: SlowGrowthFn, tau: float,
+                       tau0: float) -> float:
     """Quadrature value of ln a0(tau) - ln a0(tau0) for the kappa=0 system.
 
     m=1 integrates the sign-definite linear term directly; m=2 splits
     the oscillatory integrand at the zeros of its cosine carrier and
     sums the pieces, raising QuadratureError if quad flags any piece.
-    opts are build_criterion's.
     """
     if tau <= tau0:
         raise ValueError("need tau > tau0")
-    ode = build_criterion(m, "multiplicative", phi, lookup("zero-kappa"), opts)
+    ode = build_criterion(m, "multiplicative", phi, lookup("zero-kappa"))
     s0, s1 = math.log(tau0), math.log(tau)
     if m == 1:
         val, _ = quad(_linear_in_ln_tau, s0, s1, args=(ode,),

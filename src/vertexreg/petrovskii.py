@@ -17,7 +17,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from . import criterion, funcs, spectral
 from ._csvtable import write_csv
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .funcs import SlowGrowthFn
 
 __all__ = [
@@ -137,11 +137,11 @@ def petrovskii_integral(phi: SlowGrowthFn, N: int = 1, tau0: float = 10.0,
     pointwise values underflow.
     """
     if N < 1:
-        raise ValueError("radial dimension factor N must be >= 1, got %s" % N)
+        raise ConfigError("radial dimension factor N must be >= 1, got %s" % N)
     if tau0 < phi.tau_min:
-        raise ValueError("tau0=%g is below tau_min=%g" % (tau0, phi.tau_min))
+        raise ConfigError("tau0=%g is below tau_min=%g" % (tau0, phi.tau_min))
     if tau_max <= tau0:
-        raise ValueError("need tau_max > tau0")
+        raise ConfigError("need tau_max > tau0")
     sigma = np.linspace(math.log(tau0), math.log(tau_max), n_points)
     tau = np.exp(sigma)
     ph = np.asarray(phi.phi(tau), dtype=float)
@@ -165,10 +165,10 @@ def dini_osgood_form(rho, *, h_max: float = 0.1, ell_max: float = 690.0,
     rho = e^{-phi^2/4} the two accumulations agree up to a factor 2.
     """
     if not 0.0 < h_max < 1.0:
-        raise ValueError("h_max must lie in (0, 1)")
+        raise ConfigError("h_max must lie in (0, 1)")
     ell0 = -math.log(h_max)
     if ell_max <= ell0:
-        raise ValueError("ell_max=%g leaves no room below h_max=%g" % (ell_max, h_max))
+        raise ConfigError("ell_max=%g leaves no room below h_max=%g" % (ell_max, h_max))
     ell = np.linspace(ell0, ell_max, n_points)
     with np.errstate(under="ignore"):
         r = np.asarray(rho(np.exp(-ell)), dtype=float)
@@ -189,8 +189,8 @@ def dini_osgood_form(rho, *, h_max: float = 0.1, ell_max: float = 690.0,
     return IntegralTrace("h", np.column_stack([np.exp(-ell), partial]), cls, fit)
 
 
-def biharmonic_linear_criterion(phi: SlowGrowthFn, kernel=None, *,
-                                tau0: float = 10.0, tau_max: float = 1.0e9,
+def biharmonic_linear_criterion(phi: SlowGrowthFn, *, tau0: float = 10.0,
+                                tau_max: float = 1.0e9,
                                 opts: Optional[dict] = None) -> IntegralTrace:
     """Accumulate the fourth-order linear criterion integral over carrier periods.
 
@@ -200,20 +200,18 @@ def biharmonic_linear_criterion(phi: SlowGrowthFn, kernel=None, *,
     contributions) stays Undetermined because deciding it would need the
     oscillatory cut-off construction, which this module does not attempt.
     Pieces whose quadrature came back flagged are named in the diagnostic.
+    opts are build_criterion's.
     """
-    if kernel is None:
-        kernel = spectral.default_kernel(2)
     if tau0 < phi.tau_min:
-        raise ValueError("tau0=%g is below tau_min=%g" % (tau0, phi.tau_min))
+        raise ConfigError("tau0=%g is below tau_min=%g" % (tau0, phi.tau_min))
     if tau_max <= tau0:
-        raise ValueError("need tau_max > tau0")
+        raise ConfigError("need tau_max > tau0")
     ode = criterion.build_criterion(2, "multiplicative", phi,
-                                    funcs.lookup("zero-kappa"),
-                                    dict(opts or {}, kernel=kernel))
+                                    funcs.lookup("zero-kappa"), opts)
     m2c = ode.m2_constants
     s0, s1 = math.log(tau0), math.log(tau_max)
     spread = float(phi.phi(tau_max)) ** m2c.alpha - float(phi.phi(tau0)) ** m2c.alpha
-    envelope_slope = m2c.d0 * spread / (s1 - s0)
+    envelope_slope = envelope_exponent(phi, tau_lo=tau0, tau_hi=tau_max)
     cuts, pieces, flags = criterion._period_sum(ode, s0, s1)
     partial = np.concatenate([[0.0], np.cumsum(pieces)])
     pv = np.column_stack([np.exp(cuts), partial])
@@ -257,7 +255,7 @@ def biharmonic_linear_criterion(phi: SlowGrowthFn, kernel=None, *,
     return IntegralTrace("tau", pv, cls, fit, diagnostic)
 
 
-def envelope_exponent(phi: SlowGrowthFn, kernel=None, *, tau_lo: float = 1.0e4,
+def envelope_exponent(phi: SlowGrowthFn, *, tau_lo: float = 1.0e4,
                       tau_hi: float = 1.0e8) -> float:
     """Measured decay rate of the fourth-order oscillation envelope.
 
@@ -265,13 +263,11 @@ def envelope_exponent(phi: SlowGrowthFn, kernel=None, *, tau_lo: float = 1.0e4,
     widths c (ln tau)^{3/4} this equals d0 c^{4/3} identically and the
     envelope is tau to the minus that power.
     """
-    if kernel is None:
-        kernel = spectral.default_kernel(2)
     if tau_lo < phi.tau_min:
         raise ValueError("tau_lo=%g is below tau_min=%g" % (tau_lo, phi.tau_min))
     if tau_hi <= tau_lo:
         raise ValueError("need tau_hi > tau_lo")
-    c = kernel.constants
+    c = spectral.kernel_constants(2)
     return (c.d0 * (float(phi.phi(tau_hi)) ** c.alpha
                     - float(phi.phi(tau_lo)) ** c.alpha)
             / (math.log(tau_hi) - math.log(tau_lo)))

@@ -19,7 +19,7 @@ from numpy.polynomial.chebyshev import chebvander
 from scipy.optimize import least_squares
 
 from ._csvtable import write_csv
-from .errors import FitError, QuadratureError, UnsupportedOrder
+from .errors import ConfigError, FitError, QuadratureError, UnsupportedOrder
 
 __all__ = [
     "KernelConstants",
@@ -57,6 +57,10 @@ INTERP_TOL = 1e-13
 _CHEB_PANEL_WIDTH = 1.5
 _CHEB_DEGREE = 14
 
+# Fourier quadrature: a 12-node Gauss-Legendre panel per 3 radians of s*y
+_RAD_PER_PANEL = 3.0
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
 _GAUSS_NORM = 1.0 / math.sqrt(4.0 * math.pi)
 
 
@@ -93,19 +97,13 @@ def kernel_constants(m):
                            delta0=(m - 1.0) / (2.0 * m - 1.0))
 
 
-@lru_cache(maxsize=8)
-def _gl_rule(n_gl):
-    return np.polynomial.legendre.leggauss(n_gl)
-
-
-def _gauss_panels(a, b, n_panels, n_gl):
+def _gauss_panels(a, b, n_panels):
     """Composite Gauss-Legendre nodes and weights on [a, b]."""
-    xg, wg = _gl_rule(n_gl)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * xg[None, :]).ravel()
-    weights = np.tile(half * wg, n_panels)
+    nodes = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
+    weights = np.tile(half * _GL_WEIGHTS, n_panels)
     return nodes, weights
 
 
@@ -209,8 +207,6 @@ class KernelModel:
         self.constants = constants
         self._m = m
         self._s_max = float(quad.pop("s_max", (40.0 * math.log(10.0)) ** (1.0 / (2 * m))))
-        self._rad_per_panel = float(quad.pop("rad_per_panel", 3.0))
-        self._n_gl = int(quad.pop("n_gl", 12))
         # window for unit-mass normalization and bi-orthonormality; beyond
         # it the oscillatory quadrature noise floor outweighs the decaying
         # kernel, so larger is not better (measured)
@@ -240,12 +236,12 @@ class KernelModel:
     # -- quadrature plumbing ------------------------------------------------
 
     def _s_rule(self, ymax):
-        n_pan = int(math.ceil(self._s_max * max(1.0, ymax) / self._rad_per_panel)) + 8
-        return _gauss_panels(0.0, self._s_max, n_pan, self._n_gl)
+        n_pan = int(math.ceil(self._s_max * max(1.0, ymax) / _RAD_PER_PANEL)) + 8
+        return _gauss_panels(0.0, self._s_max, n_pan)
 
     def _y_rule(self, span):
-        n_pan = int(math.ceil(span * self._s_max / self._rad_per_panel)) + 8
-        return _gauss_panels(0.0, span, n_pan, self._n_gl)
+        n_pan = int(math.ceil(span * self._s_max / _RAD_PER_PANEL)) + 8
+        return _gauss_panels(0.0, span, n_pan)
 
     def _raw(self, y, order):
         """int_0^{s_max} s^order e^{-s^{2m}} cos(s y + order*pi/2) ds, vectorized."""
@@ -350,7 +346,7 @@ def kernel_asymptotic_fit(model, window):
         raise FitError("kernel of order m=%d has no oscillation to fit" % cst.m)
     y_lo, y_hi = float(window[0]), float(window[1])
     if not (4.0 <= y_lo < y_hi <= 25.0):
-        raise ValueError("fit window must lie inside [4, 25]")
+        raise ConfigError("fit window must lie inside [4, 25]")
 
     ys = np.linspace(y_lo, y_hi, 1201)
     G = model.F(ys) * ys ** cst.delta0

@@ -1,13 +1,18 @@
 """Scenario runner: config validation, task dispatch, report shape,
-determinism across reruns and worker counts, and the canonical configs."""
+determinism across reruns, and the canonical configs."""
 
 import json
+import math
 import os
+import re
+import tempfile
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vertexreg import cli
+from vertexreg import cli, criterion, errors
 from vertexreg.errors import ConfigError
 
 
@@ -139,6 +144,92 @@ def test_sweep_vary_shape_checked(tmp_path):
         cli.load_config(write_config(tmp_path, doc))
 
 
+STAR = "petrovskii-critical"
+BIH = "biharmonic-critical"
+CMP = {"m": 1, "phi": STAR, "window": [15.0, 25.0]}
+
+
+@pytest.mark.parametrize("when, task, parameters, field", [
+    # each petrovskii variant takes only the fields it uses
+    ("load", "petrovskii", {"phi": STAR, "opts": {"form": "exact"}}, "opts"),
+    ("load", "petrovskii", {"phi": STAR, "ell_max": 690.0}, "ell_max"),
+    ("load", "petrovskii", {"phi": STAR, "variant": "dini",
+                            "radial_exponent": 3}, "radial_exponent"),
+    ("load", "petrovskii", {"phi": STAR, "variant": "dini",
+                            "tau_max": 1.0e8}, "tau_max"),
+    ("load", "petrovskii", {"phi": STAR, "variant": "dini",
+                            "h_max": 1.0e-4}, "h_max"),
+    ("load", "petrovskii", {"phi": STAR, "variant": "dini", "opts": {}},
+     "opts"),
+    ("load", "petrovskii", {"phi": BIH, "variant": "biharmonic",
+                            "n_points": 4000}, "n_points"),
+    ("load", "petrovskii", {"phi": BIH, "variant": "biharmonic",
+                            "opts": {"radial_exponent": 3}},
+     "opts.radial_exponent"),
+    ("load", "petrovskii", {"phi": BIH, "variant": "biharmonic",
+                            "opts": {"drop_linear": True}}, "opts.drop_linear"),
+    ("load", "petrovskii", {"phi": STAR, "radial_exponent": 0},
+     "radial_exponent"),
+    ("load", "sweep", {"task": "petrovskii",
+                       "base": {"phi": STAR, "variant": "dini"},
+                       "vary": {"field": "radial_exponent", "values": [3]}},
+     "radial_exponent"),
+    # the kernel-form options shape the m=2 term; the simulation is
+    # one-dimensional, keeps its linear term and writes no snapshots here
+    ("load", "criterion", {"m": 1, "phi": STAR, "opts": {"form": "exact"}},
+     "opts.form"),
+    ("load", "criterion", {"m": 1, "phi": STAR,
+                           "opts": {"switchover": 10.0}}, "opts.switchover"),
+    ("load", "criterion", {"m": 1, "phi": STAR,
+                           "opts": {"fit_window": [5.0, 15.0]}},
+     "opts.fit_window"),
+    ("load", "criterion", {"m": 2, "phi": BIH, "opts": {"fit_window": 5.0}},
+     "opts.fit_window"),
+    ("load", "compare", dict(CMP, opts={"radial_exponent": 3}),
+     "opts.radial_exponent"),
+    ("load", "compare", dict(CMP, opts={"drop_linear": True}),
+     "opts.drop_linear"),
+    ("load", "compare", dict(CMP, opts={"form": "exact"}), "opts.form"),
+    ("load", "compare", dict(CMP, write_snapshots=True), "write_snapshots"),
+    # runs whose report would describe another computation
+    ("load", "criterion", {"m": 2, "phi": BIH, "negligibility": True},
+     "negligibility"),
+    ("load", "criterion", {"m": 1, "phi": STAR, "kind": "gradient",
+                           "kappa": "critical-kappa", "iteration": True},
+     "iteration"),
+    ("load", "criterion", {"m": 1, "phi": STAR, "kappa": "negative-log",
+                           "iteration": True}, "iteration"),
+    ("load", "criterion", {"m": 1, "phi": STAR, "iteration": True},
+     "iteration"),
+    ("load", "validate", {"checks": ["bl-residual"],
+                          "consistency_tau_max": 1.0e9}, "consistency_tau_max"),
+    # ranges the library owns fail typed when the scenario runs
+    ("run", "criterion", {"m": 1, "phi": STAR, "tau_max": 1.0e13}, "tau_max"),
+    ("run", "criterion", {"m": 1, "phi": STAR, "tau0": 1.0}, "tau0"),
+    ("run", "criterion", {"m": 1, "phi": STAR, "tau_max": 5.0}, "tau_max"),
+    ("run", "petrovskii", {"phi": STAR, "tau_max": 5.0}, "tau_max"),
+    ("run", "petrovskii", {"phi": BIH, "variant": "biharmonic",
+                           "tau_max": 5.0}, "tau_max"),
+    ("run", "petrovskii", {"phi": STAR, "variant": "dini", "ell_max": 5.0},
+     "ell_max"),
+    ("run", "kernel", {"m": 2, "window": [1.0, 2.0]}, "window"),
+    ("run", "validate", {"checks": ["petrovskii-consistency"],
+                         "consistency_tau_max": 1.0e13}, "tau_max"),
+])
+def test_unused_fields_and_out_of_range_values_are_config_errors(
+        tmp_path, when, task, parameters, field):
+    path = write_config(tmp_path, one_scenario("probe", task, parameters))
+    if when == "load":
+        with pytest.raises(ConfigError,
+                           match=rf"'probe(\[\d+\])?'.*{re.escape(field)}"):
+            cli.load_config(path)
+        return
+    code, report = cli.run_scenarios(path, str(tmp_path / "out"))
+    assert code == 1
+    assert re.match(rf"ConfigError: .*{re.escape(field)}",
+                    report["reports"][0]["error"])
+
+
 # -- execution ------------------------------------------------------------------
 
 def test_integral_and_ode_pair_agree(tmp_path):
@@ -165,9 +256,11 @@ def _paired(report):
 
 
 def test_biharmonic_integral_pairs_only_with_m2_verdict(tmp_path):
+    bih = {"phi": "biharmonic-critical", "variant": "biharmonic"}
     doc = {"version": 1, "scenarios": [
-        {"id": "bih-integral", "task": "petrovskii",
-         "parameters": {"phi": "biharmonic-critical", "variant": "biharmonic"}},
+        {"id": "bih-integral", "task": "petrovskii", "parameters": bih},
+        {"id": "bih-integral-n3", "task": "petrovskii",
+         "parameters": dict(bih, radial_exponent=3)},
         {"id": "bih-ode-m1", "task": "criterion",
          "parameters": {"m": 1, "phi": "biharmonic-critical"}},
         {"id": "bih-ode-m2", "task": "criterion",
@@ -176,8 +269,10 @@ def test_biharmonic_integral_pairs_only_with_m2_verdict(tmp_path):
     code, report = cli.run_scenarios(write_config(tmp_path, doc),
                                      str(tmp_path / "out"))
     assert code == 0
-    payload = report["reports"][0]["payload"]
-    assert (payload["m"], payload["radial_exponent"]) == (2, 1)
+    n1, n3 = (report["reports"][i]["payload"] for i in (0, 1))
+    assert (n1["m"], n1["radial_exponent"]) == (2, 1)
+    assert (n3["m"], n3["radial_exponent"]) == (2, 3)
+    assert n3["total"] != n1["total"]  # N reaches the integral
     assert _paired(report) == [("bih-integral", "bih-ode-m2")]
 
 
@@ -267,16 +362,11 @@ def test_reruns_byte_identical_modulo_timestamp(tmp_path):
             == (tmp_path / "b" / rel).read_bytes()
 
 
-def test_worker_count_does_not_change_output(tmp_path):
-    doc = {"version": 1, "scenarios": [
-        {"id": f"w{i}", "task": "petrovskii",
-         "parameters": {"phi": {"name": "log-power", "params": {"p": p}}}}
-        for i, p in enumerate((0.75, 1.0, 2.0))]}
-    path = write_config(tmp_path, doc)
-    cli.run_scenarios(path, str(tmp_path / "serial"), workers=1)
-    cli.run_scenarios(path, str(tmp_path / "pooled"), workers=3)
-    assert strip_timestamp(tmp_path / "serial" / "report.json") \
-        == strip_timestamp(tmp_path / "pooled" / "report.json")
+def test_batches_run_serially(tmp_path):
+    path = write_config(tmp_path, one_scenario("k1", "kernel", {"m": 1}))
+    with pytest.raises(ValueError, match="workers"):
+        cli.run_scenarios(path, str(tmp_path / "out"), workers=2)
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_artifacts_and_payload(tmp_path):
@@ -384,6 +474,18 @@ def test_main_ok_and_error_exit_codes(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_main_has_no_workers_flag(tmp_path, capsys):
+    path = write_config(tmp_path, one_scenario("k1", "kernel", {"m": 1}))
+    with pytest.raises(SystemExit) as info:
+        cli.main(["kernel", "--config", path, "--out", str(tmp_path / "out"),
+                  "--workers", "2"])
+    assert info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.main(["kernel", "--help"])
+    assert "--workers" not in capsys.readouterr().out
+
+
 def test_main_default_task_injection(tmp_path, capsys):
     path = tmp_path / "bare.yaml"
     path.write_text("version: 1\n"
@@ -400,3 +502,122 @@ def test_main_repro_prints_paths(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 13
     assert all(line.endswith(".yaml") for line in lines)
+
+
+# -- property: an accepted config runs or fails with a typed error -------------
+
+ERROR_TYPES = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+
+
+def values(ok, bad=()):
+    """In-range values three draws in four, out-of-range ones otherwise."""
+    if not bad:
+        return st.sampled_from(ok)
+    return st.integers(0, 3).flatmap(
+        lambda i: st.sampled_from(ok if i else bad))
+
+
+OPT_VALUES = {
+    "form": values(["auto", "exact", "practical"], ["magic"]),
+    "switchover": values([5.0, 20.0]),
+    "fit_window": values([[5.0, 15.0]], [[1.0, 2.0]]),
+    "drop_linear": st.booleans(),
+    "radial_exponent": values([1, 3], [0]),
+}
+# small grids and short horizons keep each run short
+VALUES = {
+    "m": values([1, 2]),
+    "kind": values(["multiplicative", "gradient"]),
+    "phi": values([STAR, BIH, "log-power",
+                   {"name": "petrovskii-super", "params": {"eps": 0.1}}]),
+    "kappa": values(["zero-kappa", "negative-log", "positive-log",
+                     "critical-kappa"]),
+    "tau0": values([10.0, 30.0], [-1.0, 1.0]),
+    "tau_max": values([20.0, 1.0e4], [5.0, 1.0e13, math.nan]),
+    "tol": values([1.0e-10, 1.0e-6], [1.0e-13]),
+    "init": values([-1.0, 0.0], [-800.0]),
+    "opts": st.fixed_dictionaries({}, optional=OPT_VALUES),
+    "thresholds": st.dictionaries(
+        values(sorted(criterion.DEFAULT_THRESHOLDS)),
+        values([-1.0, 0.0, 2.0]), max_size=2),
+    "iteration": st.booleans(),
+    "negligibility": st.booleans(),
+    "osgood": st.booleans(),
+    "radial_exponent": values([1, 3], [0]),
+    "variant": values(sorted(cli._PETROVSKII_FIELDS), ["density"]),
+    "n_points": values([1, 2, 201], [0]),
+    "ell_max": values([60.0, 800.0], [5.0, math.inf]),
+    "window": values([[5.0, 15.0], [10.2, 11.0]], [[1.0, 2.0], [11.0, 10.2]]),
+    "y_max": values([-5.0, 0.0, 10.0], [math.inf]),
+    "n_table": values([1, 21], [0]),
+    "grid_points": values([201], [200]),
+    "tau_span": values([[10.0, 11.0]],
+                       [[11.0, 10.0], [1.0, 2.0], [10.0, math.inf]]),
+    "dtau": values([0.02], [0.0]),
+    "shape": values(["plateau", "bump", "g0"]),
+    "amplitude": values([0.5, -1.0], [0.0]),
+    "freeze_phi": values([4.0], [0.0]),
+    "n_checkpoints": values([5], [1]),
+    "write_snapshots": st.booleans(),
+    "checks": values([["bl-residual"], ["biharmonic-constant"],
+                      ["petrovskii-consistency", "bl-residual"]],
+                     [[], ["kernel"]]),
+    "consistency_tau_max": values([1.0e3], [1.0e13]),
+}
+# the fields of each task and petrovskii variant
+FIELDS = {
+    "criterion": ["m", "kind", "phi", "kappa", "tau0", "tau_max", "tol", "init",
+                  "thresholds", "opts", "iteration", "negligibility",
+                  "osgood"],
+    "kernel": ["m", "window", "y_max", "n_table"],
+    "simulate": [*cli._SIM_FIELDS, "write_snapshots"],
+    "compare": [*cli._SIM_FIELDS, "window", "opts"],
+    "validate": ["checks", "consistency_tau_max"],
+}
+for variant, spec in cli._PETROVSKII_FIELDS.items():
+    FIELDS[f"petrovskii/{variant}"] = ["phi", "variant", *spec]
+# drawn whenever the task has them; the defaults of the last three would
+# simulate the full span on the full grid, or run every validation check
+ALWAYS = ("m", "phi", "window", "grid_points", "tau_span", "checks")
+
+
+@st.composite
+def drawn_scenarios(draw):
+    kind = draw(st.sampled_from(sorted(FIELDS)))
+    task, _, variant = kind.partition("/")
+    fields = FIELDS[kind]
+    if draw(st.integers(0, 7)) == 0:  # a field of some other task
+        fields = fields + [draw(st.sampled_from(sorted(VALUES)))]
+    params = {}
+    for field in fields:
+        if field == "variant":
+            params[field] = variant
+        elif field in ALWAYS or draw(st.integers(0, 3)) == 0:
+            params[field] = draw(VALUES[field])
+    if draw(st.integers(0, 7)) == 0:  # the points of a sweep
+        field = draw(st.sampled_from(fields))
+        params = {"task": task, "base": params, "vary": {
+            "field": field,
+            "values": draw(st.lists(VALUES[field], min_size=1, max_size=2))}}
+        task = "sweep"
+    return task, params
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn_scenarios())
+def test_accepted_configs_run_or_fail_typed(case):
+    """A config that passes load_config runs, or fails with a type from
+    errors.py; it never dies with a bare ValueError or TypeError."""
+    task, parameters = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(one_scenario("drawn", task, parameters), fh)
+        try:
+            _, scenarios = cli.load_config(path)
+        except ConfigError:
+            return
+        report = cli._execute(scenarios[0], tmp)
+    assert report.status == "ok" or \
+        report.error.split(":")[0] in ERROR_TYPES, report.error

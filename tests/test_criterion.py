@@ -75,8 +75,6 @@ def test_build_guards():
     with pytest.raises(ConfigError):
         criterion.build_criterion(1, "multiplicative", STAR, ZERO, {"speed": 9})
     with pytest.raises(ConfigError):
-        criterion.build_criterion(2, "multiplicative", STAR, ZERO, {"kernel": None})
-    with pytest.raises(ConfigError):
         criterion.build_criterion(2, "multiplicative", STAR, ZERO, {"form": "magic"})
 
 
