@@ -182,25 +182,6 @@ def _check_thresholds(sid, field, value):
     return value
 
 
-# build_criterion options a config may set. The kernel-form keys shape the
-# m=2 linear term only; the other two change the reduced ODE, which the
-# one-dimensional simulation does not follow.
-_KERNEL_OPTS = ("form", "switchover", "fit_window")
-_ODE_OPTS = ("drop_linear", "radial_exponent")
-_OPT_CHECKS = {"form": _as_enum(("auto", "exact", "practical")),
-               "switchover": _as_number, "fit_window": _as_pair,
-               "drop_linear": _as_bool, "radial_exponent": _as_int}
-
-
-def _check_opts(sid, opts, keys):
-    for key in opts:
-        if key not in keys:
-            _fail(sid, f"parameters.opts.{key} is ignored by this run; "
-                       "allowed here: " + (", ".join(keys) or "none"))
-    return {key: _OPT_CHECKS[key](sid, f"opts.{key}", v)
-            for key, v in opts.items()}
-
-
 def _check_m(sid, field, value):
     value = _as_int(sid, field, value)
     if value not in (1, 2):
@@ -226,16 +207,16 @@ def _validate_criterion(sid, params):
         "tol": (_as_number, 1.0e-10),
         "init": (_check_init, -1.0),
         "thresholds": (_check_thresholds, {}),
-        "opts": (_as_map, {}),
+        "radial_exponent": (_as_int, 1),
         "iteration": (_as_bool, False),
         "negligibility": (_as_bool, False),
         "osgood": (_as_bool, False),
     })
-    out["opts"] = _check_opts(sid, out["opts"], _ODE_OPTS + (
-        _KERNEL_OPTS if out["m"] == 2 else ()))
-    if out["negligibility"] and out["m"] == 2:
-        _fail(sid, "parameters.negligibility reports the m=1 ratio; "
-                   "it needs m: 1")
+    if out["negligibility"] and (out["m"], out["kind"], out["radial_exponent"]) \
+            != (1, "gradient", 1):
+        _fail(sid, "parameters.negligibility reports the ratio of the m=1 "
+                   "gradient term to the N=1 linear term; it needs m: 1, "
+                   "kind: gradient and radial_exponent: 1")
     if out["iteration"] and (
             out["kind"] != "multiplicative"
             or _resolve(out["kappa"]).sign != "positive-increasing"):
@@ -252,9 +233,7 @@ _PETROVSKII_FIELDS = {
     "dini": {"tau0": (_as_number, 10.0), "ell_max": (_as_number, 690.0),
              "n_points": (_as_int, 6000)},
     "biharmonic": {"radial_exponent": (_as_int, 1), "tau0": (_as_number, 10.0),
-                   "tau_max": (_as_number, 1.0e9),
-                   "opts": (lambda sid, field, value: _check_opts(
-                       sid, _as_map(sid, field, value), _KERNEL_OPTS), {})},
+                   "tau_max": (_as_number, 1.0e9)},
 }
 _as_variant = _as_enum(tuple(_PETROVSKII_FIELDS))
 
@@ -312,16 +291,11 @@ def _validate_sim(sid, params, extra):
     return out
 
 
-def _validate_compare(sid, params):
-    # the ODE side needs a width even where the simulation freezes it; a
-    # comparison writes no snapshots
-    out = _validate_sim(sid, params, {
-        "phi": (_as_fn, _REQUIRED),
-        "window": (_as_pair, _REQUIRED),
-        "opts": (_as_map, {}),
-    })
-    out["opts"] = _check_opts(sid, out["opts"],
-                              _KERNEL_OPTS if out["m"] == 2 else ())
+def _validate_simulate(sid, params):
+    out = _validate_sim(sid, params, {"write_snapshots": (_as_bool, True)})
+    if out["phi"] is not None and out["freeze_phi"] is not None:
+        _fail(sid, "parameters.phi is not simulated when freeze_phi is set; "
+                   "give one of them")
     return out
 
 
@@ -383,20 +357,20 @@ _VALIDATORS = {
     "criterion": _validate_criterion,
     "petrovskii": _validate_petrovskii,
     "kernel": _validate_kernel,
-    "simulate": lambda sid, params: _validate_sim(
-        sid, params, {"write_snapshots": (_as_bool, True)}),
-    "compare": _validate_compare,
+    "simulate": _validate_simulate,
+    # the ODE side needs a width even where the simulation freezes it; a
+    # comparison writes no snapshots
+    "compare": lambda sid, params: _validate_sim(sid, params, {
+        "phi": (_as_fn, _REQUIRED), "window": (_as_pair, _REQUIRED)}),
     "validate": _validate_validate,
     "sweep": _validate_sweep,
 }
 
 
-def load_config(path, default_task=None):
+def load_config(path):
     """Parse and schema-validate a config file.
 
-    Returns (document echo, scenarios). Scenarios missing a task inherit
-    default_task (the subcommand name), so task-specific entry points can
-    run bare parameter files while mixed files stay runnable everywhere.
+    Returns (document echo, scenarios). Every scenario names its task.
     """
     try:
         with open(path) as fh:
@@ -436,9 +410,9 @@ def load_config(path, default_task=None):
         if sid in seen:
             raise ConfigError(f"duplicate scenario id {sid!r}")
         seen.add(sid)
-        task = entry.get("task", default_task)
+        task = entry.get("task")
         if task is None:
-            _fail(sid, "task is required (no default in this context)")
+            _fail(sid, "task is required")
         if task not in TASKS:
             _fail(sid, f"unknown task {task!r}; known: " + ", ".join(TASKS))
         params = _VALIDATORS[task](sid, entry.get("parameters", {}))
@@ -474,7 +448,7 @@ def _run_criterion(params, outdir):
     phi = _resolve(params["phi"])
     kappa = _resolve(params["kappa"])
     ode = criterion.build_criterion(params["m"], params["kind"], phi, kappa,
-                                    params["opts"] or None)
+                                    params["radial_exponent"])
     payload = {"m": params["m"], "kind": params["kind"], "phi": phi.name,
                "radial_exponent": ode.radial_exponent,
                "kappa": kappa.name, "kappa_linear": kappa.linear,
@@ -533,7 +507,11 @@ def _run_petrovskii(params, outdir):
             n_points=params["n_points"])
     elif variant == "dini":
         def rho(h):
-            width = np.asarray(phi.phi(-np.log(h)), dtype=float)
+            # h underflows to 0 past ell of about 745: tau = -log(0) = inf
+            # gives the exact zero density there
+            with np.errstate(divide="ignore"):
+                tau = -np.log(h)
+            width = np.asarray(phi.phi(tau), dtype=float)
             return np.exp(-width * width / 4.0)
 
         trace = petrovskii.dini_osgood_form(rho,
@@ -543,8 +521,8 @@ def _run_petrovskii(params, outdir):
     else:
         m = 2
         trace = petrovskii.biharmonic_linear_criterion(
-            phi, tau0=params["tau0"], tau_max=params["tau_max"],
-            opts=dict(params["opts"], radial_exponent=radial_exponent))
+            phi, radial_exponent=radial_exponent, tau0=params["tau0"],
+            tau_max=params["tau_max"])
     petrovskii.export_trace_csv(trace, os.path.join(outdir, "trace.csv"))
     fit = trace.fit
     payload = {"phi": phi.name, "variant": variant, "m": m,
@@ -620,8 +598,7 @@ def _run_compare(params, outdir):
     traj = pdesim.run(_sim_config(params))
     ode = criterion.build_criterion(params["m"], params["kind"],
                                     _resolve(params["phi"]),
-                                    _resolve(params["kappa"]),
-                                    params["opts"] or None)
+                                    _resolve(params["kappa"]))
     report = pdesim.compare_with_criterion(traj, ode, tuple(params["window"]))
     pdesim.export_series_csv(traj, os.path.join(outdir, "series.csv"))
     payload = {"phi": ode.phi.name, "kappa": ode.kappa.name, "m": params["m"],
@@ -810,7 +787,7 @@ def _consistency_checks(reports):
     return pairs
 
 
-def run_scenarios(config_path, out_dir, workers=1, default_task=None):
+def run_scenarios(config_path, out_dir, workers=1):
     """Run every scenario in the config; returns (exit_code, report doc).
 
     Scenarios run one after another in config order; workers accepts only
@@ -818,7 +795,7 @@ def run_scenarios(config_path, out_dir, workers=1, default_task=None):
     """
     if workers != 1:
         raise ValueError(f"workers must be 1 (scenarios run serially), got {workers!r}")
-    doc, scenarios = load_config(config_path, default_task)
+    doc, scenarios = load_config(config_path)
     os.makedirs(out_dir, exist_ok=True)
     reports = [_execute(s, out_dir) for s in scenarios]
 
@@ -951,12 +928,9 @@ def main(argv=None):
         prog="vertexreg",
         description="Batch runner for vertex-regularity experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for task in TASKS:
-        sp = sub.add_parser(
-            task, help=f"run config scenarios (bare scenarios default to "
-                       f"the {task} task)")
-        sp.add_argument("--config", required=True, help="YAML scenario file")
-        sp.add_argument("--out", default="runs", help="output directory")
+    sp = sub.add_parser("run", help="run every scenario of a config file")
+    sp.add_argument("--config", required=True, help="YAML scenario file")
+    sp.add_argument("--out", default="runs", help="output directory")
     rp = sub.add_parser("repro", help="write the canonical acceptance configs")
     rp.add_argument("--out", default="repro-configs", help="output directory")
     args = parser.parse_args(argv)
@@ -967,8 +941,7 @@ def main(argv=None):
         return 0
 
     try:
-        code, doc = run_scenarios(args.config, args.out,
-                                  default_task=args.command)
+        code, doc = run_scenarios(args.config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -32,6 +32,11 @@ _LN_UNDERFLOW = -745.0  # exp() underflows to 0 just below this
 _MAX_TAU = 1.0e12
 _PERIOD_CAP = 1.0e5  # most carrier half-periods a period sum will integrate
 
+# The m=2 linear term uses the kernel itself up to phi = _M2_SWITCHOVER and
+# its asymptotic form, fitted on y in _M2_FIT_WINDOW, beyond
+_M2_SWITCHOVER = 20.0
+_M2_FIT_WINDOW = (5.0, 15.0)
+
 DEFAULT_THRESHOLDS = {
     "drop": 10.0,        # required fall of ln a0 below its initial value
     "slope": -0.05,      # required trend d(ln a0)/d(ln tau) over last decade
@@ -59,7 +64,6 @@ class M2Constants:
     b0: float
     alpha: float
     delta0: float
-    switchover: float
     C1: float
     C2: float
     d_fit: float
@@ -162,9 +166,9 @@ def _amplitude(ln_a0, u_max: float):
     return np.clip(a, 1e-320, u_max)
 
 
-def _fit_m2_constants(kernel, fit_window, switchover: float) -> M2Constants:
+def _fit_m2_constants(kernel) -> M2Constants:
     consts = kernel.constants
-    fit = spectral.kernel_asymptotic_fit(kernel, tuple(fit_window))
+    fit = spectral.kernel_asymptotic_fit(kernel, _M2_FIT_WINDOW)
     profile = bl_profile(2)
     g1 = profile.derivs_at_0[1]
     g2 = profile.derivs_at_0[2]
@@ -177,8 +181,7 @@ def _fit_m2_constants(kernel, fit_window, switchover: float) -> M2Constants:
     return M2Constants(
         C3=float(np.hypot(a_cos, a_sin)), C4=math.atan2(-a_sin, a_cos),
         gamma1=g1, gamma2=g2, d0=consts.d0, b0=consts.b0, alpha=consts.alpha,
-        delta0=consts.delta0, switchover=switchover,
-        C1=fit.C1, C2=fit.C2, d_fit=fit.d_fit, b_fit=fit.b_fit)
+        delta0=consts.delta0, C1=fit.C1, C2=fit.C2, d_fit=fit.d_fit, b_fit=fit.b_fit)
 
 
 def _m1_linear_value(ph):
@@ -188,12 +191,12 @@ def _m1_linear_value(ph):
 
 def _m2_linear_parts(m2c: M2Constants, kernel):
     """Composite evaluators for the m=2 linear term and the bare kernel:
-    exact up to phi = switchover, the fitted asymptotic form beyond."""
+    exact up to phi = _M2_SWITCHOVER, the fitted asymptotic form beyond."""
 
     def split(exact, asymptotic):
         def value(ph):
             out = np.empty_like(ph)
-            mask = ph <= m2c.switchover
+            mask = ph <= _M2_SWITCHOVER
             if mask.any():
                 out[mask] = exact(ph[mask])
             if (~mask).any():
@@ -227,27 +230,14 @@ def _bl_gradient_quartic() -> float:
 # -- building the systems -----------------------------------------------------
 
 def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
-                    opts: Optional[dict] = None) -> CriterionODE:
+                    radial_exponent: int = 1) -> CriterionODE:
     """Assemble the amplitude ODE for the given problem order and reaction kind.
 
-    opts: form ("auto"/"exact"/"practical"), switchover (phi value where
-    the exact kernel form hands over to the asymptotic one) and fit_window,
-    which shape the m=2 linear term only; drop_linear (keep only the
-    reaction term; used by comparison tests); radial_exponent (N;
-    multiplies the linear term by phi^(N-1)). m=2 uses the default kernel.
+    radial_exponent is the radial dimension N; it multiplies the linear
+    term by phi^(N-1). m=2 uses the default kernel.
     """
     if m not in (1, 2) or kind not in ("multiplicative", "gradient"):
         raise ConfigError(f"unsupported criterion combination (m={m}, kind={kind!r})")
-    opts = dict(opts or {})
-    form = opts.pop("form", "auto")
-    switchover = float(opts.pop("switchover", 20.0))
-    fit_window = opts.pop("fit_window", (5.0, 15.0))
-    drop_linear = bool(opts.pop("drop_linear", False))
-    radial_exponent = int(opts.pop("radial_exponent", 1))
-    if opts:
-        raise ConfigError("unknown criterion options: " + ", ".join(sorted(opts)))
-    if form not in ("auto", "exact", "practical"):
-        raise ConfigError(f"unknown form {form!r}")
     if radial_exponent < 1:
         raise ConfigError("radial_exponent must be a positive integer")
 
@@ -255,11 +245,7 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
     kernel_value = None
     if m == 2:
         kernel = spectral.default_kernel(2)
-        if form == "exact":
-            switchover = math.inf
-        elif form == "practical":
-            switchover = -math.inf
-        m2c = _fit_m2_constants(kernel, fit_window, switchover)
+        m2c = _fit_m2_constants(kernel)
         linear_value, kernel_value = _m2_linear_parts(m2c, kernel)
     else:
         linear_value = _m1_linear_value
@@ -269,10 +255,7 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
     def linear_rhs(tau):
         arr = np.atleast_1d(np.asarray(tau, dtype=float))
         ph = np.asarray(phi.phi(arr), dtype=float)
-        if drop_linear:
-            out = np.zeros_like(ph)
-        else:
-            out = linear_value(ph) * ph ** n_extra
+        out = linear_value(ph) * ph ** n_extra
         return float(out[0]) if np.ndim(tau) == 0 else out
 
     u_max = kappa.u_max

@@ -189,9 +189,9 @@ def dini_osgood_form(rho, *, h_max: float = 0.1, ell_max: float = 690.0,
     return IntegralTrace("h", np.column_stack([np.exp(-ell), partial]), cls, fit)
 
 
-def biharmonic_linear_criterion(phi: SlowGrowthFn, *, tau0: float = 10.0,
-                                tau_max: float = 1.0e9,
-                                opts: Optional[dict] = None) -> IntegralTrace:
+def biharmonic_linear_criterion(phi: SlowGrowthFn, *, radial_exponent: int = 1,
+                                tau0: float = 10.0,
+                                tau_max: float = 1.0e9) -> IntegralTrace:
     """Accumulate the fourth-order linear criterion integral over carrier periods.
 
     Partial sums are taken at successive zeros of the oscillation carrier.
@@ -200,14 +200,14 @@ def biharmonic_linear_criterion(phi: SlowGrowthFn, *, tau0: float = 10.0,
     contributions) stays Undetermined because deciding it would need the
     oscillatory cut-off construction, which this module does not attempt.
     Pieces whose quadrature came back flagged are named in the diagnostic.
-    opts are build_criterion's.
+    radial_exponent is the radial dimension N, as in build_criterion.
     """
     if tau0 < phi.tau_min:
         raise ConfigError("tau0=%g is below tau_min=%g" % (tau0, phi.tau_min))
     if tau_max <= tau0:
         raise ConfigError("need tau_max > tau0")
     ode = criterion.build_criterion(2, "multiplicative", phi,
-                                    funcs.lookup("zero-kappa"), opts)
+                                    funcs.lookup("zero-kappa"), radial_exponent)
     m2c = ode.m2_constants
     s0, s1 = math.log(tau0), math.log(tau_max)
     spread = float(phi.phi(tau_max)) ** m2c.alpha - float(phi.phi(tau0)) ** m2c.alpha

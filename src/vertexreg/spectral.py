@@ -61,6 +61,13 @@ _CHEB_DEGREE = 14
 _RAD_PER_PANEL = 3.0
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
+# Per order m: the cut s_max of the Fourier integral, where e^{-s^{2m}} is
+# 1e-40, and the y window for unit-mass normalization and
+# bi-orthonormality; beyond that window the oscillatory quadrature noise
+# floor outweighs the decaying kernel, so larger is not better (measured)
+_S_MAX = {m: (40.0 * math.log(10.0)) ** (1.0 / (2 * m)) for m in (1, 2)}
+_Y_SPAN = {1: 30.0, 2: 60.0}
+
 _GAUSS_NORM = 1.0 / math.sqrt(4.0 * math.pi)
 
 
@@ -201,21 +208,12 @@ class KernelModel:
     Immutable after construction; evaluation is pure and safe to share.
     """
 
-    def __init__(self, constants, quad=None):
-        quad = dict(quad or {})
+    def __init__(self, constants):
         m = constants.m
         self.constants = constants
         self._m = m
-        self._s_max = float(quad.pop("s_max", (40.0 * math.log(10.0)) ** (1.0 / (2 * m))))
-        # window for unit-mass normalization and bi-orthonormality; beyond
-        # it the oscillatory quadrature noise floor outweighs the decaying
-        # kernel, so larger is not better (measured)
-        self._y_span = float(quad.pop("y_span", 30.0 if m == 1 else 60.0))
-        self.weight_exponent = float(quad.pop("weight_exponent", constants.d0))
-        if quad:
-            raise KeyError("unknown quadrature settings: %s" % sorted(quad))
-        if not 0.0 < self.weight_exponent < 2.0 * constants.d0:
-            raise ValueError("weight exponent must lie in (0, 2*d0)")
+        self._s_max = _S_MAX[m]
+        self._y_span = _Y_SPAN[m]
 
         worst = _tail_bound(self._s_max, m, _EXTENDED_ORDER_MAX)
         if worst > TAIL_TOL:
@@ -291,25 +289,20 @@ class KernelModel:
                              % _EXTENDED_ORDER_MAX)
         return self._eval(y, order)
 
-    def weight(self, y):
-        """Exponential weight e^{-a_w |y|^alpha} attached to this kernel."""
-        y = np.asarray(y, dtype=float)
-        return np.exp(-self.weight_exponent * np.abs(y) ** self.constants.alpha)
 
-
-def build_kernel(m, quad=None):
+def build_kernel(m):
     """Kernel model of order m (evaluators implemented for m in {1, 2})."""
     constants = kernel_constants(m)
     if m not in (1, 2):
         raise UnsupportedOrder(
             "kernel evaluators are implemented for m in {1, 2}; "
             "kernel_constants(m) covers the constants for any m")
-    return KernelModel(constants, quad)
+    return KernelModel(constants)
 
 
 @lru_cache(maxsize=4)
 def default_kernel(m):
-    """Shared default-settings kernel, built once per order."""
+    """Shared kernel, built once per order."""
     return build_kernel(m)
 
 
@@ -493,7 +486,7 @@ class BiorthResult:
     max_error: float
 
 
-def biorthonormality_matrix(m, k_max, quad=None):
+def biorthonormality_matrix(m, k_max):
     """Cross inner products of the two eigenfunction families by quadrature.
 
     Entry (beta, gamma) is the integral of the kernel-derivative
@@ -504,7 +497,7 @@ def biorthonormality_matrix(m, k_max, quad=None):
         raise UnsupportedOrder("bi-orthonormality needs kernel evaluators (m in {1,2})")
     if not 0 <= k_max <= _EXTENDED_ORDER_MAX:
         raise ValueError("k_max must lie in [0, %d]" % _EXTENDED_ORDER_MAX)
-    model = build_kernel(m, quad) if quad else default_kernel(m)
+    model = default_kernel(m)
 
     nodes, weights = model._y_rule(model._y_span)
     polys = [adjoint_polynomial(m, g).adjoint_poly for g in range(k_max + 1)]

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import tempfile
+import warnings
 
 import pytest
 import yaml
@@ -72,8 +73,6 @@ def test_missing_task_without_default_rejected(tmp_path):
     doc = {"version": 1, "scenarios": [{"id": "x", "parameters": {"m": 1}}]}
     with pytest.raises(ConfigError, match="task is required"):
         cli.load_config(write_config(tmp_path, doc))
-    _, scenarios = cli.load_config(write_config(tmp_path, doc), "kernel")
-    assert scenarios[0].task == "kernel"
 
 
 def test_unknown_parameter_key_rejected(tmp_path):
@@ -163,37 +162,40 @@ CMP = {"m": 1, "phi": STAR, "window": [15.0, 25.0]}
      "opts"),
     ("load", "petrovskii", {"phi": BIH, "variant": "biharmonic",
                             "n_points": 4000}, "n_points"),
-    ("load", "petrovskii", {"phi": BIH, "variant": "biharmonic",
-                            "opts": {"radial_exponent": 3}},
-     "opts.radial_exponent"),
-    ("load", "petrovskii", {"phi": BIH, "variant": "biharmonic",
-                            "opts": {"drop_linear": True}}, "opts.drop_linear"),
+    ("load", "petrovskii", {"phi": BIH, "variant": "biharmonic", "opts": {}},
+     "opts"),
     ("load", "petrovskii", {"phi": STAR, "radial_exponent": 0},
      "radial_exponent"),
     ("load", "sweep", {"task": "petrovskii",
                        "base": {"phi": STAR, "variant": "dini"},
                        "vary": {"field": "radial_exponent", "values": [3]}},
      "radial_exponent"),
-    # the kernel-form options shape the m=2 term; the simulation is
-    # one-dimensional, keeps its linear term and writes no snapshots here
-    ("load", "criterion", {"m": 1, "phi": STAR, "opts": {"form": "exact"}},
-     "opts.form"),
+    # no task takes an opts mapping; N is criterion's radial_exponent
     ("load", "criterion", {"m": 1, "phi": STAR,
-                           "opts": {"switchover": 10.0}}, "opts.switchover"),
-    ("load", "criterion", {"m": 1, "phi": STAR,
-                           "opts": {"fit_window": [5.0, 15.0]}},
-     "opts.fit_window"),
-    ("load", "criterion", {"m": 2, "phi": BIH, "opts": {"fit_window": 5.0}},
-     "opts.fit_window"),
-    ("load", "compare", dict(CMP, opts={"radial_exponent": 3}),
-     "opts.radial_exponent"),
-    ("load", "compare", dict(CMP, opts={"drop_linear": True}),
-     "opts.drop_linear"),
-    ("load", "compare", dict(CMP, opts={"form": "exact"}), "opts.form"),
+                           "opts": {"radial_exponent": 3}}, "opts"),
+    ("load", "criterion", {"m": 2, "phi": BIH, "opts": {"form": "exact"}},
+     "opts"),
+    ("load", "compare", dict(CMP, opts={}), "opts"),
+    ("load", "compare", dict(CMP, m=2, phi=BIH, opts={"form": "exact"}),
+     "opts"),
+    ("load", "sweep", {"task": "criterion", "base": {"m": 1, "phi": STAR},
+                       "vary": {"field": "opts.radial_exponent", "values": [3]}},
+     "opts"),
+    # a comparison writes no snapshots
     ("load", "compare", dict(CMP, write_snapshots=True), "write_snapshots"),
     # runs whose report would describe another computation
     ("load", "criterion", {"m": 2, "phi": BIH, "negligibility": True},
      "negligibility"),
+    ("load", "criterion", {"m": 1, "phi": STAR, "kappa": "critical-kappa",
+                           "negligibility": True}, "negligibility"),
+    ("load", "criterion", {"m": 1, "phi": STAR, "kind": "gradient",
+                           "kappa": "critical-kappa", "radial_exponent": 3,
+                           "negligibility": True}, "negligibility"),
+    ("load", "simulate", {"m": 1, "phi": STAR, "freeze_phi": 4.0},
+     "freeze_phi"),
+    ("load", "sweep", {"task": "simulate", "base": {"m": 1, "phi": STAR},
+                       "vary": {"field": "freeze_phi", "values": [4.0]}},
+     "freeze_phi"),
     ("load", "criterion", {"m": 1, "phi": STAR, "kind": "gradient",
                            "kappa": "critical-kappa", "iteration": True},
      "iteration"),
@@ -284,7 +286,7 @@ def test_radial_exponent_pairs_like_with_like(tmp_path):
          "parameters": {"m": 1, "phi": "petrovskii-critical"}},
         {"id": "n3-ode", "task": "criterion",
          "parameters": {"m": 1, "phi": "petrovskii-critical",
-                        "opts": {"radial_exponent": 3}}}]}
+                        "radial_exponent": 3}}]}
     code, report = cli.run_scenarios(write_config(tmp_path, doc),
                                      str(tmp_path / "out"))
     assert code == 0
@@ -292,6 +294,18 @@ def test_radial_exponent_pairs_like_with_like(tmp_path):
     assert (by_id["n3-integral"]["m"], by_id["n3-integral"]["radial_exponent"]) == (1, 3)
     assert by_id["n1-ode"]["radial_exponent"] == 1
     assert _paired(report) == [("n3-integral", "n3-ode")]
+
+
+def test_dini_density_past_underflow_runs_without_warning(tmp_path):
+    # h = e^-ell underflows to 0 from ell of about 745 on; the density there
+    # is an exact zero, computed without a floating-point warning
+    path = write_config(tmp_path, one_scenario("far", "petrovskii", {
+        "phi": STAR, "variant": "dini", "ell_max": 800.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = cli.run_scenarios(path, str(tmp_path / "out"))
+    assert code == 0, report["reports"][0]["error"]
+    assert report["reports"][0]["payload"]["classification"] == "Divergent"
 
 
 def test_compare_with_frozen_width_still_needs_phi(tmp_path):
@@ -464,12 +478,12 @@ def test_emitted_config_runs(tmp_path):
 def test_main_ok_and_error_exit_codes(tmp_path, capsys):
     doc = one_scenario("k1", "kernel", {"m": 1})
     path = write_config(tmp_path, doc)
-    assert cli.main(["kernel", "--config", path,
+    assert cli.main(["run", "--config", path,
                      "--out", str(tmp_path / "out")]) == 0
     assert "[k1] kernel: ok" in capsys.readouterr().out
 
     bad = one_scenario("k1", "kernel", {"m": 7})
-    assert cli.main(["kernel", "--config", write_config(tmp_path, bad, "bad.yaml"),
+    assert cli.main(["run", "--config", write_config(tmp_path, bad, "bad.yaml"),
                      "--out", str(tmp_path / "out2")]) == 2
     assert "config error" in capsys.readouterr().err
 
@@ -477,24 +491,21 @@ def test_main_ok_and_error_exit_codes(tmp_path, capsys):
 def test_main_has_no_workers_flag(tmp_path, capsys):
     path = write_config(tmp_path, one_scenario("k1", "kernel", {"m": 1}))
     with pytest.raises(SystemExit) as info:
-        cli.main(["kernel", "--config", path, "--out", str(tmp_path / "out"),
+        cli.main(["run", "--config", path, "--out", str(tmp_path / "out"),
                   "--workers", "2"])
     assert info.value.code == 2
     assert "--workers" in capsys.readouterr().err
     with pytest.raises(SystemExit):
-        cli.main(["kernel", "--help"])
+        cli.main(["run", "--help"])
     assert "--workers" not in capsys.readouterr().out
 
 
-def test_main_default_task_injection(tmp_path, capsys):
-    path = tmp_path / "bare.yaml"
-    path.write_text("version: 1\n"
-                    "scenarios:\n"
-                    "  - id: quick\n"
-                    "    parameters: {phi: petrovskii-super}\n")
-    assert cli.main(["petrovskii", "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 0
-    assert "classification=Convergent" in capsys.readouterr().out
+def test_main_offers_only_run_and_repro(tmp_path, capsys):
+    path = write_config(tmp_path, one_scenario("k1", "kernel", {"m": 1}))
+    with pytest.raises(SystemExit) as info:
+        cli.main(["kernel", "--config", path, "--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_main_repro_prints_paths(tmp_path, capsys):
@@ -518,13 +529,6 @@ def values(ok, bad=()):
         lambda i: st.sampled_from(ok if i else bad))
 
 
-OPT_VALUES = {
-    "form": values(["auto", "exact", "practical"], ["magic"]),
-    "switchover": values([5.0, 20.0]),
-    "fit_window": values([[5.0, 15.0]], [[1.0, 2.0]]),
-    "drop_linear": st.booleans(),
-    "radial_exponent": values([1, 3], [0]),
-}
 # small grids and short horizons keep each run short
 VALUES = {
     "m": values([1, 2]),
@@ -537,7 +541,6 @@ VALUES = {
     "tau_max": values([20.0, 1.0e4], [5.0, 1.0e13, math.nan]),
     "tol": values([1.0e-10, 1.0e-6], [1.0e-13]),
     "init": values([-1.0, 0.0], [-800.0]),
-    "opts": st.fixed_dictionaries({}, optional=OPT_VALUES),
     "thresholds": st.dictionaries(
         values(sorted(criterion.DEFAULT_THRESHOLDS)),
         values([-1.0, 0.0, 2.0]), max_size=2),
@@ -568,11 +571,11 @@ VALUES = {
 # the fields of each task and petrovskii variant
 FIELDS = {
     "criterion": ["m", "kind", "phi", "kappa", "tau0", "tau_max", "tol", "init",
-                  "thresholds", "opts", "iteration", "negligibility",
-                  "osgood"],
+                  "thresholds", "radial_exponent", "iteration",
+                  "negligibility", "osgood"],
     "kernel": ["m", "window", "y_max", "n_table"],
     "simulate": [*cli._SIM_FIELDS, "write_snapshots"],
-    "compare": [*cli._SIM_FIELDS, "window", "opts"],
+    "compare": [*cli._SIM_FIELDS, "window"],
     "validate": ["checks", "consistency_tau_max"],
 }
 for variant, spec in cli._PETROVSKII_FIELDS.items():

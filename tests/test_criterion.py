@@ -1,5 +1,6 @@
 """Amplitude-ODE assembly, integration, verdict and comparison tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -61,7 +62,7 @@ def test_gradient_kind_m2_uses_quartic_layer_weight():
 def test_radial_exponent_scales_linear_term():
     flat = criterion.build_criterion(1, "multiplicative", STAR, ZERO)
     radial = criterion.build_criterion(1, "multiplicative", STAR, ZERO,
-                                       {"radial_exponent": 3})
+                                       radial_exponent=3)
     tau = 100.0
     ratio = radial.linear_rhs(tau) / flat.linear_rhs(tau)
     assert ratio == pytest.approx(float(STAR.phi(tau)) ** 2, rel=1e-13)
@@ -73,9 +74,8 @@ def test_build_guards():
     with pytest.raises(ConfigError):
         criterion.build_criterion(1, "projective", STAR, ZERO)
     with pytest.raises(ConfigError):
-        criterion.build_criterion(1, "multiplicative", STAR, ZERO, {"speed": 9})
-    with pytest.raises(ConfigError):
-        criterion.build_criterion(2, "multiplicative", STAR, ZERO, {"form": "magic"})
+        criterion.build_criterion(1, "multiplicative", STAR, ZERO,
+                                  radial_exponent=0)
 
 
 def test_rhs_finite_across_state_space():
@@ -113,8 +113,8 @@ def test_closed_form_decay_law():
 
 def test_reaction_only_root_law():
     # with the linear term off, d ln a0/dtau = -1/|ln a0| integrates to -sqrt(2 tau)
-    ode = criterion.build_criterion(1, "multiplicative", STAR, NEGLOG,
-                                    {"drop_linear": True})
+    full = criterion.build_criterion(1, "multiplicative", STAR, NEGLOG)
+    ode = dataclasses.replace(full, rhs=full.nonlinear_rhs)
     x0 = -math.sqrt(20.0)
     traj = criterion.integrate(ode, x0, 10.0, 1e5, tol=1e-11)
     predicted = -np.sqrt(2.0 * traj.tau)
@@ -221,48 +221,67 @@ def test_verdict_record_and_threshold_guard():
 
 # -- bi-harmonic linear term ------------------------------------------------------
 
-def test_m2_exact_and_practical_forms_agree_at_carrier_maxima():
-    bi = funcs.lookup("biharmonic-critical")
-    exact = criterion.build_criterion(2, "multiplicative", bi, ZERO,
-                                      {"form": "exact"})
-    prac = criterion.build_criterion(2, "multiplicative", bi, ZERO,
-                                     {"form": "practical"})
-    m2c = prac.m2_constants
-    c = funcs.BIHARMONIC_CRITICAL_C
+BIH = funcs.lookup("biharmonic-critical")
+
+
+def m2_exact(ph):
+    """gamma2 phi F(phi) + gamma1 phi^(2/3) F'(phi): the m=2 linear term."""
+    g = blayer.bl_profile(2).derivs_at_0
+    kernel = spectral.default_kernel(2)
+    return g[2] * ph * kernel.F(ph) + g[1] * ph ** (2.0 / 3.0) * kernel.F_deriv(ph, 1)
+
+
+def m2_asymptotic(ph, m2c):
+    """phi^(2/3) C3 cos(b0 phi^alpha + C4) e^{-d0 phi^alpha}: its far form."""
+    t = np.asarray(ph, dtype=float) ** m2c.alpha
+    return ph ** (2.0 / 3.0) * m2c.C3 * np.cos(m2c.b0 * t + m2c.C4) * np.exp(-m2c.d0 * t)
+
+
+def bih_tau(ph):
+    return math.exp((ph / funcs.BIHARMONIC_CRITICAL_C) ** (4.0 / 3.0))
+
+
+def test_m2_exact_and_asymptotic_forms_agree_at_carrier_maxima():
+    ode = criterion.build_criterion(2, "multiplicative", BIH, ZERO)
+    m2c = ode.m2_constants
     for k in (3, 5, 7):
         ph = ((k * math.pi - m2c.C4) / m2c.b0) ** 0.75
-        tau = math.exp((ph / c) ** (4.0 / 3.0))
-        e = exact.linear_rhs(tau)
-        p = prac.linear_rhs(tau)
+        assert ph < criterion._M2_SWITCHOVER
+        e = ode.linear_rhs(bih_tau(ph))
+        assert e == pytest.approx(m2_exact(ph), rel=1e-12)
+        p = m2_asymptotic(ph, m2c)
         assert abs(p - e) / abs(e) < 0.05, (k, ph)
 
 
 def test_m2_switchover_is_continuous_in_value():
-    bi = funcs.lookup("biharmonic-critical")
-    ode = criterion.build_criterion(2, "multiplicative", bi, ZERO)
-    c = funcs.BIHARMONIC_CRITICAL_C
-    taus = [math.exp((ph / c) ** (4.0 / 3.0)) for ph in (19.999, 20.001)]
-    lo, hi = (float(ode.linear_rhs(t)) for t in taus)
+    ode = criterion.build_criterion(2, "multiplicative", BIH, ZERO)
+    below, above = 19.999, 20.001
+    lo, hi = (float(ode.linear_rhs(bih_tau(ph))) for ph in (below, above))
+    # exact below phi = 20, the fitted far form above
+    assert lo == pytest.approx(m2_exact(below), rel=1e-9)
+    assert hi == pytest.approx(m2_asymptotic(above, ode.m2_constants), rel=1e-9)
     assert abs(hi - lo) < 0.15 * max(abs(lo), abs(hi))
     assert abs(hi - lo) < 1e-6
 
 
-def test_m2_practical_sign_pattern_follows_cosine_phase():
-    bi = funcs.lookup("biharmonic-critical")
-    ode = criterion.build_criterion(2, "multiplicative", bi, ZERO,
-                                    {"form": "practical"})
+def test_m2_asymptotic_sign_pattern_follows_cosine_phase():
+    ode = criterion.build_criterion(2, "multiplicative", BIH, ZERO)
     m2c = ode.m2_constants
     sg = np.linspace(math.log(10.0), math.log(1e9), 40000)
     tau = np.exp(sg)
-    lin = ode.linear_rhs(tau)
-    flips = np.where(np.diff(np.sign(lin)) != 0)[0]
-    theta = m2c.b0 * np.asarray(bi.phi(tau), dtype=float) ** m2c.alpha + m2c.C4
+    ph = np.asarray(BIH.phi(tau), dtype=float)
+    theta = m2c.b0 * ph ** m2c.alpha + m2c.C4
     expected = int((theta[-1] - math.pi / 2.0) // math.pi
                    - math.ceil((theta[0] - math.pi / 2.0) / math.pi) + 1)
-    assert len(flips) == expected
-    for i in flips:
-        frac = (0.5 * (theta[i] + theta[i + 1]) - math.pi / 2.0) / math.pi
-        assert abs(frac - round(frac)) < 0.01
+    lin = ode.linear_rhs(tau)
+    far = ph > criterion._M2_SWITCHOVER
+    for values, where in ((m2_asymptotic(ph, m2c), np.ones_like(far)),
+                          (lin, far)):
+        flips = np.where(np.diff(np.sign(values)) != 0)[0]
+        assert len(flips) == expected
+        for i in flips[where[flips]]:
+            frac = (0.5 * (theta[i] + theta[i + 1]) - math.pi / 2.0) / math.pi
+            assert abs(frac - round(frac)) < 0.01
 
 
 def test_m2_period_summed_quadrature():

@@ -100,11 +100,12 @@ def test_generator_residual_of_kernel():
     assert np.max(np.abs(res1)) < 1e-12
 
 
-def test_truncated_tail_guard():
+def test_truncated_tail_guard(monkeypatch):
+    monkeypatch.setattr(spectral, "_S_MAX", {1: 2.0, 2: 1.0})
     with pytest.raises(QuadratureError):
-        spectral.build_kernel(2, quad={"s_max": 1.0})
+        spectral.build_kernel(2)
     with pytest.raises(QuadratureError):
-        spectral.build_kernel(1, quad={"s_max": 2.0})
+        spectral.build_kernel(1)
 
 
 def test_derivative_order_guards():
@@ -113,22 +114,8 @@ def test_derivative_order_guards():
         model.F_deriv(1.0, 4)
     with pytest.raises(ValueError):
         model.fourier_derivative(1.0, 9)
-    with pytest.raises(KeyError):
-        spectral.build_kernel(2, quad={"panels": 3})
     with pytest.raises(UnsupportedOrder):
         spectral.build_kernel(3)
-
-
-def test_weight_defaults_inside_admissible_interval():
-    model = spectral.build_kernel(2)
-    c = model.constants
-    assert 0.0 < model.weight_exponent < 2.0 * c.d0
-    assert model.weight_exponent == pytest.approx(c.d0)
-    assert model.weight(0.0) == pytest.approx(1.0)
-    assert model.weight(3.0) == pytest.approx(
-        math.exp(-c.d0 * 3.0 ** c.alpha), rel=1e-12)
-    with pytest.raises(ValueError):
-        spectral.build_kernel(2, quad={"weight_exponent": 0.9})
 
 
 @settings(max_examples=60, deadline=None)
@@ -337,9 +324,7 @@ def test_biorthonormality_quadrature_m1():
     assert result.matrix[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_biorthonormality_quad_override_and_guards():
-    result = spectral.biorthonormality_matrix(2, 4, quad={"y_span": 50.0})
-    assert result.max_error < 1e-5
+def test_biorthonormality_guards():
     with pytest.raises(ValueError):
         spectral.biorthonormality_matrix(2, 9)
     with pytest.raises(UnsupportedOrder):
