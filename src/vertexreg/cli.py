@@ -39,8 +39,6 @@ __all__ = ["Scenario", "Report", "load_config", "run_scenarios",
            "emit_reproduction_suite", "main"]
 
 SCHEMA_VERSION = 1
-TASKS = ("validate", "kernel", "criterion", "petrovskii", "simulate",
-         "compare", "sweep")
 
 _REQUIRED = object()
 
@@ -354,15 +352,15 @@ def _validate_sweep(sid, params):
 
 
 _VALIDATORS = {
+    "validate": _validate_validate,
+    "kernel": _validate_kernel,
     "criterion": _validate_criterion,
     "petrovskii": _validate_petrovskii,
-    "kernel": _validate_kernel,
     "simulate": _validate_simulate,
     # the ODE side needs a width even where the simulation freezes it; a
     # comparison writes no snapshots
     "compare": lambda sid, params: _validate_sim(sid, params, {
         "phi": (_as_fn, _REQUIRED), "window": (_as_pair, _REQUIRED)}),
-    "validate": _validate_validate,
     "sweep": _validate_sweep,
 }
 
@@ -413,8 +411,9 @@ def load_config(path):
         task = entry.get("task")
         if task is None:
             _fail(sid, "task is required")
-        if task not in TASKS:
-            _fail(sid, f"unknown task {task!r}; known: " + ", ".join(TASKS))
+        # a YAML list or mapping is unhashable, so test the type first
+        if not (isinstance(task, str) and task in _VALIDATORS):
+            _fail(sid, f"unknown task {task!r}; known: " + ", ".join(_VALIDATORS))
         params = _VALIDATORS[task](sid, entry.get("parameters", {}))
         scenarios.append(Scenario(id=sid, task=task, parameters=params))
     return doc, scenarios

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv, dgtsv
 
 from . import spectral
 from ._csvtable import write_csv
@@ -202,32 +202,33 @@ def _initial_profile(config, z, phi0):
     return w
 
 
-def _m1_band(n, r):
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[0, 1] = 0.0
-    ab[2, -2] = 0.0
-    return ab
-
-
-def _m2_band(n, r4):
-    ab = np.zeros((5, n))
-    ab[0, 2:] = r4
-    ab[1, 1:] = -4.0 * r4
-    ab[2, :] = 1.0 + 6.0 * r4
-    ab[3, :-1] = -4.0 * r4
-    ab[4, :-2] = r4
-    # mirror ghost folds back onto the first/last interior node (clamped)
-    ab[2, 1] = 1.0 + 7.0 * r4
-    ab[2, -2] = 1.0 + 7.0 * r4
+def _fill_m1_band(dl, d, du, r):
+    """Dirichlet I - r D2 as the three diagonals dgtsv takes."""
+    dl.fill(-r)
+    d.fill(1.0 + 2.0 * r)
+    du.fill(-r)
     # boundary rows reduce to the identity
-    ab[2, 0] = ab[2, -1] = 1.0
-    ab[1, 1] = ab[0, 2] = 0.0
-    ab[3, -2] = ab[4, -3] = 0.0
-    return ab
+    d[0] = d[-1] = 1.0
+    du[0] = dl[-1] = 0.0
+
+
+def _fill_m2_band(ab, r4):
+    """Clamped I + r4 D4 in the dgbsv layout: two LU fill-in rows, then
+    the five diagonals in solve_banded's (2, 2) order."""
+    ab.fill(0.0)
+    band = ab[2:]
+    band[0, 2:] = r4
+    band[1, 1:] = -4.0 * r4
+    band[2, :] = 1.0 + 6.0 * r4
+    band[3, :-1] = -4.0 * r4
+    band[4, :-2] = r4
+    # mirror ghost folds back onto the first/last interior node (clamped)
+    band[2, 1] = 1.0 + 7.0 * r4
+    band[2, -2] = 1.0 + 7.0 * r4
+    # boundary rows reduce to the identity
+    band[2, 0] = band[2, -1] = 1.0
+    band[1, 1] = band[0, 2] = 0.0
+    band[3, -2] = band[4, -3] = 0.0
 
 
 # wall stencil width for the clamped derivative read; the nodes adjacent to
@@ -308,6 +309,15 @@ def run(config: SimConfig) -> PdeTrajectory:
             wzz, wzzz = _clamped_wall_derivs(z, state)
             bnd.append((t, wzz / p ** 2, wzzz / p ** 3))
 
+    # dgtsv and dgbsv overwrite their bands in place (Fortran order, or f2py
+    # would copy the 2-D one), so these are refilled each step; the solution
+    # comes back in the fresh rhs array, which becomes w
+    if config.m == 1:
+        dl, d, du = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+    else:
+        ab = np.empty((7, n), order="F")
+    wz = np.zeros(n)
+
     record(tau0, w)
     next_cp = 1
     t = tau0
@@ -315,7 +325,6 @@ def run(config: SimConfig) -> PdeTrajectory:
     while t < tau1 - 1e-12:
         dt = min(dt_base, tau1 - t)
         p_new = phi_of(t + dt)
-        wz = np.zeros_like(w)
         wz[1:-1] = (w[2:] - w[:-2]) / (2.0 * dz)
         drift = (log_slope(t) - inv_2m) * z * wz
         rhs = w + dt * (drift + _reaction(config, w, wz, p_new))
@@ -323,20 +332,20 @@ def run(config: SimConfig) -> PdeTrajectory:
             rhs += dt * np.asarray(config.source(t, z), dtype=float)
         rhs[0] = rhs[-1] = 0.0
         if config.m == 1:
-            band = _m1_band(n, dt / (p_new * p_new * dz * dz))
-            bands = (1, 1)
+            _fill_m1_band(dl, d, du, dt / (p_new * p_new * dz * dz))
+            *_, w, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
+                                overwrite_du=1, overwrite_b=1)
         else:
-            band = _m2_band(n, dt / (p_new ** 4 * dz ** 4))
-            bands = (2, 2)
-        try:
-            w = solve_banded(bands, band, rhs)
-        except Exception as exc:
-            raise StepFailure(f"implicit solve failed at tau={t:.6g}") from exc
-        if not np.all(np.isfinite(w)):
+            _fill_m2_band(ab, dt / (p_new ** 4 * dz ** 4))
+            *_, w, info = dgbsv(2, 2, ab, rhs, overwrite_ab=1, overwrite_b=1)
+        if info != 0:
+            raise StepFailure(f"implicit solve failed at tau={t:.6g} "
+                              f"(LAPACK info={info})")
+        sup = float(np.abs(w).max())
+        if not math.isfinite(sup):
             raise StepFailure(f"non-finite state after the step at tau={t:.6g}")
         t += dt
         steps += 1
-        sup = float(np.max(np.abs(w)))
         if sup > _BLOWUP_SUP:
             raise BlowupError(f"sup|w|={sup:.4g} exceeded 1e6 at tau={t:.6g}")
         if next_cp < len(checkpoints) and t >= checkpoints[next_cp] - 1e-12:

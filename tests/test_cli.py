@@ -149,6 +149,9 @@ CMP = {"m": 1, "phi": STAR, "window": [15.0, 25.0]}
 
 
 @pytest.mark.parametrize("when, task, parameters, field", [
+    # a task must be one of the task names, never a list or a mapping
+    ("load", ["simulate"], {"m": 1, "phi": STAR}, "task"),
+    ("load", {"name": "simulate"}, {"m": 1, "phi": STAR}, "task"),
     # each petrovskii variant takes only the fields it uses
     ("load", "petrovskii", {"phi": STAR, "opts": {"form": "exact"}}, "opts"),
     ("load", "petrovskii", {"phi": STAR, "ell_max": 690.0}, "ell_max"),

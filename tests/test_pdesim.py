@@ -153,33 +153,72 @@ def test_manufactured_solution_error_and_order():
     assert 1.7 < errs[401] / errs[801] < 2.4
 
 
-def _propagator_rate(L, n, iters):
-    # power iteration on the same implicit-diffusion / explicit-drift step
+def _frozen_step(m, L, n, dt=None):
+    """(z, dt, step) for the implicit-principal / explicit-drift step at
+    frozen width L and zero reaction, solved by scipy's solve_banded (the
+    oracle for the stepper's direct LAPACK calls). dt defaults to dz."""
     z = np.linspace(-1.0, 1.0, n)
     dz = float(z[1] - z[0])
-    dt = dz
-    r = dt / (L * L * dz * dz)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[0, 1] = 0.0
-    ab[2, -2] = 0.0
+    dt = dz if dt is None else dt
+    if m == 1:
+        r = dt / (L * L * dz * dz)
+        ab = np.zeros((3, n))
+        ab[0, 1:] = -r
+        ab[1, :] = 1.0 + 2.0 * r
+        ab[2, :-1] = -r
+        ab[1, 0] = ab[1, -1] = 1.0
+        ab[0, 1] = 0.0
+        ab[2, -2] = 0.0
+    else:
+        r4 = dt / (L ** 4 * dz ** 4)
+        ab = np.zeros((5, n))
+        ab[0, 2:] = r4
+        ab[1, 1:] = -4.0 * r4
+        ab[2, :] = 1.0 + 6.0 * r4
+        ab[3, :-1] = -4.0 * r4
+        ab[4, :-2] = r4
+        ab[2, 1] = ab[2, -2] = 1.0 + 7.0 * r4
+        ab[2, 0] = ab[2, -1] = 1.0
+        ab[1, 1] = ab[0, 2] = 0.0
+        ab[3, -2] = ab[4, -3] = 0.0
 
     def step(u):
         uz = np.zeros_like(u)
         uz[1:-1] = (u[2:] - u[:-2]) / (2.0 * dz)
-        rhs = u + dt * (-0.5 * z * uz)
+        rhs = u + dt * (-0.5 / m * z * uz)
         rhs[0] = rhs[-1] = 0.0
-        return solve_banded((1, 1), ab, rhs)
+        return solve_banded((m, m), ab, rhs)
 
+    return z, dt, step
+
+
+def _propagator_rate(L, n, iters):
+    # power iteration on the same implicit-diffusion / explicit-drift step
+    z, dt, step = _frozen_step(1, L, n)
     v = 1.0 - z * z
     for _ in range(iters):
         v = step(v)
         v /= np.max(np.abs(v))
     grown = step(v)
     return math.log(np.max(np.abs(grown)) / np.max(np.abs(v))) / dt
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_stepper_matches_solve_banded_step(m):
+    # a binary dtau keeps tau = k dtau exact, so every step is a full one
+    dt, steps = 2.0 ** -8, 32
+    cfg = pdesim.SimConfig(m=m, phi=None, kappa=ZERO, grid_points=401,
+                           tau_span=(0.0, steps * dt), dtau=dt, freeze_phi=5.0,
+                           initial_data=pdesim.InitialData("bump"),
+                           n_checkpoints=2)
+    traj = pdesim.run(cfg)
+    z, _, step = _frozen_step(m, 5.0, 401, dt)
+    v = (1.0 - z * z) ** 2
+    for _ in range(steps):
+        v = step(v)
+    assert traj.metadata["steps"] == steps
+    assert traj.snapshots[-1][0] == steps * dt
+    assert np.array_equal(traj.snapshots[-1][1], v)
 
 
 def _frozen_decay_slope(L):
@@ -386,11 +425,27 @@ def test_blowup_guard_fires():
         pdesim.run(cfg)
 
 
-def test_step_failure_on_poisoned_source():
-    cfg = pdesim.SimConfig(m=1, phi=None, kappa=ZERO, grid_points=201,
+@pytest.mark.parametrize("m", [1, 2])
+def test_step_failure_on_poisoned_source(m):
+    cfg = pdesim.SimConfig(m=m, phi=None, kappa=ZERO, grid_points=201,
                            tau_span=(0.0, 1.0), freeze_phi=5.0,
                            source=lambda t, z: np.full_like(z, np.nan))
-    with pytest.raises(StepFailure):
+    with pytest.raises(StepFailure, match=r"at tau=0\b"):
+        pdesim.run(cfg)
+
+
+@pytest.mark.parametrize("m, routine", [(1, "dgtsv"), (2, "dgbsv")])
+def test_step_failure_on_lapack_info(monkeypatch, m, routine):
+    solve = getattr(pdesim, routine)
+
+    def singular(*args, **kwargs):
+        *out, _ = solve(*args, **kwargs)
+        return (*out, 1)
+
+    monkeypatch.setattr(pdesim, routine, singular)
+    cfg = pdesim.SimConfig(m=m, phi=None, kappa=ZERO, grid_points=201,
+                           tau_span=(0.0, 1.0), freeze_phi=5.0)
+    with pytest.raises(StepFailure, match=r"at tau=0 .*info=1"):
         pdesim.run(cfg)
 
 
