@@ -171,15 +171,6 @@ def _take(sid, params, spec, scope="this task"):
     return out
 
 
-def _check_thresholds(sid, field, value):
-    value = _as_map(sid, field, value)
-    for key in value:
-        if key not in criterion.DEFAULT_THRESHOLDS:
-            _fail(sid, f"parameters.{field}.{key} is not a verdict threshold")
-        _as_number(sid, f"{field}.{key}", value[key])
-    return value
-
-
 def _check_m(sid, field, value):
     value = _as_int(sid, field, value)
     if value not in (1, 2):
@@ -189,8 +180,9 @@ def _check_m(sid, field, value):
 
 def _check_init(sid, field, value):
     value = _as_number(sid, field, value)
-    if not -745.0 <= value <= 0.0:
-        _fail(sid, f"parameters.{field} must lie in [-745, 0] (it is ln a0)")
+    floor = criterion._LN_UNDERFLOW
+    if not floor <= value <= 0.0:
+        _fail(sid, f"parameters.{field} must lie in [{floor:g}, 0] (it is ln a0)")
     return value
 
 
@@ -204,7 +196,6 @@ def _validate_criterion(sid, params):
         "tau_max": (_as_number, 1.0e8),
         "tol": (_as_number, 1.0e-10),
         "init": (_check_init, -1.0),
-        "thresholds": (_check_thresholds, {}),
         "radial_exponent": (_as_int, 1),
         "iteration": (_as_bool, False),
         "negligibility": (_as_bool, False),
@@ -264,7 +255,6 @@ _SIM_FIELDS = {
     "dtau": (_as_number, None),
     "shape": (_as_enum(("plateau", "bump", "g0")), "plateau"),
     "amplitude": (_as_number, 1.0),
-    "freeze_phi": (_as_number, None),
     "n_checkpoints": (_as_int, 200),
 }
 
@@ -276,7 +266,7 @@ def _sim_config(params):
         kind=params["kind"], grid_points=params["grid_points"],
         tau_span=tuple(params["tau_span"]), dtau=params["dtau"],
         initial_data=pdesim.InitialData(params["shape"], params["amplitude"]),
-        freeze_phi=params["freeze_phi"],
+        freeze_phi=params.get("freeze_phi"),
         n_checkpoints=params["n_checkpoints"])
 
 
@@ -290,7 +280,8 @@ def _validate_sim(sid, params, extra):
 
 
 def _validate_simulate(sid, params):
-    out = _validate_sim(sid, params, {"write_snapshots": (_as_bool, True)})
+    out = _validate_sim(sid, params, {"freeze_phi": (_as_number, None),
+                                      "write_snapshots": (_as_bool, True)})
     if out["phi"] is not None and out["freeze_phi"] is not None:
         _fail(sid, "parameters.phi is not simulated when freeze_phi is set; "
                    "give one of them")
@@ -357,8 +348,8 @@ _VALIDATORS = {
     "criterion": _validate_criterion,
     "petrovskii": _validate_petrovskii,
     "simulate": _validate_simulate,
-    # the ODE side needs a width even where the simulation freezes it; a
-    # comparison writes no snapshots
+    # both sides of a comparison run the same growing width, so it takes
+    # no freeze_phi; it writes no snapshots
     "compare": lambda sid, params: _validate_sim(sid, params, {
         "phi": (_as_fn, _REQUIRED), "window": (_as_pair, _REQUIRED)}),
     "sweep": _validate_sweep,
@@ -469,15 +460,13 @@ def _run_criterion(params, outdir):
                                    params["tau_max"], tol=params["tol"])
     except DomainError as exc:
         # the comparison amplitude climbed to its admissible ceiling: no decay
-        thr = dict(criterion.DEFAULT_THRESHOLDS)
-        thr.update(params["thresholds"])
         payload.update({"verdict": "Irregular", "ln_a0_final": 0.0,
                         "trend_slope": None, "certificate": str(exc),
-                        "trajectory_ref": None, "thresholds": thr,
+                        "trajectory_ref": None,
+                        "thresholds": dict(criterion.DEFAULT_THRESHOLDS),
                         "decades": None})
     else:
-        ver = criterion.verdict(traj, params["thresholds"] or None,
-                                certificate=cert)
+        ver = criterion.verdict(traj, certificate=cert)
         payload.update(ver.as_record())
         payload["decades"] = traj.decades
         criterion.export_trajectory_csv(traj,
@@ -536,25 +525,25 @@ def _run_petrovskii(params, outdir):
     return payload, ["trace.csv"]
 
 
-def _kernel_mass(model, span, n=8001):
-    ys = np.linspace(0.0, span, n)
+def _kernel_mass(model, n=8001):
+    # over the window the kernel was normalized on
+    ys = np.linspace(0.0, model._y_span, n)
     return 2.0 * float(simpson(model.F(ys), x=ys))
 
 
-_MASS_SPAN = {1: 30.0, 2: 60.0}
-_MASS_TOL = {1: 1.0e-10, 2: 1.0e-10}
+_MASS_TOL = 1.0e-10
 
 
 def _run_kernel(params, outdir):
     m = params["m"]
     model = spectral.default_kernel(m)
     cst = model.constants
-    mass = _kernel_mass(model, _MASS_SPAN[m])
+    mass = _kernel_mass(model)
     payload = {"m": m,
                "constants": {"alpha": cst.alpha, "d0": cst.d0, "b0": cst.b0,
                              "delta0": cst.delta0},
                "mass": {"value": mass, "abs_error": abs(mass - 1.0),
-                        "threshold": _MASS_TOL[m]}}
+                        "threshold": _MASS_TOL}}
     try:
         fit = spectral.kernel_asymptotic_fit(model, tuple(params["window"]))
         payload["asymptotic_fit"] = {
@@ -601,15 +590,15 @@ def _run_compare(params, outdir):
     report = pdesim.compare_with_criterion(traj, ode, tuple(params["window"]))
     pdesim.export_series_csv(traj, os.path.join(outdir, "series.csv"))
     payload = {"phi": ode.phi.name, "kappa": ode.kappa.name, "m": params["m"],
-               "kind": params["kind"], "transient_excluded": 3.0}
+               "kind": params["kind"], "transient_excluded": pdesim._TRANSIENT}
     payload.update(report.as_record())
     return payload, ["series.csv"]
 
 
 def _check_rows_kernel_mass(_params):
     for m in (1, 2):
-        err = abs(_kernel_mass(spectral.default_kernel(m), _MASS_SPAN[m]) - 1.0)
-        yield (f"kernel-mass[m={m}]", err, _MASS_TOL[m], err < _MASS_TOL[m])
+        err = abs(_kernel_mass(spectral.default_kernel(m)) - 1.0)
+        yield (f"kernel-mass[m={m}]", err, _MASS_TOL, err < _MASS_TOL)
 
 
 def _check_rows_spectral(_params):

@@ -13,7 +13,7 @@ cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -113,20 +113,17 @@ class RegularityVerdict:
     trend_slope: float
     certificate: Optional[str]
     trajectory_ref: str
-    thresholds: dict = field(default_factory=dict)
 
-    def as_record(self, scenario_id: Optional[str] = None) -> dict:
-        rec = {
+    def as_record(self) -> dict:
+        """The verdict fields, with the thresholds it was decided by."""
+        return {
             "verdict": self.verdict,
             "ln_a0_final": self.ln_a0_final,
             "trend_slope": self.trend_slope,
             "certificate": self.certificate,
             "trajectory_ref": self.trajectory_ref,
-            "thresholds": dict(self.thresholds),
+            "thresholds": dict(DEFAULT_THRESHOLDS),
         }
-        if scenario_id is not None:
-            rec["scenario"] = scenario_id
-        return rec
 
 
 @dataclass(frozen=True)
@@ -146,8 +143,6 @@ class IterationResult:
 class OsgoodDiniResult:
     diverges: bool
     tail_slope: float
-    ell: np.ndarray
-    partial: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -352,20 +347,15 @@ def integrate(ode: CriterionODE, ln_a0_init: float, tau0: float,
                                underflow=underflow, ref=ref)
 
 
-def verdict(trajectory: CriterionTrajectory, thresholds: Optional[dict] = None,
+def verdict(trajectory: CriterionTrajectory,
             certificate: Optional[str] = None) -> RegularityVerdict:
     """Classify a trajectory as Regular / Irregular / Inconclusive.
 
-    The thresholds are finite-horizon heuristics and are echoed into the
-    verdict; an irregularity certificate attached by the caller forces
-    Irregular.
+    DEFAULT_THRESHOLDS are finite-horizon heuristics, echoed by the
+    verdict's record; an irregularity certificate attached by the caller
+    forces Irregular.
     """
-    th = dict(DEFAULT_THRESHOLDS)
-    for key, val in (thresholds or {}).items():
-        if key not in th:
-            raise ConfigError(f"unknown verdict threshold {key!r}")
-        th[key] = float(val)
-
+    th = DEFAULT_THRESHOLDS
     tau = trajectory.tau
     x = trajectory.ln_a0
     mask = tau >= tau[-1] / 10.0
@@ -378,7 +368,7 @@ def verdict(trajectory: CriterionTrajectory, thresholds: Optional[dict] = None,
     def make(verdict_name, cert):
         return RegularityVerdict(verdict=verdict_name, ln_a0_final=final,
                                  trend_slope=slope, certificate=cert,
-                                 trajectory_ref=trajectory.ref, thresholds=th)
+                                 trajectory_ref=trajectory.ref)
 
     if certificate is not None:
         return make("Irregular", certificate)
@@ -468,11 +458,15 @@ def linear_closed_form(m: int, phi: SlowGrowthFn, tau: float,
     return sum(pieces)
 
 
-def irregularity_iteration(ode: CriterionODE, n_iters: int = 8, *,
-                           ln_a0_init: float = -3.0,
-                           tau0: Optional[float] = None,
-                           tau_max: float = 1.0e12,
-                           n_points: int = 8000) -> IterationResult:
+# the iteration runs from ln a0 = -3 at tau = max(tau_min, 10) to 1e12, on
+# 8000 log-uniform points, with at most 8 re-integrations
+_ITER_LN_A0_INIT = -3.0
+_ITER_TAU_MAX = 1.0e12
+_ITER_POINTS = 8000
+_ITER_MAX = 8
+
+
+def irregularity_iteration(ode: CriterionODE) -> IterationResult:
     """Lower-bound iteration for reactions that may defeat the linear decay.
 
     Starts from the linear comparison solution (amplitude capped at 1),
@@ -489,20 +483,20 @@ def irregularity_iteration(ode: CriterionODE, n_iters: int = 8, *,
     vals = np.asarray(ode.kappa.kappa(probe), dtype=float)
     if not (np.all(vals > 0.0) and np.all(np.diff(vals) >= -1e-15)):
         raise ValueError("irregularity iteration needs a positive increasing kappa")
-    if tau0 is None:
-        tau0 = max(ode.phi.tau_min, 10.0)
+    tau0, tau_max = max(ode.phi.tau_min, 10.0), _ITER_TAU_MAX
 
-    sg = np.linspace(math.log(tau0), math.log(tau_max), n_points)
+    sg = np.linspace(math.log(tau0), math.log(tau_max), _ITER_POINTS)
     tau = np.exp(sg)
     lin = np.asarray(ode.linear_rhs(tau), dtype=float)
 
     def advance(integrand):
-        path = ln_a0_init + cumulative_trapezoid(integrand, sg, initial=0.0)
+        path = _ITER_LN_A0_INIT + cumulative_trapezoid(integrand, sg,
+                                                       initial=0.0)
         return np.minimum(path, 0.0)
 
     iterates = [advance(tau * lin)]
     gap = math.inf
-    for _ in range(n_iters):
+    for _ in range(_ITER_MAX):
         kap = np.asarray(ode.kappa.kappa(_amplitude(iterates[-1], ode.kappa.u_max)),
                          dtype=float)
         nxt = advance(tau * (lin + kap))
@@ -528,55 +522,61 @@ def irregularity_iteration(ode: CriterionODE, n_iters: int = 8, *,
                              converged=converged, final_gap=gap)
     if certificate is None:
         raise NoConvergence(
-            f"no irregularity certificate after {n_iters} iterates "
+            f"no irregularity certificate after {_ITER_MAX} iterates "
             f"(last-decade margin {margin:+.4g})", record=result)
     return result
 
 
-def osgood_dini_check(kappa: Kappa, *, ell_max: float = 690.0,
-                      n_points: int = 6000) -> OsgoodDiniResult:
+# the Osgood-Dini partial integrals run up to ell = -ln z = 690 on 6000 points
+_OSGOOD_ELL_MAX = 690.0
+_OSGOOD_POINTS = 6000
+
+
+def osgood_dini_check(kappa: Kappa) -> OsgoodDiniResult:
     """Divergence test for the small-amplitude integral of 1/(z |kappa(z)|).
 
     Works in ell = -ln z, where the integral becomes int d(ell)/|kappa|;
     divergence is read off the log-log growth of the partial integrals.
     """
     ell0 = max(-math.log(kappa.u_max), 1.0)
-    ell = np.linspace(ell0, ell_max, n_points)
+    ell = np.linspace(ell0, _OSGOOD_ELL_MAX, _OSGOOD_POINTS)
     with np.errstate(over="ignore", divide="ignore"):
         mag = np.abs(np.asarray(kappa.kappa(np.exp(-ell)), dtype=float))
     integrand = 1.0 / np.clip(mag, 1e-290, None)
     partial = cumulative_trapezoid(integrand, ell, initial=0.0)
-    tail = ell >= ell_max / 10.0
+    tail = ell >= _OSGOOD_ELL_MAX / 10.0
     with np.errstate(divide="ignore"):
         slope = float(np.polyfit(np.log(ell[tail]),
                                  np.log(np.clip(partial[tail], 1e-300, None)),
                                  1)[0])
-    return OsgoodDiniResult(diverges=slope > 0.05, tail_slope=slope,
-                            ell=ell, partial=partial)
+    return OsgoodDiniResult(diverges=slope > 0.05, tail_slope=slope)
 
 
-def gradient_negligibility(phi: SlowGrowthFn, kappa: Kappa,
-                           horizon=(1e2, 1e6), *, ln_a0_init: float = -1.0,
-                           tau0: float = 10.0, n_points: int = 4000,
-                           freeze_amplitude: Optional[float] = None
-                           ) -> NegligibilityResult:
+# the linear comparison solution starts from ln a0 = -1 at tau = 10 and runs
+# on 4000 log-uniform points; the ratio's peak is sought on tau in [1e2, 1e6]
+_NEGLIGIBILITY_LN_A0_INIT = -1.0
+_NEGLIGIBILITY_TAU0 = 10.0
+_NEGLIGIBILITY_HORIZON = (1.0e2, 1.0e6)
+_NEGLIGIBILITY_POINTS = 4000
+
+
+def gradient_negligibility(phi: SlowGrowthFn,
+                           kappa: Kappa) -> NegligibilityResult:
     """Peak ratio of the gradient reaction term to the linear term (m=1).
 
     Evaluated along the linear comparison solution; the ratio is
     |kappa(a)| a^2 phi^2 / 2 and must decay for the gradient term to be
-    negligible.  freeze_amplitude pins a instead (degenerate diagnostic
-    showing why amplitude decay matters).
+    negligible.
     """
-    lo, hi = horizon
-    sg = np.linspace(math.log(tau0), math.log(hi), n_points)
+    lo, hi = _NEGLIGIBILITY_HORIZON
+    sg = np.linspace(math.log(_NEGLIGIBILITY_TAU0), math.log(hi),
+                     _NEGLIGIBILITY_POINTS)
     tau = np.exp(sg)
     ph = np.asarray(phi.phi(tau), dtype=float)
     lin = _m1_linear_value(ph)
-    if freeze_amplitude is None:
-        x = ln_a0_init + cumulative_trapezoid(tau * lin, sg, initial=0.0)
-        a = _amplitude(x, kappa.u_max)
-    else:
-        a = np.full_like(tau, min(freeze_amplitude, kappa.u_max))
+    x = _NEGLIGIBILITY_LN_A0_INIT + cumulative_trapezoid(tau * lin, sg,
+                                                         initial=0.0)
+    a = _amplitude(x, kappa.u_max)
     ratio = 0.5 * np.abs(np.asarray(kappa.kappa(a), dtype=float)) * a ** 2 * ph ** 2
     window = (tau >= lo) & (tau <= hi)
     idx = int(np.argmax(np.where(window, ratio, -np.inf)))

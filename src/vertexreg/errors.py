@@ -1,10 +1,6 @@
 """Exception types shared across the laboratory modules."""
 
 
-class EvaluationError(ValueError):
-    """A user-supplied function returned a non-finite value."""
-
-
 class DomainError(ValueError):
     """Evaluation or integration left the declared domain."""
 
@@ -19,10 +15,6 @@ class FitError(RuntimeError):
 
 class UnsupportedOrder(ValueError):
     """Operator half-order m outside the implemented range."""
-
-
-class InstabilityError(RuntimeError):
-    """Discrete Lyapunov value increased beyond the solver tolerance."""
 
 
 class ConfigError(ValueError):

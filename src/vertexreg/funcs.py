@@ -1,4 +1,4 @@
-"""Catalog and validation of boundary-shape functions and reaction coefficients.
+"""Catalog of boundary-shape functions and reaction coefficients.
 
 Every analysis in this package consumes two user-supplied ingredients: a
 boundary shape phi(tau), growing to infinity slower than any power of tau,
@@ -13,15 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
-
 __all__ = [
     "SlowGrowthFn",
     "Kappa",
-    "ConditionCheck",
-    "ValidityReport",
-    "validate_slow_growth",
-    "validate_kappa",
     "builtin_catalog",
     "lookup",
     "BIHARMONIC_CRITICAL_C",
@@ -30,15 +24,6 @@ __all__ = [
 # Critical amplitude for the fourth-order shape c*(ln tau)^(3/4): with this c
 # the decay envelope of the linear criterion integrand is exactly 1/tau.
 BIHARMONIC_CRITICAL_C = 3.0 ** (-0.75) * 2.0 ** 2.75
-
-# Far-field probes for the sub-power growth check. Log powers overtake
-# tau^0.1 only around tau ~ e^150 for cubic log growth, so the probes sit
-# far beyond any integration horizon on purpose.
-_SUBPOWER_PROBES = (1e16, 1e64, 1e256)
-_SUBPOWER_ALPHAS = (0.1, 0.5, 1.0)
-
-# Relative step for finite-difference probes of (phi/phi')'.
-_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -69,152 +54,6 @@ class Kappa:
     u_max: float = 1.0
     sign: str = "negative"
     linear: bool = False
-
-
-@dataclass(frozen=True)
-class ConditionCheck:
-    condition: str
-    passed: bool
-    witness: dict
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """Per-condition pass/fail record for one validated function."""
-
-    subject: str
-    checks: tuple
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def check(self, condition):
-        for c in self.checks:
-            if c.condition == condition:
-                return c
-        raise KeyError(condition)
-
-
-def _eval_finite(fn, x, what):
-    """Evaluate fn on x and fail loudly with the offending point."""
-    # non-finite values become a typed error below, so numpy's own warnings
-    # about them are redundant noise
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        vals = np.asarray(fn(np.asarray(x, dtype=float)), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = np.asarray(x, dtype=float)[~np.isfinite(vals)]
-        raise EvaluationError("%s returned a non-finite value at %s" % (what, bad[:3]))
-    return vals
-
-
-def validate_slow_growth(f, tau_samples):
-    """Check the slow-growth conditions for a boundary shape on given samples.
-
-    Records positivity and monotonicity of phi, decay of phi' and of
-    phi'/phi, unbounded growth of (phi/phi')' by finite differences, and
-    far-field sub-power trend probes phi(tau)/tau^alpha for
-    alpha in {0.1, 0.5, 1}. The report carries witnesses; nothing here is a
-    theorem-grade certificate, only sampled trends.
-    """
-    tau = np.asarray(tau_samples, dtype=float)
-    if tau.size < 4:
-        raise ValueError("need at least 4 tau samples, got %d" % tau.size)
-    if np.any(np.diff(tau) <= 0):
-        raise ValueError("tau samples must be strictly increasing")
-    if tau[0] < f.tau_min:
-        raise ValueError("samples start below tau_min=%g" % f.tau_min)
-    if tau[-1] / tau[0] < 1e3:
-        raise ValueError("samples must span at least 3 decades")
-
-    phi = _eval_finite(f.phi, tau, "phi(%s)" % f.name)
-    dphi = _eval_finite(f.dphi, tau, "dphi(%s)" % f.name)
-
-    checks = []
-    checks.append(ConditionCheck(
-        "positive-increasing",
-        bool(np.all(phi > 0.0) and np.all(dphi > 0.0)),
-        {"min_phi": float(phi.min()), "min_dphi": float(dphi.min())},
-    ))
-    checks.append(ConditionCheck(
-        "derivative-decays",
-        bool(np.all(np.diff(dphi) < 0.0)),
-        {"dphi_first": float(dphi[0]), "dphi_last": float(dphi[-1])},
-    ))
-    ratio = dphi / phi
-    checks.append(ConditionCheck(
-        "log-derivative-decays",
-        bool(np.all(np.diff(ratio) < 0.0)),
-        {"ratio_first": float(ratio[0]), "ratio_last": float(ratio[-1])},
-    ))
-
-    # (phi/phi')' probed by central differences with a relative step; the
-    # slow-growth class requires this to climb without bound, so we ask for
-    # strict increase across the samples plus real growth end to end.
-    lo = tau * (1.0 - _FD_STEP)
-    hi = tau * (1.0 + _FD_STEP)
-    g_lo = _eval_finite(f.phi, lo, "phi") / _eval_finite(f.dphi, lo, "dphi")
-    g_hi = _eval_finite(f.phi, hi, "phi") / _eval_finite(f.dphi, hi, "dphi")
-    dg = (g_hi - g_lo) / (2.0 * _FD_STEP * tau)
-    grows = bool(np.all(np.diff(dg) > 0.0) and dg[-1] > 1.5 * dg[0])
-    checks.append(ConditionCheck(
-        "inverse-log-derivative-grows",
-        grows,
-        {"dg_values": [float(v) for v in dg]},
-    ))
-
-    subpower = {}
-    sub_ok = True
-    probes = np.asarray(_SUBPOWER_PROBES)
-    phi_probe = _eval_finite(f.phi, probes, "phi(%s)" % f.name)
-    for alpha in _SUBPOWER_ALPHAS:
-        r = phi_probe / probes ** alpha
-        ok = bool(np.all(np.diff(r) < 0.0))
-        sub_ok = sub_ok and ok
-        subpower["alpha=%g" % alpha] = [float(v) for v in r]
-    checks.append(ConditionCheck("sub-power-growth", sub_ok, subpower))
-
-    return ValidityReport(subject=f.name, checks=tuple(checks))
-
-
-def validate_kappa(k, u_samples):
-    """Check the reaction-coefficient conditions on a decreasing u grid.
-
-    Three conditions: kappa(u) -> 0 as u -> 0+, |kappa| <= 1 on (0, u_max]
-    (the boundary point u_max is always included in this check), and
-    kappa(u) != 0 away from zero.
-    """
-    u = np.asarray(u_samples, dtype=float)
-    if np.any(np.diff(u) >= 0):
-        raise ValueError("u samples must be strictly decreasing")
-    if np.any(u <= 0.0) or np.any(u > k.u_max * (1.0 + 1e-12)):
-        raise DomainError("u samples must lie in (0, %g]" % k.u_max)
-    if u[0] / u[-1] < 1e6:
-        raise ValueError("u samples must span at least 6 decades")
-
-    vals = _eval_finite(k.kappa, u, "kappa(%s)" % k.name)
-    at_umax = float(_eval_finite(k.kappa, np.array([k.u_max]), "kappa(%s)" % k.name)[0])
-
-    tail = abs(float(vals[-1]))
-    head = abs(float(vals[0]))
-    checks = [ConditionCheck(
-        "vanishes-at-zero",
-        bool(tail <= head + 1e-15 and tail < 0.1),
-        {"abs_at_largest_u": head, "abs_at_smallest_u": tail},
-    )]
-
-    all_abs = np.abs(np.concatenate([vals, [at_umax]]))
-    checks.append(ConditionCheck(
-        "bounded-by-one",
-        bool(all_abs.max() <= 1.0 + 1e-12),
-        {"max_abs": float(all_abs.max()), "abs_at_umax": abs(at_umax)},
-    ))
-    checks.append(ConditionCheck(
-        "nonvanishing",
-        bool(all_abs.min() > 0.0),
-        {"min_abs": float(all_abs.min())},
-    ))
-    return ValidityReport(subject=k.name, checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,6 @@ __all__ = [
     "project_a0",
     "extract_boundary_layer",
     "compare_with_criterion",
-    "manufactured_source",
-    "manufactured_state",
     "export_series_csv",
     "export_snapshots_csv",
     "export_metadata_json",
@@ -459,30 +457,6 @@ def compare_with_criterion(trajectory: PdeTrajectory, ode,
                             matched_max=float(matched.max()))
 
 
-# -- manufactured solution hook ------------------------------------------------------
-
-def manufactured_state(z, tau):
-    """The reference field e^{-tau} cos(pi z / 2)."""
-    return math.exp(-tau) * np.cos(0.5 * math.pi * np.asarray(z, dtype=float))
-
-
-def manufactured_source(L: float):
-    """Source that makes manufactured_state exact for frozen width L, m=1.
-
-    Plug into SimConfig(source=..., freeze_phi=L, kappa=zero) with the
-    matching cosine initial profile.
-    """
-    half_pi = 0.5 * math.pi
-
-    def source(tau, z):
-        z = np.asarray(z, dtype=float)
-        return math.exp(-tau) * ((half_pi ** 2 / (L * L) - 1.0)
-                                 * np.cos(half_pi * z)
-                                 - 0.5 * half_pi * z * np.sin(half_pi * z))
-
-    return source
-
-
 # -- exports ---------------------------------------------------------------------------
 
 def export_series_csv(trajectory: PdeTrajectory, path: str) -> None:
@@ -505,11 +479,10 @@ def export_snapshots_csv(trajectory: PdeTrajectory, path: str) -> None:
         zip(repeat(t), z, w.tolist()) for t, w in trajectory.snapshots))
 
 
-def export_metadata_json(trajectory: PdeTrajectory, path: Optional[str] = None):
-    """Config echo plus step statistics; written when a path is given."""
+def export_metadata_json(trajectory: PdeTrajectory, path: str):
+    """Write the config echo plus step statistics; returns them."""
     meta = dict(trajectory.metadata)
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with open(path, "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return meta

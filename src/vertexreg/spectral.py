@@ -8,7 +8,6 @@ the two eigenfunction families. Everything downstream (reduced ODEs,
 projections, criterion integrands) pulls its constants from here.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,6 @@ __all__ = [
     "adjoint_identity_residual",
     "biorthonormality_matrix",
     "export_kernel_csv",
-    "export_polynomial_json",
 ]
 
 # Integration-by-parts tail bound for the truncated Fourier integral must
@@ -408,16 +406,15 @@ class ExactPolynomial:
 class HermitePair:
     """Eigenfunction pair no. k of the rescaled generator and its adjoint.
 
-    eigenfunction is the kernel-derivative family member
-    ((-1)^k / sqrt(k!)) F^(k); adjoint_poly the generalized Hermite
-    polynomial it is bi-orthonormal to; both share eigenvalue -k/(2m).
+    adjoint_poly is the generalized Hermite polynomial bi-orthonormal to
+    the kernel-derivative family member ((-1)^k / sqrt(k!)) F^(k)
+    (biorthonormality_matrix); both share eigenvalue -k/(2m).
     """
 
     m: int
     k: int
     eigenvalue: float
     adjoint_poly: ExactPolynomial
-    eigenfunction: object
 
 
 def _adjoint_coefficients(m, k):
@@ -442,16 +439,8 @@ def adjoint_polynomial(m, k):
         coefficients=tuple(sorted(coeffs.items(), reverse=True)),
         norm_factorial=math.factorial(k),
     )
-    eigenfunction = None
-    if m in (1, 2) and k <= _EXTENDED_ORDER_MAX:
-        model = default_kernel(m)
-        sign = (-1.0) ** k / math.sqrt(math.factorial(k))
-
-        def eigenfunction(y, _model=model, _k=k, _sign=sign):
-            return _sign * _model.fourier_derivative(y, _k)
-
     return HermitePair(m=m, k=k, eigenvalue=-k / (2.0 * m),
-                       adjoint_poly=poly, eigenfunction=eigenfunction)
+                       adjoint_poly=poly)
 
 
 def adjoint_identity_residual(pair):
@@ -525,26 +514,3 @@ def export_kernel_csv(model, ys, path):
     cols = [ys] + [model.F_deriv(ys, k) for k in range(DERIV_ORDER_MAX + 1)]
     write_csv(path, ["y", "F", "dF", "d2F", "d3F"], zip(*cols))
     return path
-
-
-def export_polynomial_json(pair, path=None):
-    """Adjoint polynomial as JSON with exact numerator/denominator pairs."""
-    payload = {
-        "m": pair.m,
-        "k": pair.k,
-        "eigenvalue": pair.eigenvalue,
-        "normalization": pair.adjoint_poly.normalization,
-        "normalization_squared": {
-            "numerator": 1,
-            "denominator": pair.adjoint_poly.norm_factorial,
-        },
-        "coefficients": [
-            {"power": p, "numerator": c.numerator, "denominator": c.denominator}
-            for p, c in pair.adjoint_poly.coefficients
-        ],
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text

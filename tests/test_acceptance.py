@@ -16,6 +16,8 @@ from scipy.integrate import simpson
 from vertexreg import blayer, criterion, funcs, pdesim, petrovskii, spectral
 from vertexreg.errors import NoConvergence
 
+import limit_equation  # the solver helper next to this file
+
 SQRT_PI = math.sqrt(math.pi)
 
 STAR = funcs.lookup("petrovskii-critical")
@@ -137,7 +139,7 @@ def test_05_critical_reaction_flip():
 
 def test_06_gradient_reaction_negligibility():
     kappa = funcs.lookup("critical-kappa", c=1.0)
-    neg = criterion.gradient_negligibility(STAR, kappa, horizon=(1.0e2, 1.0e6))
+    neg = criterion.gradient_negligibility(STAR, kappa)
     ode = criterion.build_criterion(1, "gradient", STAR, kappa)
     with_term = criterion.verdict(
         criterion.integrate(ode, -1.0, 10.0, 1.0e9)).verdict
@@ -212,7 +214,7 @@ def test_09_boundary_layer_profiles():
     attracted = 0
     for m, profiles in starts.items():
         for g in profiles:
-            traj = blayer.solve_limit_equation(m, g)
+            traj = limit_equation.solve_limit_equation(m, g)
             floor = np.maximum(traj.lyapunov[:-1], 1e-300)
             monotone = bool(np.all(np.diff(traj.lyapunov) <= 1e-12 * floor))
             if monotone and traj.sup_distance[0] > 0.1 \

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from vertexreg import blayer
-from vertexreg.errors import InstabilityError, UnsupportedOrder
+from vertexreg.errors import UnsupportedOrder
+
+import limit_equation as le  # the solver helper next to this file
 
 
 def _ramp(xi):
@@ -65,7 +67,7 @@ def test_profile_rejects_higher_order():
 # -- characteristic roots ----------------------------------------------------
 
 def test_roots_m1():
-    cr = blayer.characteristic_roots(1)
+    cr = le.characteristic_roots(1)
     assert sorted(z.real for z in cr.roots) == pytest.approx([-0.5, 0.0])
     assert all(abs(z.imag) < 1e-14 for z in cr.roots)
     flagged = [z for z, dec in zip(cr.roots, cr.decaying) if dec]
@@ -74,7 +76,7 @@ def test_roots_m1():
 
 
 def test_roots_m2():
-    cr = blayer.characteristic_roots(2)
+    cr = le.characteristic_roots(2)
     assert len(cr.roots) == 4
     r = 4.0 ** (-1.0 / 3.0)
     flagged = sorted((z for z, dec in zip(cr.roots, cr.decaying) if dec),
@@ -88,7 +90,7 @@ def test_roots_m2():
     rest = sorted(z.real for z, dec in zip(cr.roots, cr.decaying) if not dec)
     assert rest == pytest.approx([0.0, r])
     with pytest.raises(UnsupportedOrder):
-        blayer.characteristic_roots(3)
+        le.characteristic_roots(3)
 
 
 def test_m2_profile_built_from_decaying_pair():
@@ -120,7 +122,7 @@ def test_m1_profile_decay_rate_from_samples():
 
 def test_m1_profile_is_discrete_steady_state():
     prof = blayer.bl_profile(1)
-    traj = blayer.solve_limit_equation(1, prof.g0, steps=600)
+    traj = le.solve_limit_equation(1, prof.g0, steps=600)
     assert np.max(traj.sup_distance) < 1e-9
     # Lyapunov value of the profile itself: int e^{xi/2} (g0')^2 = 1/2
     assert traj.lyapunov[0] == pytest.approx(0.5, rel=1e-4)
@@ -128,21 +130,21 @@ def test_m1_profile_is_discrete_steady_state():
 
 
 def test_m1_attracts_nearby_profile():
-    traj = blayer.solve_limit_equation(1, lambda xi: 1.0 - np.exp(-xi))
+    traj = le.solve_limit_equation(1, lambda xi: 1.0 - np.exp(-xi))
     assert np.all(np.diff(traj.weighted_distance) <= 1e-14)
     assert traj.weighted_distance[-1] < 1e-4
     assert traj.weighted_distance[0] > 0.1
 
 
 def test_m2_ramp_lyapunov_monotone():
-    traj = blayer.solve_limit_equation(2, _ramp)
+    traj = le.solve_limit_equation(2, _ramp)
     floor = np.maximum(traj.lyapunov[:-1], 1e-300)
     assert np.all(np.diff(traj.lyapunov) <= 1e-12 * floor)
     assert traj.lyapunov[-1] < 1e-3 * traj.lyapunov[0]
 
 
 def test_m2_gaussian_start_decays():
-    traj = blayer.solve_limit_equation(2, lambda xi: 1.0 - np.exp(-(xi / 5.0) ** 2))
+    traj = le.solve_limit_equation(2, lambda xi: 1.0 - np.exp(-(xi / 5.0) ** 2))
     assert traj.lyapunov[-1] < 1e-3 * traj.lyapunov[0]
     assert traj.sup_distance[-1] < 0.02
 
@@ -150,24 +152,24 @@ def test_m2_gaussian_start_decays():
 def test_instability_guard_fires_on_coarse_long_run():
     # on a coarse mesh the discrete Lyapunov value bottoms out and then
     # wiggles at roundoff scale; the relative guard must catch that
-    with pytest.raises(InstabilityError):
-        blayer.solve_limit_equation(2, _ramp, steps=2500, dxi=0.1)
+    with pytest.raises(le.InstabilityError):
+        le.solve_limit_equation(2, _ramp, steps=2500, dxi=0.1)
 
 
 def test_solver_input_validation():
     with pytest.raises(UnsupportedOrder):
-        blayer.solve_limit_equation(3, _ramp)
+        le.solve_limit_equation(3, _ramp)
     with pytest.raises(ValueError):
-        blayer.solve_limit_equation(1, lambda xi: 1.0 - np.exp(-xi), Xi=50.0)
+        le.solve_limit_equation(1, lambda xi: 1.0 - np.exp(-xi), Xi=50.0)
     with pytest.raises(ValueError):
         # does not vanish at the origin
-        blayer.solve_limit_equation(1, lambda xi: np.ones_like(xi), steps=5)
+        le.solve_limit_equation(1, lambda xi: np.ones_like(xi), steps=5)
     with pytest.raises(ValueError):
         # m=2 needs zero slope at the origin
-        blayer.solve_limit_equation(2, lambda xi: 1.0 - np.exp(-xi), steps=5)
+        le.solve_limit_equation(2, lambda xi: 1.0 - np.exp(-xi), steps=5)
     with pytest.raises(ValueError):
         # far end must sit at 1
-        blayer.solve_limit_equation(
+        le.solve_limit_equation(
             1, lambda xi: 0.5 * (1.0 - np.exp(-xi)), steps=5)
 
 
@@ -176,7 +178,7 @@ def test_solver_input_validation():
 def test_export_profile_csv(tmp_path):
     prof = blayer.bl_profile(2)
     path = tmp_path / "profile.csv"
-    blayer.export_profile_csv(prof, np.linspace(0.0, 5.0, 11), str(path))
+    le.export_profile_csv(prof, np.linspace(0.0, 5.0, 11), str(path))
     assert b"\r" not in path.read_bytes()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "xi,g0,dg0,d2g0"
@@ -186,9 +188,9 @@ def test_export_profile_csv(tmp_path):
 
 
 def test_export_trace_csv(tmp_path):
-    traj = blayer.solve_limit_equation(1, blayer.bl_profile(1).g0, steps=10)
+    traj = le.solve_limit_equation(1, blayer.bl_profile(1).g0, steps=10)
     path = tmp_path / "trace.csv"
-    blayer.export_trace_csv(traj, str(path))
+    le.export_trace_csv(traj, str(path))
     assert b"\r" not in path.read_bytes()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "s,lyapunov,weighted_distance,sup_distance"

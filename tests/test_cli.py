@@ -13,7 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertexreg import cli, criterion, errors
+from vertexreg import cli, errors
 from vertexreg.errors import ConfigError
 
 
@@ -101,14 +101,6 @@ def test_id_charset_enforced(tmp_path):
         cli.load_config(write_config(tmp_path, doc))
 
 
-def test_threshold_keys_checked(tmp_path):
-    doc = one_scenario("x", "criterion", {
-        "m": 1, "phi": "petrovskii-critical",
-        "thresholds": {"patience": 2.0}})
-    with pytest.raises(ConfigError, match="patience"):
-        cli.load_config(write_config(tmp_path, doc))
-
-
 def test_init_range_checked(tmp_path):
     doc = one_scenario("x", "criterion", {
         "m": 1, "phi": "petrovskii-critical", "init": 0.5})
@@ -184,8 +176,16 @@ CMP = {"m": 1, "phi": STAR, "window": [15.0, 25.0]}
     ("load", "sweep", {"task": "criterion", "base": {"m": 1, "phi": STAR},
                        "vary": {"field": "opts.radial_exponent", "values": [3]}},
      "opts"),
-    # a comparison writes no snapshots
+    # a comparison writes no snapshots, and runs the ODE's growing width
     ("load", "compare", dict(CMP, write_snapshots=True), "write_snapshots"),
+    ("load", "compare", {"m": 1, "window": [15.0, 25.0]}, "phi is required"),
+    ("load", "compare", dict(CMP, freeze_phi=4.0), "freeze_phi"),
+    ("load", "sweep", {"task": "compare", "base": CMP,
+                       "vary": {"field": "freeze_phi", "values": [4.0]}},
+     "freeze_phi"),
+    # the verdict thresholds are constants, not config
+    ("load", "criterion", {"m": 1, "phi": STAR, "thresholds": {"drop": 12.0}},
+     "thresholds"),
     # runs whose report would describe another computation
     ("load", "criterion", {"m": 2, "phi": BIH, "negligibility": True},
      "negligibility"),
@@ -309,13 +309,6 @@ def test_dini_density_past_underflow_runs_without_warning(tmp_path):
         code, report = cli.run_scenarios(path, str(tmp_path / "out"))
     assert code == 0, report["reports"][0]["error"]
     assert report["reports"][0]["payload"]["classification"] == "Divergent"
-
-
-def test_compare_with_frozen_width_still_needs_phi(tmp_path):
-    path = write_config(tmp_path, one_scenario("frozen", "compare", {
-        "m": 1, "freeze_phi": 4.0, "window": [15.0, 25.0]}))
-    with pytest.raises(ConfigError, match="phi"):
-        cli.load_config(path)
 
 
 def test_epsilon_sweep_flips_verdict(tmp_path):
@@ -544,9 +537,6 @@ VALUES = {
     "tau_max": values([20.0, 1.0e4], [5.0, 1.0e13, math.nan]),
     "tol": values([1.0e-10, 1.0e-6], [1.0e-13]),
     "init": values([-1.0, 0.0], [-800.0]),
-    "thresholds": st.dictionaries(
-        values(sorted(criterion.DEFAULT_THRESHOLDS)),
-        values([-1.0, 0.0, 2.0]), max_size=2),
     "iteration": st.booleans(),
     "negligibility": st.booleans(),
     "osgood": st.booleans(),
@@ -574,10 +564,9 @@ VALUES = {
 # the fields of each task and petrovskii variant
 FIELDS = {
     "criterion": ["m", "kind", "phi", "kappa", "tau0", "tau_max", "tol", "init",
-                  "thresholds", "radial_exponent", "iteration",
-                  "negligibility", "osgood"],
+                  "radial_exponent", "iteration", "negligibility", "osgood"],
     "kernel": ["m", "window", "y_max", "n_table"],
-    "simulate": [*cli._SIM_FIELDS, "write_snapshots"],
+    "simulate": [*cli._SIM_FIELDS, "freeze_phi", "write_snapshots"],
     "compare": [*cli._SIM_FIELDS, "window"],
     "validate": ["checks", "consistency_tau_max"],
 }

@@ -1,6 +1,5 @@
 """Kernel, constants, adjoint polynomial and bi-orthonormality tests."""
 
-import json
 import math
 import os
 import subprocess
@@ -263,17 +262,6 @@ def test_adjoint_polynomial_guards():
     assert spectral.adjoint_identity_residual(big) == Fraction(0)
 
 
-def test_eigenfunctions_wrap_kernel_derivatives():
-    model = spectral.default_kernel(1)
-    p0 = spectral.adjoint_polynomial(1, 0)
-    assert p0.eigenfunction(0.0) == pytest.approx(model.F(0.0))
-    p1 = spectral.adjoint_polynomial(1, 1)
-    assert p1.eigenfunction(1.0) == pytest.approx(-model.F_deriv(1.0, 1))
-    # constants-only order: polynomial exists, evaluator does not
-    p3 = spectral.adjoint_polynomial(3, 6)
-    assert p3.eigenfunction is None
-
-
 # -- bi-orthonormality -------------------------------------------------------
 
 def _exact_moment(m, j):
@@ -362,14 +350,3 @@ def test_export_kernel_csv(tmp_path):
     assert len(lines) == 6
     first = [float(v) for v in lines[1].split(",")]
     assert first[1] == pytest.approx(model.F(0.0), rel=1e-15)
-
-
-def test_export_polynomial_json(tmp_path):
-    pair = spectral.adjoint_polynomial(2, 4)
-    path = tmp_path / "pair.json"
-    text = spectral.export_polynomial_json(pair, str(path))
-    payload = json.loads(text)
-    assert payload["m"] == 2 and payload["k"] == 4
-    assert payload["normalization_squared"] == {"numerator": 1, "denominator": 24}
-    assert {"power": 0, "numerator": 24, "denominator": 1} in payload["coefficients"]
-    assert json.loads(path.read_text()) == payload
