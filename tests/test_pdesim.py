@@ -161,9 +161,10 @@ def manufactured_source(L: float):
 def test_manufactured_solution_error_and_order():
     errs = {}
     for n in (401, 801):
+        # two checkpoints, so the gap does not pin dt and dt = 5 dz on both
         cfg = pdesim.SimConfig(
             m=1, phi=None, kappa=ZERO, grid_points=n, tau_span=(0.0, 2.0),
-            freeze_phi=5.0, source=manufactured_source(5.0),
+            freeze_phi=5.0, source=manufactured_source(5.0), n_checkpoints=2,
             initial_data=pdesim.InitialData(
                 profile=lambda z: np.cos(0.5 * math.pi * z)))
         traj = pdesim.run(cfg)
@@ -171,43 +172,54 @@ def test_manufactured_solution_error_and_order():
         errs[n] = float(np.max(np.abs(
             w_end - manufactured_state(traj.z, t_end))))
     assert errs[801] < 1.2e-3
-    # dtau is tied to dz, so halving both shows the first-order-in-time rate
-    assert 1.7 < errs[401] / errs[801] < 2.4
+    # dtau is tied to dz, so halving both shows SBDF2's second-order rate
+    # (centred differences are second order in space as well)
+    assert 3.4 < errs[401] / errs[801] < 4.8
 
 
 def _frozen_step(m, L, n, dt=None):
-    """(z, dt, step) for the implicit-principal / explicit-drift step at
-    frozen width L and zero reaction, solved by scipy's solve_banded (the
-    oracle for the stepper's direct LAPACK calls). dt defaults to dz."""
+    """(z, dt, step) for the SBDF2 scheme at frozen width L and zero
+    reaction, solved by scipy's solve_banded (the oracle for the stepper's
+    direct LAPACK calls). The principal term and the drift -z w_z / (2m)
+    are implicit. step(u, u_prev) advances one step; u_prev=None takes
+    the IMEX Euler start step. dt defaults to the stepper's 5 dz."""
     z = np.linspace(-1.0, 1.0, n)
     dz = float(z[1] - z[0])
-    dt = dz if dt is None else dt
-    if m == 1:
-        r = dt / (L * L * dz * dz)
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -r
-        ab[1, :] = 1.0 + 2.0 * r
-        ab[2, :-1] = -r
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[0, 1] = 0.0
-        ab[2, -2] = 0.0
-    else:
-        r4 = dt / (L ** 4 * dz ** 4)
-        ab = np.zeros((5, n))
-        ab[0, 2:] = r4
-        ab[1, 1:] = -4.0 * r4
-        ab[2, :] = 1.0 + 6.0 * r4
-        ab[3, :-1] = -4.0 * r4
-        ab[4, :-2] = r4
-        ab[2, 1] = ab[2, -2] = 1.0 + 7.0 * r4
-        ab[2, 0] = ab[2, -1] = 1.0
-        ab[1, 1] = ab[0, 2] = 0.0
-        ab[3, -2] = ab[4, -3] = 0.0
+    dt = pdesim._DT_PER_DZ * dz if dt is None else dt
+    # c = phi'/phi - 1/2m with phi'/phi = 0, grouped as the stepper does
+    s = z * (dt / (2.0 * dz)) * (0.0 - 1.0 / (2.0 * m))
 
-    def step(u):
-        uz = np.zeros_like(u)
-        uz[1:-1] = (u[2:] - u[:-2]) / (2.0 * dz)
-        rhs = u + dt * (-0.5 / m * z * uz)
+    def band(a):
+        if m == 1:
+            r = dt / (L * L * dz * dz)
+            ab = np.zeros((3, n))
+            ab[0, 1:] = -r - s[:-1]
+            ab[1, :] = a + 2.0 * r
+            ab[2, :-1] = -r + s[1:]
+            ab[1, 0] = ab[1, -1] = 1.0
+            ab[0, 1] = 0.0
+            ab[2, -2] = 0.0
+        else:
+            r4 = dt / (L ** 4 * dz ** 4)
+            ab = np.zeros((5, n))
+            ab[0, 2:] = r4
+            ab[1, 1:] = -4.0 * r4 - s[:-1]
+            ab[2, :] = a + 6.0 * r4
+            ab[3, :-1] = -4.0 * r4 + s[1:]
+            ab[4, :-2] = r4
+            ab[2, 1] = ab[2, -2] = a + 7.0 * r4
+            ab[2, 0] = ab[2, -1] = 1.0
+            ab[1, 1] = ab[0, 2] = 0.0
+            ab[3, -2] = ab[4, -3] = 0.0
+        return ab
+
+    euler, sbdf2 = band(1.0), band(1.5)
+
+    def step(u, u_prev=None):
+        if u_prev is None:
+            ab, rhs = euler, u.copy()
+        else:
+            ab, rhs = sbdf2, 2.0 * u - 0.5 * u_prev
         rhs[0] = rhs[-1] = 0.0
         return solve_banded((m, m), ab, rhs)
 
@@ -215,13 +227,15 @@ def _frozen_step(m, L, n, dt=None):
 
 
 def _propagator_rate(L, n, iters):
-    # power iteration on the same implicit-diffusion / explicit-drift step
+    # power iteration on the two-level SBDF2 recurrence of the stepper
     z, dt, step = _frozen_step(1, L, n)
-    v = 1.0 - z * z
+    prev = 1.0 - z * z
+    v = step(prev)
     for _ in range(iters):
-        v = step(v)
-        v /= np.max(np.abs(v))
-    grown = step(v)
+        prev, v = v, step(v, prev)
+        scale = np.max(np.abs(v))
+        prev, v = prev / scale, v / scale
+    grown = step(v, prev)
     return math.log(np.max(np.abs(grown)) / np.max(np.abs(v))) / dt
 
 
@@ -235,12 +249,43 @@ def test_stepper_matches_solve_banded_step(m):
                            n_checkpoints=2)
     traj = pdesim.run(cfg)
     z, _, step = _frozen_step(m, 5.0, 401, dt)
-    v = (1.0 - z * z) ** 2
-    for _ in range(steps):
-        v = step(v)
+    prev = (1.0 - z * z) ** 2
+    v = step(prev)
+    for _ in range(steps - 1):
+        prev, v = v, step(v, prev)
     assert traj.metadata["steps"] == steps
     assert traj.snapshots[-1][0] == steps * dt
     assert np.array_equal(traj.snapshots[-1][1], v)
+
+
+def test_steps_are_equal_and_end_on_the_span(super_run):
+    # tau [10, 30] at 5 dz = 0.0125 is 1600 steps; summing t += dt instead
+    # of t = tau0 + k dt leaves a sliver 1601st step
+    meta = super_run.metadata
+    assert meta["steps"] == 1600
+    assert meta["dtau_effective"] == 20.0 / 1600
+    assert super_run.snapshots[-1][0] == 30.0
+
+
+def test_dense_checkpoints_are_all_recorded():
+    # 800 log-uniform checkpoints over [10, 12] sit closer than dz; the gap
+    # term of the step size puts a step end between every two of them
+    cfg = pdesim.SimConfig(m=2, phi=funcs.lookup("biharmonic-critical", c=6.0),
+                           kappa=ZERO, grid_points=801, tau_span=(10.0, 12.0),
+                           n_checkpoints=800,
+                           initial_data=pdesim.InitialData("g0"))
+    traj = pdesim.run(cfg)
+    assert traj.metadata["checkpoints"] == len(traj.snapshots) == 800
+    assert traj.snapshots[-1][0] == 12.0
+
+
+def test_dtau_above_dz_is_honoured():
+    cfg = pdesim.SimConfig(m=1, phi=STAR, kappa=ZERO, grid_points=401,
+                           tau_span=(10.0, 12.0), dtau=0.02, n_checkpoints=2)
+    traj = pdesim.run(cfg)
+    assert traj.metadata["dz"] < 0.02
+    assert traj.metadata["dtau_effective"] == 0.02
+    assert traj.metadata["steps"] == 100
 
 
 def _frozen_decay_slope(L):
@@ -255,9 +300,9 @@ def _frozen_decay_slope(L):
 
 def test_frozen_width_decay_matches_discrete_eigenvalue():
     slope = _frozen_decay_slope(10.0)
-    # the spectral gap is ~1, so 6000 steps of size dz push the subdominant
-    # mode below e^{-30}; at 4000 it still pollutes the 1e-11 rate
-    rate = _propagator_rate(10.0, 401, 6000)
+    # the spectral gap is ~1, so 1200 steps of size 5 dz push the
+    # subdominant mode below e^{-30}; at 800 it still pollutes the 1e-11 rate
+    rate = _propagator_rate(10.0, 401, 1200)
     assert abs(slope) < 1e-9
     assert abs(rate) < 1e-9
     assert abs(slope - rate) < 1e-12
@@ -266,7 +311,7 @@ def test_frozen_width_decay_matches_discrete_eigenvalue():
 def test_frozen_width_rate_at_measurable_scale():
     L = 5.0
     slope = _frozen_decay_slope(L)
-    rate = _propagator_rate(L, 401, 4000)
+    rate = _propagator_rate(L, 401, 800)
     assert abs(slope / rate - 1.0) < 1e-3
     asymptote = -(L / (2.0 * math.sqrt(math.pi))) * math.exp(-L * L / 4.0)
     assert 0.85 < rate / asymptote < 1.0
@@ -508,6 +553,19 @@ def test_snapshot_csv_shape(tmp_path):
     assert tau0 == traj.snapshots[0][0]
     assert z0 == -1.0
     assert w0 == 0.0
+
+
+def test_snapshot_csv_matches_row_by_row_rendering(tmp_path):
+    # the per-checkpoint template writes what one %.17g line per row would
+    cfg = pdesim.SimConfig(m=2, phi=funcs.lookup("biharmonic-critical", c=6.0),
+                           kappa=ZERO, grid_points=201, tau_span=(10.0, 10.5),
+                           n_checkpoints=4, initial_data=pdesim.InitialData("g0"))
+    traj = pdesim.run(cfg)
+    path = tmp_path / "snaps.csv"
+    pdesim.export_snapshots_csv(traj, str(path))
+    rows = "".join("%.17g,%.17g,%.17g\n" % (t, zv, wv)
+                   for t, w in traj.snapshots for zv, wv in zip(traj.z, w))
+    assert path.read_bytes() == ("tau,z,w\n" + rows).encode()
 
 
 def test_metadata_json_roundtrip(tmp_path, star_run):
