@@ -3,6 +3,12 @@ comma-separated line per row, LF line ends. Numbers are written with
 %.17g, which round-trips every float; booleans as true/false; any other
 cell with str()."""
 
+import numpy as np
+
+# rows per %-operation of a numeric table: the text of one block is all that
+# is held at once, whatever the table's length
+_BLOCK_ROWS = 4096
+
 
 def _cell(value):
     if isinstance(value, bool):
@@ -13,16 +19,17 @@ def _cell(value):
 
 
 def write_csv(path, header, rows):
-    """Write header and rows to path. A table whose first row holds only
-    numbers goes through one line template; a table with a text column
-    (the check and sweep tables) is written cell by cell."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    numbers = None
+    """Write header and rows to path. A numeric table comes as a 2-D
+    ndarray and is formatted a block of rows at a time, one template per
+    block; any other rows (the check and sweep tables, which carry text)
+    are written cell by cell."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            if numbers is None:
-                numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                              for v in row)
-            fh.write(line % tuple(row) if numbers
-                     else ",".join(map(_cell, row)) + "\n")
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * len(header)) + "\n"
+            for start in range(0, len(rows), _BLOCK_ROWS):
+                block = rows[start:start + _BLOCK_ROWS]
+                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        else:
+            for row in rows:
+                fh.write(",".join(map(_cell, row)) + "\n")

@@ -157,6 +157,8 @@ class NegligibilityResult:
 
 def _amplitude(ln_a0, u_max: float):
     """Map ln a0 to the kappa argument, clipped into (0, u_max]."""
+    if isinstance(ln_a0, float):  # one state value: the same bits, no arrays
+        return np.float64(min(max(np.exp(min(ln_a0, 0.0)), 1e-320), u_max))
     a = np.exp(np.minimum(np.asarray(ln_a0, dtype=float), 0.0))
     return np.clip(a, 1e-320, u_max)
 
@@ -186,30 +188,36 @@ def _m1_linear_value(ph):
 
 def _m2_linear_parts(m2c: M2Constants, kernel):
     """Composite evaluators for the m=2 linear term and the bare kernel:
-    exact up to phi = _M2_SWITCHOVER, the fitted asymptotic form beyond."""
+    exact up to phi = _M2_SWITCHOVER, the fitted asymptotic form beyond.
+    Each takes an array or one float; powers go through np.power, whose
+    value on a float matches the array loop (`**` on np.float64 does not)."""
 
     def split(exact, asymptotic):
         def value(ph):
+            if isinstance(ph, float):
+                if ph <= _M2_SWITCHOVER:
+                    return exact(ph)
+                return asymptotic(ph, np.power(ph, m2c.alpha))
             out = np.empty_like(ph)
             mask = ph <= _M2_SWITCHOVER
             if mask.any():
                 out[mask] = exact(ph[mask])
             if (~mask).any():
                 pp = ph[~mask]
-                out[~mask] = asymptotic(pp, pp ** m2c.alpha)
+                out[~mask] = asymptotic(pp, np.power(pp, m2c.alpha))
             return out
         return value
 
     kernel_value = split(
         kernel.F,
-        lambda pp, t: (pp ** (-m2c.delta0)
+        lambda pp, t: (np.power(pp, -m2c.delta0)
                        * (m2c.C1 * np.sin(m2c.b_fit * t)
                           + m2c.C2 * np.cos(m2c.b_fit * t))
                        * np.exp(-m2c.d_fit * t)))
     linear_value = split(
         lambda pm: (m2c.gamma2 * pm * kernel.F(pm)
-                    + m2c.gamma1 * pm ** (2.0 / 3.0) * kernel.F_deriv(pm, 1)),
-        lambda pp, t: (pp ** (2.0 / 3.0) * m2c.C3
+                    + m2c.gamma1 * np.power(pm, 2.0 / 3.0) * kernel.F_deriv(pm, 1)),
+        lambda pp, t: (np.power(pp, 2.0 / 3.0) * m2c.C3
                        * np.cos(m2c.b0 * t + m2c.C4)
                        * np.exp(-m2c.d0 * t)))
     return linear_value, kernel_value
@@ -247,7 +255,16 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
 
     n_extra = radial_exponent - 1
 
+    # A float tau (LSODA and quad ask for one point at a time) takes a
+    # scalar branch with the same bits as the array branch; phi stays on a
+    # 1-element array, since a width may apply `**` to np.float64.
+    def phi_at(tau):
+        return float(phi.phi(np.array([tau]))[0])
+
     def linear_rhs(tau):
+        if isinstance(tau, float):
+            ph = phi_at(tau)
+            return float(linear_value(ph) * np.power(ph, n_extra))
         arr = np.atleast_1d(np.asarray(tau, dtype=float))
         ph = np.asarray(phi.phi(arr), dtype=float)
         out = linear_value(ph) * ph ** n_extra
@@ -256,6 +273,8 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
     u_max = kappa.u_max
     if kind == "multiplicative":
         def nonlinear_rhs(tau, ln_a0):
+            if isinstance(tau, float):
+                return kappa.kappa(_amplitude(ln_a0, u_max)) + 0.0
             return kappa.kappa(_amplitude(ln_a0, u_max)) + 0.0 * np.asarray(tau, dtype=float)
     elif m == 1:
         grad_coef = 1.0 / (8.0 * _SQRT_PI)
@@ -269,6 +288,11 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
 
         def nonlinear_rhs(tau, ln_a0):
             a = _amplitude(ln_a0, u_max)
+            if isinstance(tau, float):
+                ph = phi_at(tau)
+                out = (quartic * kappa.kappa(a) * a ** 4 * np.power(ph, 5)
+                       * kernel_value(ph))
+                return float(out) if np.ndim(ln_a0) == 0 else out
             arr = np.atleast_1d(np.asarray(tau, dtype=float))
             ph = np.asarray(phi.phi(arr), dtype=float)
             out = quartic * kappa.kappa(a) * a ** 4 * ph ** 5 * kernel_value(ph)
@@ -590,5 +614,5 @@ def gradient_negligibility(phi: SlowGrowthFn,
 def export_trajectory_csv(trajectory: CriterionTrajectory, path: str) -> None:
     """Write (tau, ln a0, linear rhs, nonlinear rhs) rows to a CSV file."""
     write_csv(path, ["tau", "ln_a0", "rhs_linear", "rhs_nonlinear"],
-              zip(trajectory.tau, trajectory.ln_a0,
-                  trajectory.rhs_linear, trajectory.rhs_nonlinear))
+              np.column_stack([trajectory.tau, trajectory.ln_a0,
+                               trajectory.rhs_linear, trajectory.rhs_nonlinear]))

@@ -140,6 +140,8 @@ class _PiecewiseChebyshev:
     panels covering [0, span]; evaluation takes |y| <= span and applies the
     parity (-1)^order for y < 0. Refuses to build when the interpolant
     misses sample by more than INTERP_TOL at the points between the nodes.
+    scalar() evaluates one float with the arithmetic of __call__, in the
+    same order, so both return the same bits.
     """
 
     def __init__(self, sample, span):
@@ -161,6 +163,9 @@ class _PiecewiseChebyshev:
             np.ascontiguousarray(
                 (sample(on_panels(nodes), k).reshape(n_panels, n) @ to_coef).T)
             for k in range(DERIV_ORDER_MAX + 1)]
+        # per order and panel, the coefficients as floats, highest degree first
+        self._rows = [[tuple(col) for col in coef[::-1].T.tolist()]
+                      for coef in self._coef]
 
         # second-kind points, panel edges included, interlace the nodes
         check = on_panels(np.cos(np.pi * np.arange(n + 1) / n))
@@ -190,6 +195,23 @@ class _PiecewiseChebyshev:
         out -= b2
         if order % 2:
             out *= np.sign(y)  # odd: exact negation, and exactly 0 at y = 0
+        return out
+
+    def scalar(self, y, order):
+        """__call__ for one float |y| <= span, in float arithmetic: a
+        single point costs no numpy calls, which is what LSODA and quad
+        ask of the m=2 right side."""
+        x = abs(y) / self._width
+        panel = min(int(x), self._last)
+        t = 2.0 * (x - panel) - 1.0
+        two_t = t + t
+        row = self._rows[order][panel]
+        b1, b2 = row[0], 0.0
+        for c in row[1:-1]:
+            b1, b2 = two_t * b1 - b2 + c, b1
+        out = t * b1 + row[-1] - b2
+        if order % 2:
+            out *= (y > 0.0) - (y < 0.0)
         return out
 
 
@@ -252,6 +274,9 @@ class KernelModel:
         return float(out[0]) if scalar else out
 
     def _eval_fast(self, y, order):
+        if (self._interp is not None and isinstance(y, float)
+                and abs(y) <= self._y_span):
+            return self._interp.scalar(float(y), order)
         scalar = np.isscalar(y) or np.ndim(y) == 0
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if self._interp is None:
@@ -512,5 +537,5 @@ def export_kernel_csv(model, ys, path):
     """Tabulate y, F and the first three derivatives as CSV."""
     ys = np.asarray(ys, dtype=float)
     cols = [ys] + [model.F_deriv(ys, k) for k in range(DERIV_ORDER_MAX + 1)]
-    write_csv(path, ["y", "F", "dF", "d2F", "d3F"], zip(*cols))
+    write_csv(path, ["y", "F", "dF", "d2F", "d3F"], np.column_stack(cols))
     return path

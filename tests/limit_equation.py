@@ -217,11 +217,11 @@ def export_profile_csv(profile: BLProfile, xis: Sequence[float],
     """Tabulate (xi, g0, g0', g0'') rows to a CSV file."""
     xis = np.asarray(xis, dtype=float)
     write_csv(path, ["xi", "g0", "dg0", "d2g0"],
-              zip(xis, *[profile.deriv(xis, k) for k in range(3)]))
+              np.column_stack([xis] + [profile.deriv(xis, k) for k in range(3)]))
 
 
 def export_trace_csv(traj: LimitTrajectory, path: str) -> None:
     """Write the Lyapunov trace (s, L, distances to g0) to a CSV file."""
     write_csv(path, ["s", "lyapunov", "weighted_distance", "sup_distance"],
-              zip(traj.s, traj.lyapunov, traj.weighted_distance,
-                  traj.sup_distance))
+              np.column_stack([traj.s, traj.lyapunov, traj.weighted_distance,
+                               traj.sup_distance]))

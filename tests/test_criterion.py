@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from vertexreg import blayer, criterion, funcs, spectral
@@ -57,6 +59,86 @@ def test_gradient_kind_m2_uses_quartic_layer_weight():
     a = math.exp(x)
     expected = weight * (-a) * a ** 4 * ph ** 5 * spectral.default_kernel(2).F(ph)
     assert ode.nonlinear_rhs(tau, x) == pytest.approx(expected, rel=1e-12)
+
+
+WIDTHS = [f for f in funcs.builtin_catalog() if isinstance(f, funcs.SlowGrowthFn)]
+KAPPAS = [f for f in funcs.builtin_catalog() if isinstance(f, funcs.Kappa)]
+_ODES = {}
+
+
+def _pointwise(kappa):
+    """kappa applied to one numpy scalar at a time, as LSODA applies it:
+    critical-kappa's own `**` on np.float64 differs from its array loop,
+    so only a pointwise kappa makes the two rhs branches comparable."""
+    def k(u):
+        if np.ndim(u) == 0:
+            return kappa.kappa(u)
+        return np.array([kappa.kappa(v) for v in u])
+    return dataclasses.replace(kappa, kappa=k)
+
+
+def _ode(m, kind, width, kappa, n):
+    key = (m, kind, width.name, kappa.name, n)
+    if key not in _ODES:
+        _ODES[key] = criterion.build_criterion(m, kind, width, _pointwise(kappa), n)
+    return _ODES[key]
+
+
+def _assert_scalar_matches_array(ode, taus, ln_a0s):
+    lin = ode.linear_rhs(taus)
+    non = ode.nonlinear_rhs(taus, ln_a0s)
+    for i, (t, x) in enumerate(zip(taus.tolist(), ln_a0s)):  # x: np.float64
+        one_lin = ode.linear_rhs(t)
+        one_non = ode.nonlinear_rhs(t, x)
+        assert type(one_lin) is float
+        assert one_lin == lin[i], (ode.phi.name, ode.kappa.name, t)
+        assert float(one_non) == non[i], (ode.phi.name, ode.kappa.name, t, x)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("width", WIDTHS, ids=lambda w: w.name)
+@settings(max_examples=15, deadline=None)
+@given(taus=st.lists(st.floats(min_value=2.0, max_value=1e12), min_size=1,
+                     max_size=12),
+       ln_a0=st.floats(min_value=-745.0, max_value=0.0))
+def test_scalar_rhs_has_the_bits_of_the_array_rhs(width, m, n, taus, ln_a0):
+    # LSODA and quad ask for one float tau; the trajectory tables evaluate
+    # arrays: both branches must give the same bits
+    taus = np.asarray(taus)
+    ln_a0s = np.linspace(ln_a0, 0.5 * ln_a0, taus.size)
+    for kappa in KAPPAS:
+        _assert_scalar_matches_array(_ode(m, "multiplicative", width, kappa, n),
+                                     taus, ln_a0s)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("width", WIDTHS, ids=lambda w: w.name)
+@settings(max_examples=15, deadline=None)
+@given(taus=st.lists(st.floats(min_value=2.0, max_value=1e12), min_size=1,
+                     max_size=12))
+def test_m2_gradient_scalar_rhs_has_the_bits_of_the_array_rhs(width, n, taus):
+    # at a0 = 1 the numpy-scalar power a**4, kept from the array-free
+    # parent code, is exact, so the phi and kernel factors are compared
+    taus = np.asarray(taus)
+    for kappa in (ZERO, funcs.lookup("negative-power")):
+        _assert_scalar_matches_array(_ode(2, "gradient", width, kappa, n),
+                                     taus, np.zeros(taus.size))
+
+
+@pytest.mark.parametrize("kind", ["multiplicative", "gradient"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_scalar_rhs_hands_kappa_a_numpy_scalar(m, kind):
+    seen = []
+
+    def kappa(u):
+        seen.append(type(u))
+        return NEGLOG.kappa(u)
+
+    ode = criterion.build_criterion(m, kind, STAR,
+                                    dataclasses.replace(NEGLOG, kappa=kappa))
+    ode.rhs(1e3, np.array([-2.0])[0])  # LSODA passes its state as y[0]
+    assert seen == [np.float64]
 
 
 def test_radial_exponent_scales_linear_term():

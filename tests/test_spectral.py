@@ -155,6 +155,30 @@ def test_kernel_parity_is_exact(m):
         assert np.array_equal(model.F_deriv(-y, k), (-1.0) ** k * model.F_deriv(y, k))
 
 
+def _same_bits(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+M2_SPAN = spectral.default_kernel(2)._y_span
+M2_EDGES = [spectral.default_kernel(2)._interp._width * i for i in range(
+    spectral.default_kernel(2)._interp._last + 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=st.one_of(st.floats(min_value=-M2_SPAN, max_value=M2_SPAN),
+                   st.sampled_from([0.0, -0.0, M2_SPAN, -M2_SPAN]
+                                   + M2_EDGES + [-e for e in M2_EDGES])))
+def test_m2_scalar_kernel_has_the_bits_of_the_array_path(y):
+    # LSODA and quad evaluate one float at a time, through the scalar path;
+    # projections and exports go through the array path: they must agree
+    model = spectral.default_kernel(2)
+    for k in range(4):
+        one = model.F_deriv(y, k)
+        assert type(one) is float
+        assert _same_bits(one, float(model.F_deriv(np.array([y]), k)[0])), (y, k)
+    assert _same_bits(model.F(y), float(model.F(np.array([y]))[0]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=-3, max_value=3), max_size=30))
 def test_local_maxima_match_argrelmax(values):
