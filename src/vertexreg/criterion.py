@@ -423,8 +423,11 @@ def _period_sum(ode: CriterionODE, s0: float, s1: float):
 
     The cuts are s0, every point where the carrier phase b0 phi^alpha + C4
     crosses pi/2 + k pi, and s1; one quad value per piece between them.
-    Returns (cuts, pieces, flags); flags names each piece whose quad
-    returned an error flag, with its error estimate and quad's message.
+    The integrand jumps where phi crosses _M2_SWITCHOVER (the kernel hands
+    over to its fitted asymptotic form), so the piece holding that point
+    gets it as a breakpoint. Returns (cuts, pieces, flags); flags names
+    each piece whose quad returned an error flag, with its error estimate
+    and quad's message.
     """
     m2c = ode.m2_constants
 
@@ -446,11 +449,19 @@ def _period_sum(ode: CriterionODE, s0: float, s1: float):
             lo = cuts[-1]
         target += math.pi
     cuts.append(s1)
+
+    def above_switchover(s):
+        return float(ode.phi.phi(math.exp(s))) - _M2_SWITCHOVER
+
+    switch = None
+    if above_switchover(s0) < 0.0 < above_switchover(s1):
+        switch = brentq(above_switchover, s0, s1, xtol=1e-13)
     pieces, flags = [], []
     for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        points = [switch] if switch is not None and a < switch < b else None
         val, abserr, *rest = quad(_linear_in_ln_tau, a, b, args=(ode,),
                                   epsabs=1e-13, epsrel=1e-10, limit=200,
-                                  full_output=1)
+                                  points=points, full_output=1)
         pieces.append(val)
         if len(rest) > 1:  # quad appends its message only when it flags
             message = " ".join(rest[1].splitlines()[0].split())

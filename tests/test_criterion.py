@@ -373,10 +373,31 @@ def test_m2_period_summed_quadrature():
                               lambda t: 0.5 / np.sqrt(np.asarray(t, dtype=float)))
     with pytest.raises(QuadratureError):
         criterion.linear_closed_form(2, fast, 1e9, 10.0)
-    # a half-period whose quad is flagged fails the sum instead of warning
-    with pytest.raises(QuadratureError, match="half-period 6"):
+
+
+def test_m2_flagged_half_period_fails_the_sum(monkeypatch):
+    # a half-period whose quad is flagged fails the sum instead of warning;
+    # no catalog width flags any more, so quad reports a flag on every piece
+    real_quad = criterion.quad
+
+    def flagging_quad(*args, **kwargs):
+        return real_quad(*args, **kwargs)[:3] + ("Roundoff error is detected",)
+
+    monkeypatch.setattr(criterion, "quad", flagging_quad)
+    with pytest.raises(QuadratureError, match="half-period 0 of 14"):
         criterion.linear_closed_form(
             2, funcs.lookup("biharmonic-critical", c=3.5), 1e9, 10.0)
+
+
+@pytest.mark.parametrize("c", [3.5, 3.6036, 3.6534])
+def test_m2_period_sum_resolves_the_switchover(c):
+    # the kernel hands over to its fitted tail at phi = 20, inside one
+    # half-period; unresolved, quad flagged roundoff there for these c
+    ode = criterion.build_criterion(
+        2, "multiplicative", funcs.lookup("biharmonic-critical", c=c), ZERO)
+    cuts, pieces, flags = criterion._period_sum(ode, math.log(10.0), math.log(1e9))
+    assert flags == []
+    assert len(pieces) == len(cuts) - 1
 
 
 # -- irregularity iteration --------------------------------------------------------
