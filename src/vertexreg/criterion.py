@@ -255,15 +255,12 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
 
     n_extra = radial_exponent - 1
 
-    # A float tau (LSODA and quad ask for one point at a time) takes a
-    # scalar branch with the same bits as the array branch; phi stays on a
-    # 1-element array, since a width may apply `**` to np.float64.
-    def phi_at(tau):
-        return float(phi.phi(np.array([tau]))[0])
-
     def linear_rhs(tau):
+        # A float tau (LSODA and quad ask for one point at a time) takes a
+        # scalar branch with the bits of the array branch; phi stays on a
+        # 1-element array, since a width may apply `**` to np.float64.
         if isinstance(tau, float):
-            ph = phi_at(tau)
+            ph = float(phi.phi(np.array([tau]))[0])
             return float(linear_value(ph) * np.power(ph, n_extra))
         arr = np.atleast_1d(np.asarray(tau, dtype=float))
         ph = np.asarray(phi.phi(arr), dtype=float)
@@ -273,9 +270,8 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
     u_max = kappa.u_max
     if kind == "multiplicative":
         def nonlinear_rhs(tau, ln_a0):
-            if isinstance(tau, float):
-                return kappa.kappa(_amplitude(ln_a0, u_max)) + 0.0
-            return kappa.kappa(_amplitude(ln_a0, u_max)) + 0.0 * np.asarray(tau, dtype=float)
+            # 0.0 * tau spreads kappa over an array tau
+            return kappa.kappa(_amplitude(ln_a0, u_max)) + 0.0 * tau
     elif m == 1:
         grad_coef = 1.0 / (8.0 * _SQRT_PI)
 
@@ -288,11 +284,6 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
 
         def nonlinear_rhs(tau, ln_a0):
             a = _amplitude(ln_a0, u_max)
-            if isinstance(tau, float):
-                ph = phi_at(tau)
-                out = (quartic * kappa.kappa(a) * a ** 4 * np.power(ph, 5)
-                       * kernel_value(ph))
-                return float(out) if np.ndim(ln_a0) == 0 else out
             arr = np.atleast_1d(np.asarray(tau, dtype=float))
             ph = np.asarray(phi.phi(arr), dtype=float)
             out = quartic * kappa.kappa(a) * a ** 4 * ph ** 5 * kernel_value(ph)

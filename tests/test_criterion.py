@@ -112,20 +112,6 @@ def test_scalar_rhs_has_the_bits_of_the_array_rhs(width, m, n, taus, ln_a0):
                                      taus, ln_a0s)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("width", WIDTHS, ids=lambda w: w.name)
-@settings(max_examples=15, deadline=None)
-@given(taus=st.lists(st.floats(min_value=2.0, max_value=1e12), min_size=1,
-                     max_size=12))
-def test_m2_gradient_scalar_rhs_has_the_bits_of_the_array_rhs(width, n, taus):
-    # at a0 = 1 the numpy-scalar power a**4, kept from the array-free
-    # parent code, is exact, so the phi and kernel factors are compared
-    taus = np.asarray(taus)
-    for kappa in (ZERO, funcs.lookup("negative-power")):
-        _assert_scalar_matches_array(_ode(2, "gradient", width, kappa, n),
-                                     taus, np.zeros(taus.size))
-
-
 @pytest.mark.parametrize("kind", ["multiplicative", "gradient"])
 @pytest.mark.parametrize("m", [1, 2])
 def test_scalar_rhs_hands_kappa_a_numpy_scalar(m, kind):
