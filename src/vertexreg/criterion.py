@@ -257,11 +257,15 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
 
     def linear_rhs(tau):
         # A float tau (LSODA and quad ask for one point at a time) takes a
-        # scalar branch with the bits of the array branch; phi stays on a
-        # 1-element array, since a width may apply `**` to np.float64.
+        # scalar branch with the bits of the array branch; phi and the
+        # phi^(N-1) factor stay on a 1-element array, since a width may apply
+        # `**` to np.float64 and the array `**` squares where pow need not.
         if isinstance(tau, float):
-            ph = float(phi.phi(np.array([tau]))[0])
-            return float(linear_value(ph) * np.power(ph, n_extra))
+            ph = np.asarray(phi.phi(np.array([tau])), dtype=float)
+            value = linear_value(float(ph[0]))
+            if n_extra:
+                value = value * (ph ** n_extra)[0]
+            return float(value)
         arr = np.atleast_1d(np.asarray(tau, dtype=float))
         ph = np.asarray(phi.phi(arr), dtype=float)
         out = linear_value(ph) * ph ** n_extra

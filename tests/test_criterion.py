@@ -95,7 +95,7 @@ def _assert_scalar_matches_array(ode, taus, ln_a0s):
         assert float(one_non) == non[i], (ode.phi.name, ode.kappa.name, t, x)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("width", WIDTHS, ids=lambda w: w.name)
 @settings(max_examples=15, deadline=None)
@@ -110,6 +110,16 @@ def test_scalar_rhs_has_the_bits_of_the_array_rhs(width, m, n, taus, ln_a0):
     for kappa in KAPPAS:
         _assert_scalar_matches_array(_ode(m, "multiplicative", width, kappa, n),
                                      taus, ln_a0s)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_scalar_linear_rhs_keeps_the_array_square_for_n3(m):
+    # phi^(N-1) on an array is numpy's square for N=3; a scalar pow(phi, 2)
+    # is not always rounded like phi*phi, so a dense grid checks the factor
+    ode = criterion.build_criterion(m, "multiplicative", STAR, ZERO,
+                                    radial_exponent=3)
+    taus = np.geomspace(2.0, 1e12, 4000)
+    assert [ode.linear_rhs(t) for t in taus.tolist()] == ode.linear_rhs(taus).tolist()
 
 
 @pytest.mark.parametrize("kind", ["multiplicative", "gradient"])
