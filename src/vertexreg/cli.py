@@ -363,7 +363,8 @@ def load_config(path):
     """
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(
+                fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:

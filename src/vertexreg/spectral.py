@@ -136,9 +136,9 @@ def _gaussian_derivative(y, order):
 class _PiecewiseChebyshev:
     """Interpolants of an even function and its derivatives up to order 3.
 
-    sample(y, order) supplies the values at the Chebyshev nodes of equal
-    panels covering [0, span]; evaluation takes |y| <= span and applies the
-    parity (-1)^order for y < 0. Refuses to build when the interpolant
+    sample(y, orders) supplies the values, one row per order, at the
+    Chebyshev nodes of equal panels covering [0, span]; evaluation takes
+    |y| <= span and applies the parity (-1)^order for y < 0. Refuses to build when the interpolant
     misses sample by more than INTERP_TOL at the points between the nodes.
     scalar() evaluates one float with the arithmetic of __call__, in the
     same order, so both return the same bits.
@@ -159,18 +159,18 @@ class _PiecewiseChebyshev:
         to_coef = chebvander(nodes, _CHEB_DEGREE) * (2.0 / n)
         to_coef[:, 0] *= 0.5
         # stored (degree + 1, panels), so one gather gives a row per degree
+        orders = tuple(range(DERIV_ORDER_MAX + 1))
         self._coef = [
-            np.ascontiguousarray(
-                (sample(on_panels(nodes), k).reshape(n_panels, n) @ to_coef).T)
-            for k in range(DERIV_ORDER_MAX + 1)]
+            np.ascontiguousarray((values.reshape(n_panels, n) @ to_coef).T)
+            for values in sample(on_panels(nodes), orders)]
         # per order and panel, the coefficients as floats, highest degree first
         self._rows = [[tuple(col) for col in coef[::-1].T.tolist()]
                       for coef in self._coef]
 
         # second-kind points, panel edges included, interlace the nodes
         check = on_panels(np.cos(np.pi * np.arange(n + 1) / n))
-        for k in range(DERIV_ORDER_MAX + 1):
-            miss = float(np.max(np.abs(self(check, k) - sample(check, k))))
+        for k, exact in zip(orders, sample(check, orders)):
+            miss = float(np.max(np.abs(self(check, k) - exact)))
             if miss > INTERP_TOL:
                 raise QuadratureError(
                     "Chebyshev interpolant of derivative %d misses quadrature "
@@ -221,10 +221,13 @@ class KernelModel:
     F(y) = normalizer * int_0^{s_max} e^{-s^{2m}} cos(s y) ds; derivatives
     pick up a factor s^order and a quarter-period phase shift per order.
     That quadrature builds the model and serves fourier_derivative (orders
-    0-8). F and F_deriv (orders 0-3) are served without it: for m=1 by the
-    closed-form Gaussian G and G', G'', G'''; for m=2 by a piecewise
-    Chebyshev interpolant of the quadrature on |y| <= y_span, checked
-    against it at build, and by the quadrature beyond.
+    0-8). One call forms one cos/sin pair of s*y for all its orders and
+    applies the phase as an exact sign, so the bi-orthonormality matrix and
+    the m=2 interpolant each take their orders from a single call. F and
+    F_deriv (orders 0-3) are served without it: for m=1 by the closed-form
+    Gaussian G and G', G'', G'''; for m=2 by a piecewise Chebyshev
+    interpolant of the quadrature on |y| <= y_span, checked against it at
+    build, and beyond it by the quadrature, one point at a time.
     Immutable after construction; evaluation is pure and safe to share.
     """
 
@@ -243,12 +246,12 @@ class KernelModel:
 
         # normalizer fixed once by requiring unit mass of F
         nodes, weights = self._y_rule(self._y_span)
-        raw_mass = 2.0 * (weights @ self._raw(nodes, 0))
+        raw_mass = 2.0 * (weights @ self._raw(nodes, (0,))[0])
         self.normalizer = 1.0 / raw_mass
         self._interp = None
         if m == 2:
             self._interp = _PiecewiseChebyshev(
-                lambda y, order: self.normalizer * self._raw(y, order),
+                lambda y, orders: self.normalizer * self._raw(y, orders),
                 self._y_span)
 
     # -- quadrature plumbing ------------------------------------------------
@@ -261,16 +264,33 @@ class KernelModel:
         n_pan = int(math.ceil(span * self._s_max / _RAD_PER_PANEL)) + 8
         return _gauss_panels(0.0, span, n_pan)
 
-    def _raw(self, y, order):
-        """int_0^{s_max} s^order e^{-s^{2m}} cos(s y + order*pi/2) ds, vectorized."""
+    def _raw(self, y, orders):
+        """int_0^{s_max} s^k e^{-s^{2m}} cos(s y + k*pi/2) ds, one row per k.
+
+        cos(theta + k*pi/2) is (cos, -sin, -cos, sin)(theta) by k mod 4, so
+        one cos/sin pair serves every order and the phase is an exact sign.
+        sin overwrites theta, so at most two y-by-s matrices are alive.
+        """
         y = np.atleast_1d(np.asarray(y, dtype=float))
         s, w = self._s_rule(np.max(np.abs(y)))
-        damp = w * s ** order * np.exp(-s ** (2 * self._m))
-        return np.cos(np.outer(y, s) + order * math.pi / 2.0) @ damp
+        decay = np.exp(-s ** (2 * self._m))
+        theta = np.outer(y, s)
+        parities = {k % 2 for k in orders}
+        trig = [None, None]
+        if 0 in parities:
+            trig[0] = np.cos(theta) if 1 in parities else np.cos(theta, out=theta)
+        if 1 in parities:
+            trig[1] = np.sin(theta, out=theta)
+        rows = np.empty((len(orders), y.size))
+        for i, k in enumerate(orders):
+            rows[i] = trig[k % 2] @ (w * s ** k * decay)
+            if k % 4 in (1, 2):
+                rows[i] *= -1.0
+        return rows
 
     def _eval(self, y, order):
         scalar = np.isscalar(y) or np.ndim(y) == 0
-        out = self.normalizer * self._raw(y, order)
+        out = self.normalizer * self._raw(y, (order,))[0]
         return float(out[0]) if scalar else out
 
     def _eval_fast(self, y, order):
@@ -286,7 +306,10 @@ class KernelModel:
         else:
             far = ~(np.abs(y) <= self._y_span)
             out = self._interp(np.where(far, 0.0, y), order)
-            out[far] = self.normalizer * self._raw(y[far], order)
+            # one quadrature per far point, as if it came alone: the s-rule
+            # follows |y|, and a multi-row BLAS product sums in another order
+            for i in np.flatnonzero(far):
+                out[i] = self._eval(y[i:i + 1], order)[0]
         return float(out[0]) if scalar else out
 
     # -- public evaluators --------------------------------------------------
@@ -519,8 +542,8 @@ def biorthonormality_matrix(m, k_max):
 
     size = k_max + 1
     mat = np.zeros((size, size))
-    for beta in range(size):
-        deriv = model.fourier_derivative(nodes, beta)
+    derivs = model.normalizer * model._raw(nodes, range(size))
+    for beta, deriv in enumerate(derivs):
         scale = (-1.0) ** beta / math.sqrt(math.factorial(beta))
         for gamma in range(size):
             if (beta + gamma) % 2 == 1:

@@ -88,10 +88,16 @@ def test_missing_required_parameter_rejected(tmp_path):
         cli.load_config(write_config(tmp_path, doc))
 
 
-def test_yaml_syntax_error_reports_line(tmp_path):
+@pytest.mark.parametrize("libyaml", [True, False], ids=["CSafeLoader", "SafeLoader"])
+def test_yaml_syntax_error_reports_line(tmp_path, monkeypatch, libyaml):
+    # load_config parses with libyaml when PyYAML has it, else in Python
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
     path = tmp_path / "broken.yaml"
     path.write_text("version: 1\nscenarios:\n  - id: x\n   task: oops\n")
-    with pytest.raises(ConfigError, match="line"):
+    with pytest.raises(ConfigError, match=r"\(line 4\)"):
         cli.load_config(str(path))
 
 

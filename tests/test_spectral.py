@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -131,14 +132,59 @@ def test_fast_evaluators_match_quadrature(ys):
 
 
 def test_m2_kernel_beyond_span_uses_quadrature():
+    # point by point: each far y gets the quadrature it would get alone
     model = spectral.default_kernel(2)
     far = np.array([-75.0, 60.5, 64.0, 90.0])
     for k in range(4):
         assert np.array_equal(model.F_deriv(far, k),
-                              model.fourier_derivative(far, k))
+                              [model.fourier_derivative(y, k) for y in far])
     mixed = np.array([-70.0, -3.0, 0.0, 12.5, 61.0])
     assert np.max(np.abs(model.F(mixed) - model.fourier_derivative(mixed, 0))) < 1e-13
     assert model.F(61.0) == model.fourier_derivative(61.0, 0)
+
+
+def test_m2_far_field_value_does_not_depend_on_the_call():
+    # the s-rule once followed the widest far point of a call, and a
+    # multi-row product sums in another order than a single row
+    model = spectral.default_kernel(2)
+    wide = np.array([-90.0, -3.0, 60.5, 61.5, 61.6, 64.0, 75.0, 90.0])
+    for k in range(4):
+        alone = model.F_deriv(61.5, k)
+        assert type(alone) is float
+        assert _same_bits(alone, float(model.F_deriv(wide, k)[3])), k
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_raw_quarter_period_signs_match_the_phase_formula(m):
+    # cos(theta + k pi/2) as a sign times cos or sin of theta: order 0 keeps
+    # its bits; higher orders lose only the rounding of theta + k pi/2
+    model = spectral.default_kernel(m)
+    span = model._y_span
+    y = np.concatenate([[0.0, span, -span], np.linspace(-span, span, 301)])
+    s, w = model._s_rule(span)
+    rows = model._raw(y, range(9))
+    for k in range(9):
+        damp = w * s ** k * np.exp(-s ** (2 * m))
+        phase = np.cos(np.outer(y, s) + k * math.pi / 2.0) @ damp
+        if k == 0:
+            assert np.array_equal(rows[k], phase)
+        else:
+            assert np.max(np.abs(rows[k] - phase)) <= 1e-15 * np.sum(np.abs(damp)), k
+
+
+def test_raw_holds_at_most_two_trig_matrices():
+    # theta, cos and sin together would be three y-by-s matrices
+    model = spectral.default_kernel(1)
+    nodes, _ = model._y_rule(model._y_span)
+    s, _ = model._s_rule(np.max(np.abs(nodes)))
+    matrix_bytes = nodes.size * s.size * 8
+    tracemalloc.start()
+    try:
+        model._raw(nodes, range(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * matrix_bytes, peak / matrix_bytes
 
 
 def test_m2_interpolant_refuses_low_degree(monkeypatch):
