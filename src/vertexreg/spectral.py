@@ -281,12 +281,9 @@ class KernelModel:
             trig[0] = np.cos(theta) if 1 in parities else np.cos(theta, out=theta)
         if 1 in parities:
             trig[1] = np.sin(theta, out=theta)
-        rows = np.empty((len(orders), y.size))
-        for i, k in enumerate(orders):
-            rows[i] = trig[k % 2] @ (w * s ** k * decay)
-            if k % 4 in (1, 2):
-                rows[i] *= -1.0
-        return rows
+        sign = (1.0, -1.0, -1.0, 1.0)
+        return np.array([sign[k % 4] * (trig[k % 2] @ (w * s ** k * decay))
+                         for k in orders])
 
     def _eval(self, y, order):
         scalar = np.isscalar(y) or np.ndim(y) == 0
