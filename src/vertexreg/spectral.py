@@ -138,8 +138,9 @@ class _PiecewiseChebyshev:
 
     sample(y, orders) supplies the values, one row per order, at the
     Chebyshev nodes of equal panels covering [0, span]; evaluation takes
-    |y| <= span and applies the parity (-1)^order for y < 0. Refuses to build when the interpolant
-    misses sample by more than INTERP_TOL at the points between the nodes.
+    |y| <= span and applies the parity (-1)^order for y < 0. Refuses to
+    build when the interpolant misses sample by more than INTERP_TOL at
+    the points between the nodes.
     scalar() evaluates one float with the arithmetic of __call__, in the
     same order, so both return the same bits.
     """
@@ -159,7 +160,7 @@ class _PiecewiseChebyshev:
         to_coef = chebvander(nodes, _CHEB_DEGREE) * (2.0 / n)
         to_coef[:, 0] *= 0.5
         # stored (degree + 1, panels), so one gather gives a row per degree
-        orders = tuple(range(DERIV_ORDER_MAX + 1))
+        orders = range(DERIV_ORDER_MAX + 1)
         self._coef = [
             np.ascontiguousarray((values.reshape(n_panels, n) @ to_coef).T)
             for values in sample(on_panels(nodes), orders)]

@@ -144,8 +144,8 @@ def test_m2_kernel_beyond_span_uses_quadrature():
 
 
 def test_m2_far_field_value_does_not_depend_on_the_call():
-    # the s-rule once followed the widest far point of a call, and a
-    # multi-row product sums in another order than a single row
+    # neither the s-rule nor the summation order may follow the other far
+    # points of the call
     model = spectral.default_kernel(2)
     wide = np.array([-90.0, -3.0, 60.5, 61.5, 61.6, 64.0, 75.0, 90.0])
     for k in range(4):
