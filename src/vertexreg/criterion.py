@@ -32,11 +32,6 @@ _LN_UNDERFLOW = -745.0  # exp() underflows to 0 just below this
 _MAX_TAU = 1.0e12
 _PERIOD_CAP = 1.0e5  # most carrier half-periods a period sum will integrate
 
-# The m=2 linear term uses the kernel itself up to phi = _M2_SWITCHOVER and
-# its asymptotic form, fitted on y in _M2_FIT_WINDOW, beyond
-_M2_SWITCHOVER = 20.0
-_M2_FIT_WINDOW = (5.0, 15.0)
-
 DEFAULT_THRESHOLDS = {
     "drop": 10.0,        # required fall of ln a0 below its initial value
     "slope": -0.05,      # required trend d(ln a0)/d(ln tau) over last decade
@@ -49,25 +44,19 @@ DEFAULT_THRESHOLDS = {
 
 @dataclass(frozen=True)
 class M2Constants:
-    """Constants of the bi-harmonic linear term.
+    """Constants of the bi-harmonic linear term
+    gamma2 phi F(phi) + gamma1 phi^(2/3) F'(phi).
 
-    C3 and C4 combine the kernel's fitted asymptotic amplitudes with the
-    boundary-layer matching constants gamma1, gamma2; the carrier decay
-    d0 and wavenumber b0 are exact.
+    gamma1, gamma2 are the boundary-layer matching constants, b0 and alpha
+    the kernel's wavenumber and stretching exponent, and C4 the phase of
+    the term's cosine carrier b0 phi^alpha + C4 (_m2_constants).
     """
 
-    C3: float
     C4: float
     gamma1: float
     gamma2: float
-    d0: float
     b0: float
     alpha: float
-    delta0: float
-    C1: float
-    C2: float
-    d_fit: float
-    b_fit: float
 
 
 @dataclass(frozen=True)
@@ -163,64 +152,28 @@ def _amplitude(ln_a0, u_max: float):
     return np.clip(a, 1e-320, u_max)
 
 
-def _fit_m2_constants(kernel) -> M2Constants:
-    consts = kernel.constants
-    fit = spectral.kernel_asymptotic_fit(kernel, _M2_FIT_WINDOW)
+def _m2_constants() -> M2Constants:
+    """The constants of the m=2 linear term, its carrier phase in closed form.
+
+    The kernel's leading far form is F ~ A y^(-1/3) Re e^{(-d0 + i b0) t
+    - i pi/6} with t = y^alpha, and F' takes the factor alpha y^(alpha-1)
+    (-d0 + i b0). Since phi F and phi^(2/3) F' both carry phi^(2/3), the
+    linear term is A phi^(2/3) |Z| e^{-d0 t} cos(b0 t - pi/6 + arg Z) with
+    Z = gamma2 - alpha gamma1 d0 + i alpha gamma1 b0. Here alpha gamma1 d0
+    = (4/3) 2^(-4/3) 3 2^(-11/3) = 1/8 and b0 = sqrt(3) d0, so with
+    gamma2 = -1/4, Z = (-3 + i sqrt(3))/8, arg Z = 5 pi/6 and
+    C4 = -pi/6 + atan2(alpha gamma1 b0, gamma2 - alpha gamma1 d0) = 2 pi/3.
+    """
+    consts = spectral.kernel_constants(2)
     profile = bl_profile(2)
-    g1 = profile.derivs_at_0[1]
-    g2 = profile.derivs_at_0[2]
-    # rotate the fitted sine/cosine pair of F into the single-cosine form
-    # of the product g2*phi*F + g1*phi^(2/3)*F'
-    scale = g2 - g1 * consts.alpha * fit.d_fit
-    cross = g1 * consts.alpha * fit.b_fit
-    a_sin = scale * fit.C1 - cross * fit.C2
-    a_cos = scale * fit.C2 + cross * fit.C1
-    return M2Constants(
-        C3=float(np.hypot(a_cos, a_sin)), C4=math.atan2(-a_sin, a_cos),
-        gamma1=g1, gamma2=g2, d0=consts.d0, b0=consts.b0, alpha=consts.alpha,
-        delta0=consts.delta0, C1=fit.C1, C2=fit.C2, d_fit=fit.d_fit, b_fit=fit.b_fit)
+    return M2Constants(C4=2.0 * math.pi / 3.0, gamma1=profile.derivs_at_0[1],
+                       gamma2=profile.derivs_at_0[2], b0=consts.b0,
+                       alpha=consts.alpha)
 
 
 def _m1_linear_value(ph):
     """The m=1 linear term -phi e^{-phi^2/4} / (4 sqrt(pi))."""
     return -(1.0 / (4.0 * _SQRT_PI)) * ph * np.exp(-ph * ph / 4.0)
-
-
-def _m2_linear_parts(m2c: M2Constants, kernel):
-    """Composite evaluators for the m=2 linear term and the bare kernel:
-    exact up to phi = _M2_SWITCHOVER, the fitted asymptotic form beyond.
-    Each takes an array or one float; powers go through np.power, whose
-    value on a float matches the array loop (`**` on np.float64 does not)."""
-
-    def split(exact, asymptotic):
-        def value(ph):
-            if isinstance(ph, float):
-                if ph <= _M2_SWITCHOVER:
-                    return exact(ph)
-                return asymptotic(ph, np.power(ph, m2c.alpha))
-            out = np.empty_like(ph)
-            mask = ph <= _M2_SWITCHOVER
-            if mask.any():
-                out[mask] = exact(ph[mask])
-            if (~mask).any():
-                pp = ph[~mask]
-                out[~mask] = asymptotic(pp, np.power(pp, m2c.alpha))
-            return out
-        return value
-
-    kernel_value = split(
-        kernel.F,
-        lambda pp, t: (np.power(pp, -m2c.delta0)
-                       * (m2c.C1 * np.sin(m2c.b_fit * t)
-                          + m2c.C2 * np.cos(m2c.b_fit * t))
-                       * np.exp(-m2c.d_fit * t)))
-    linear_value = split(
-        lambda pm: (m2c.gamma2 * pm * kernel.F(pm)
-                    + m2c.gamma1 * np.power(pm, 2.0 / 3.0) * kernel.F_deriv(pm, 1)),
-        lambda pp, t: (np.power(pp, 2.0 / 3.0) * m2c.C3
-                       * np.cos(m2c.b0 * t + m2c.C4)
-                       * np.exp(-m2c.d0 * t)))
-    return linear_value, kernel_value
 
 
 def _bl_gradient_quartic() -> float:
@@ -245,11 +198,15 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
         raise ConfigError("radial_exponent must be a positive integer")
 
     m2c = None
-    kernel_value = None
     if m == 2:
         kernel = spectral.default_kernel(2)
-        m2c = _fit_m2_constants(kernel)
-        linear_value, kernel_value = _m2_linear_parts(m2c, kernel)
+        m2c = _m2_constants()
+
+        def linear_value(ph):
+            # np.power on a float has the bits of the array loop; `**` on
+            # np.float64 need not
+            return (m2c.gamma2 * ph * kernel.F(ph)
+                    + m2c.gamma1 * np.power(ph, 2.0 / 3.0) * kernel.F_deriv(ph, 1))
     else:
         linear_value = _m1_linear_value
 
@@ -276,21 +233,25 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
         def nonlinear_rhs(tau, ln_a0):
             # 0.0 * tau spreads kappa over an array tau
             return kappa.kappa(_amplitude(ln_a0, u_max)) + 0.0 * tau
-    elif m == 1:
-        grad_coef = 1.0 / (8.0 * _SQRT_PI)
-
-        def nonlinear_rhs(tau, ln_a0):
-            a = _amplitude(ln_a0, u_max)
-            ph = np.asarray(phi.phi(np.asarray(tau, dtype=float)), dtype=float)
-            return grad_coef * kappa.kappa(a) * a ** 2 * ph ** 3 * np.exp(-ph * ph / 4.0)
     else:
-        quartic = _bl_gradient_quartic()
+        # the gradient term coef kappa(a) a^p phi^q times the kernel factor;
+        # tau goes in as a 1-element array and every power through np.power,
+        # so one float tau gets the bits of the array loop
+        if m == 1:
+            coef, a_pow, ph_pow = 1.0 / (8.0 * _SQRT_PI), 2, 3
+
+            def kernel_value(ph):
+                return np.exp(-ph * ph / 4.0)
+        else:
+            coef, a_pow, ph_pow = _bl_gradient_quartic(), 4, 5
+            kernel_value = kernel.F
 
         def nonlinear_rhs(tau, ln_a0):
             a = _amplitude(ln_a0, u_max)
             arr = np.atleast_1d(np.asarray(tau, dtype=float))
             ph = np.asarray(phi.phi(arr), dtype=float)
-            out = quartic * kappa.kappa(a) * a ** 4 * ph ** 5 * kernel_value(ph)
+            out = (coef * kappa.kappa(a) * np.power(a, a_pow)
+                   * np.power(ph, ph_pow) * kernel_value(ph))
             return float(out[0]) if np.ndim(tau) == 0 and np.ndim(ln_a0) == 0 else out
 
     def rhs(tau, ln_a0):
@@ -418,9 +379,8 @@ def _period_sum(ode: CriterionODE, s0: float, s1: float):
 
     The cuts are s0, every point where the carrier phase b0 phi^alpha + C4
     crosses pi/2 + k pi, and s1; one quad value per piece between them.
-    The integrand jumps where phi crosses _M2_SWITCHOVER (the kernel hands
-    over to its fitted asymptotic form), so the piece holding that point
-    gets it as a breakpoint. Returns (cuts, pieces, flags); flags names
+    Beyond the first few half-periods those are the sign changes of the
+    integrand, which is smooth. Returns (cuts, pieces, flags); flags names
     each piece whose quad returned an error flag, with its error estimate
     and quad's message.
     """
@@ -445,18 +405,11 @@ def _period_sum(ode: CriterionODE, s0: float, s1: float):
         target += math.pi
     cuts.append(s1)
 
-    def above_switchover(s):
-        return float(ode.phi.phi(math.exp(s))) - _M2_SWITCHOVER
-
-    switch = None
-    if above_switchover(s0) < 0.0 < above_switchover(s1):
-        switch = brentq(above_switchover, s0, s1, xtol=1e-13)
     pieces, flags = [], []
     for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-        points = [switch] if switch is not None and a < switch < b else None
         val, abserr, *rest = quad(_linear_in_ln_tau, a, b, args=(ode,),
                                   epsabs=1e-13, epsrel=1e-10, limit=200,
-                                  points=points, full_output=1)
+                                  full_output=1)
         pieces.append(val)
         if len(rest) > 1:  # quad appends its message only when it flags
             message = " ".join(rest[1].splitlines()[0].split())

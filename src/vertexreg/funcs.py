@@ -103,7 +103,8 @@ def _kappa_critical(c=1.0):
     # irregularity.
     def k(u):
         ell = np.abs(np.log(u))
-        return c * np.cbrt(ell) * np.exp(-(3.0 * math.sqrt(math.pi) * ell) ** (2.0 / 3.0))
+        # np.power: `**` on one np.float64 need not round like the array loop
+        return c * np.cbrt(ell) * np.exp(-np.power(3.0 * math.sqrt(math.pi) * ell, 2.0 / 3.0))
 
     return Kappa("critical-kappa-c%g" % c, k, u_max=math.exp(-1.0),
                  sign="positive-increasing")

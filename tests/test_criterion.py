@@ -66,21 +66,10 @@ KAPPAS = [f for f in funcs.builtin_catalog() if isinstance(f, funcs.Kappa)]
 _ODES = {}
 
 
-def _pointwise(kappa):
-    """kappa applied to one numpy scalar at a time, as LSODA applies it:
-    critical-kappa's own `**` on np.float64 differs from its array loop,
-    so only a pointwise kappa makes the two rhs branches comparable."""
-    def k(u):
-        if np.ndim(u) == 0:
-            return kappa.kappa(u)
-        return np.array([kappa.kappa(v) for v in u])
-    return dataclasses.replace(kappa, kappa=k)
-
-
 def _ode(m, kind, width, kappa, n):
     key = (m, kind, width.name, kappa.name, n)
     if key not in _ODES:
-        _ODES[key] = criterion.build_criterion(m, kind, width, _pointwise(kappa), n)
+        _ODES[key] = criterion.build_criterion(m, kind, width, kappa, n)
     return _ODES[key]
 
 
@@ -104,12 +93,14 @@ def _assert_scalar_matches_array(ode, taus, ln_a0s):
        ln_a0=st.floats(min_value=-745.0, max_value=0.0))
 def test_scalar_rhs_has_the_bits_of_the_array_rhs(width, m, n, taus, ln_a0):
     # LSODA and quad ask for one float tau; the trajectory tables evaluate
-    # arrays: both branches must give the same bits
+    # arrays: both branches must give the same bits, for every catalog kappa
+    # and both kinds
     taus = np.asarray(taus)
     ln_a0s = np.linspace(ln_a0, 0.5 * ln_a0, taus.size)
-    for kappa in KAPPAS:
-        _assert_scalar_matches_array(_ode(m, "multiplicative", width, kappa, n),
-                                     taus, ln_a0s)
+    for kind in ("multiplicative", "gradient"):
+        for kappa in KAPPAS:
+            _assert_scalar_matches_array(_ode(m, kind, width, kappa, n),
+                                         taus, ln_a0s)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -305,57 +296,57 @@ def m2_exact(ph):
     return g[2] * ph * kernel.F(ph) + g[1] * ph ** (2.0 / 3.0) * kernel.F_deriv(ph, 1)
 
 
-def m2_asymptotic(ph, m2c):
-    """phi^(2/3) C3 cos(b0 phi^alpha + C4) e^{-d0 phi^alpha}: its far form."""
-    t = np.asarray(ph, dtype=float) ** m2c.alpha
-    return ph ** (2.0 / 3.0) * m2c.C3 * np.cos(m2c.b0 * t + m2c.C4) * np.exp(-m2c.d0 * t)
-
-
 def bih_tau(ph):
     return math.exp((ph / funcs.BIHARMONIC_CRITICAL_C) ** (4.0 / 3.0))
 
 
-def test_m2_exact_and_asymptotic_forms_agree_at_carrier_maxima():
-    ode = criterion.build_criterion(2, "multiplicative", BIH, ZERO)
+def test_m2_linear_and_gradient_terms_have_no_jump_at_phi_20():
+    # the kernel itself on both sides of phi = 20, where a fitted far form
+    # used to take over with a 7.4% step
+    lin = criterion.build_criterion(2, "multiplicative", BIH, ZERO)
+    kap = funcs.lookup("negative-power")
+    grad = criterion.build_criterion(2, "gradient", BIH, kap)
+    weight = criterion._bl_gradient_quartic()
+    kernel = spectral.default_kernel(2)
+    x = -1.0
+    a = math.exp(x)
+    values = []
+    for ph in (19.999, 20.0, 20.001):
+        tau = bih_tau(ph)
+        ph = float(BIH.phi(tau))
+        value = lin.linear_rhs(tau)
+        assert value == pytest.approx(m2_exact(ph), rel=1e-12)
+        factor = grad.nonlinear_rhs(tau, x) / (weight * kap.kappa(a) * a ** 4 * ph ** 5)
+        assert factor == pytest.approx(kernel.F(ph), rel=1e-12)
+        values.append(value)
+    # the term moves by under 0.1% per 0.001 in phi here
+    assert abs(values[2] - values[0]) < 2e-3 * abs(values[1])
+
+
+def test_m2_linear_term_changes_sign_with_its_carrier():
+    # beyond phi = 20 the sign flips of the linear term fall on the closed-
+    # form carrier b0 phi^(4/3) + 2 pi/3 = pi/2 + k pi; this width reaches
+    # phi = 88 by tau = 1e12, past the interpolant's span of 60
+    wide = funcs.lookup("biharmonic-critical", c=7.3155)
+    ode = criterion.build_criterion(2, "multiplicative", wide, ZERO)
     m2c = ode.m2_constants
-    for k in (3, 5, 7):
-        ph = ((k * math.pi - m2c.C4) / m2c.b0) ** 0.75
-        assert ph < criterion._M2_SWITCHOVER
-        e = ode.linear_rhs(bih_tau(ph))
-        assert e == pytest.approx(m2_exact(ph), rel=1e-12)
-        p = m2_asymptotic(ph, m2c)
-        assert abs(p - e) / abs(e) < 0.05, (k, ph)
-
-
-def test_m2_switchover_is_continuous_in_value():
-    ode = criterion.build_criterion(2, "multiplicative", BIH, ZERO)
-    below, above = 19.999, 20.001
-    lo, hi = (float(ode.linear_rhs(bih_tau(ph))) for ph in (below, above))
-    # exact below phi = 20, the fitted far form above
-    assert lo == pytest.approx(m2_exact(below), rel=1e-9)
-    assert hi == pytest.approx(m2_asymptotic(above, ode.m2_constants), rel=1e-9)
-    assert abs(hi - lo) < 0.15 * max(abs(lo), abs(hi))
-    assert abs(hi - lo) < 1e-6
-
-
-def test_m2_asymptotic_sign_pattern_follows_cosine_phase():
-    ode = criterion.build_criterion(2, "multiplicative", BIH, ZERO)
-    m2c = ode.m2_constants
-    sg = np.linspace(math.log(10.0), math.log(1e9), 40000)
-    tau = np.exp(sg)
-    ph = np.asarray(BIH.phi(tau), dtype=float)
+    # the closed form 2 pi/3 is this phase, from the layer's gamma1, gamma2
+    d0 = spectral.kernel_constants(2).d0
+    ag1 = m2c.alpha * m2c.gamma1
+    assert m2c.C4 == pytest.approx(
+        -math.pi / 6.0 + math.atan2(ag1 * m2c.b0, m2c.gamma2 - ag1 * d0), rel=1e-15)
+    sg = np.linspace(math.log(10.0), math.log(1e12), 60000)
+    ph = np.asarray(wide.phi(np.exp(sg)), dtype=float)
+    sg, ph = sg[ph > 20.0], ph[ph > 20.0]
     theta = m2c.b0 * ph ** m2c.alpha + m2c.C4
+    values = ode.linear_rhs(np.exp(sg))
+    flips = np.flatnonzero(np.diff(np.sign(values)) != 0)
     expected = int((theta[-1] - math.pi / 2.0) // math.pi
                    - math.ceil((theta[0] - math.pi / 2.0) / math.pi) + 1)
-    lin = ode.linear_rhs(tau)
-    far = ph > criterion._M2_SWITCHOVER
-    for values, where in ((m2_asymptotic(ph, m2c), np.ones_like(far)),
-                          (lin, far)):
-        flips = np.where(np.diff(np.sign(values)) != 0)[0]
-        assert len(flips) == expected
-        for i in flips[where[flips]]:
-            frac = (0.5 * (theta[i] + theta[i + 1]) - math.pi / 2.0) / math.pi
-            assert abs(frac - round(frac)) < 0.01
+    assert len(flips) == expected
+    for i in flips:
+        frac = (0.5 * (theta[i] + theta[i + 1]) - math.pi / 2.0) / math.pi
+        assert abs(frac - round(frac)) < 0.01, ph[i]
 
 
 def test_m2_period_summed_quadrature():
@@ -386,9 +377,9 @@ def test_m2_flagged_half_period_fails_the_sum(monkeypatch):
 
 
 @pytest.mark.parametrize("c", [3.5, 3.6036, 3.6534])
-def test_m2_period_sum_resolves_the_switchover(c):
-    # the kernel hands over to its fitted tail at phi = 20, inside one
-    # half-period; unresolved, quad flagged roundoff there for these c
+def test_m2_period_sum_is_unflagged(c):
+    # these c once put a step of the integrand inside a half-period, where
+    # quad flagged roundoff; every half-period must integrate unflagged
     ode = criterion.build_criterion(
         2, "multiplicative", funcs.lookup("biharmonic-critical", c=c), ZERO)
     cuts, pieces, flags = criterion._period_sum(ode, math.log(10.0), math.log(1e9))

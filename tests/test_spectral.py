@@ -101,10 +101,12 @@ def test_generator_residual_of_kernel():
 
 
 def test_truncated_tail_guard(monkeypatch):
-    monkeypatch.setattr(spectral, "_S_MAX", {1: 2.0, 2: 1.0})
-    with pytest.raises(QuadratureError):
+    # the contour cut at e^-20 of the saddle size leaves a tail bound far
+    # above TAIL_TOL for the order-8 derivative
+    monkeypatch.setattr(spectral, "_CUT", 20.0)
+    with pytest.raises(QuadratureError, match="tail bound"):
         spectral.build_kernel(2)
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match="tail bound"):
         spectral.build_kernel(1)
 
 
@@ -144,47 +146,75 @@ def test_m2_kernel_beyond_span_uses_quadrature():
 
 
 def test_m2_far_field_value_does_not_depend_on_the_call():
-    # neither the s-rule nor the summation order may follow the other far
-    # points of the call
+    # neither the rule nor the summation order may follow the other far
+    # points of the call, nor where in its blocks the point falls
     model = spectral.default_kernel(2)
     wide = np.array([-90.0, -3.0, 60.5, 61.5, 61.6, 64.0, 75.0, 90.0])
+    crowd = np.linspace(60.5, 120.0, 3 * spectral._BLOCK)
+    crowd[spectral._BLOCK + 7] = 61.5
     for k in range(4):
         alone = model.F_deriv(61.5, k)
         assert type(alone) is float
         assert _same_bits(alone, float(model.F_deriv(wide, k)[3])), k
+        assert _same_bits(alone, float(model.F_deriv(crowd, k)[spectral._BLOCK + 7])), k
+
+
+def _fourier_raw(y, k, m):
+    """int_0^{s_max} s^k e^{-s^{2m}} cos(s y + k pi/2) ds, the Fourier-cosine
+    form of the kernel integral, cut where e^{-s^{2m}} is 1e-40."""
+    s_max = (40.0 * math.log(10.0)) ** (1.0 / (2 * m))
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    edges = np.linspace(0.0, s_max, 201)
+    half = 0.5 * (edges[1] - edges[0])
+    s = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes).ravel()
+    w = np.tile(half * weights, 200)
+    return np.cos(np.outer(y, s) + k * math.pi / 2.0) @ (w * s ** k * np.exp(-s ** (2 * m)))
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_raw_quarter_period_signs_match_the_phase_formula(m):
-    # cos(theta + k pi/2) as a sign times cos or sin of theta: order 0 keeps
-    # its bits; higher orders lose only the rounding of theta + k pi/2
+def test_raw_matches_the_fourier_cosine_rule(m):
+    # where the real-line integral loses nothing to cancellation, both give
+    # the same values, derivative orders 0-8 included
     model = spectral.default_kernel(m)
-    span = model._y_span
-    y = np.concatenate([[0.0, span, -span], np.linspace(-span, span, 301)])
-    s, w = model._s_rule(span)
+    y = np.concatenate([[0.0, -0.0, 1e-300], np.linspace(-10.0, 10.0, 401)])
     rows = model._raw(y, range(9))
     for k in range(9):
-        damp = w * s ** k * np.exp(-s ** (2 * m))
-        phase = np.cos(np.outer(y, s) + k * math.pi / 2.0) @ damp
-        if k == 0:
-            assert np.array_equal(rows[k], phase)
-        else:
-            assert np.max(np.abs(rows[k] - phase)) <= 1e-15 * np.sum(np.abs(damp)), k
+        assert np.max(np.abs(rows[k] - _fourier_raw(y, k, m))) < 1e-13, k
 
 
-def test_raw_holds_at_most_two_trig_matrices():
-    # theta, cos and sin together would be three y-by-s matrices
-    model = spectral.default_kernel(1)
-    nodes, _ = model._y_rule(model._y_span)
-    s, _ = model._s_rule(np.max(np.abs(nodes)))
-    matrix_bytes = nodes.size * s.size * 8
-    tracemalloc.start()
-    try:
-        model._raw(nodes, range(7))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.1 * matrix_bytes, peak / matrix_bytes
+def test_m2_kernel_follows_its_leading_far_form():
+    # F ~ A y^(-1/3) e^{-d0 t} cos(b0 t - pi/6), t = y^(4/3),
+    # A = 4^(1/3)/sqrt(6 pi); the next term of the expansion is O(1/t) of
+    # that envelope, and 0.32/t is 0.58% at y = 20, 0.23% at 40 and 0.07%
+    # at 100 (measured: at most 0.309/t). The Fourier rule was round-off
+    # beyond y = 35, and the fitted tail missed by 5% of the envelope at 20.
+    model = spectral.default_kernel(2)
+    c = model.constants
+    y = np.linspace(20.0, 100.0, 4001)
+    t = y ** c.alpha
+    envelope = 4.0 ** (1.0 / 3.0) / math.sqrt(6.0 * math.pi) * y ** (-1.0 / 3.0) \
+        * np.exp(-c.d0 * t)
+    miss = np.abs(model.F(y) - envelope * np.cos(c.b0 * t - math.pi / 6.0)) / envelope
+    assert np.max(miss * t) < 0.32
+
+
+def test_raw_memory_does_not_grow_with_the_points():
+    # points go through the rule a block at a time: past two blocks, the
+    # peak above the returned rows stays the same
+    model = spectral.default_kernel(2)
+
+    def peak_above_output(n):
+        y = np.linspace(0.0, 90.0, n)
+        tracemalloc.start()
+        try:
+            rows = model._raw(y, range(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - rows.nbytes
+
+    small = peak_above_output(2 * spectral._BLOCK)
+    assert peak_above_output(32 * spectral._BLOCK) <= 1.01 * small
 
 
 def test_m2_interpolant_refuses_low_degree(monkeypatch):
