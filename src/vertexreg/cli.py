@@ -29,10 +29,10 @@ from enum import Enum
 
 import numpy as np
 import yaml
-from scipy.integrate import simpson
 
 from . import __version__, blayer, criterion, funcs, pdesim, petrovskii, spectral
 from ._csvtable import write_csv
+from ._quadrature import simpson
 from .errors import ConfigError, DomainError, FitError, NoConvergence
 
 __all__ = ["Scenario", "Report", "load_config", "run_scenarios",
@@ -360,6 +360,9 @@ def load_config(path):
     """Parse and schema-validate a config file.
 
     Returns (document echo, scenarios). Every scenario names its task.
+    A batch with any task other than simulate and compare imports
+    scipy.integrate and scipy.optimize here, so that set-up pays for them
+    and no scenario's time does; a simulation batch never loads them.
     """
     try:
         with open(path) as fh:
@@ -408,6 +411,9 @@ def load_config(path):
             _fail(sid, f"unknown task {task!r}; known: " + ", ".join(_VALIDATORS))
         params = _VALIDATORS[task](sid, entry.get("parameters", {}))
         scenarios.append(Scenario(id=sid, task=task, parameters=params))
+    if any(s.task not in ("simulate", "compare") for s in scenarios):
+        import scipy.integrate
+        import scipy.optimize
     return doc, scenarios
 
 

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
-from scipy.optimize import brentq
 
+# scipy.integrate and scipy.optimize are imported by the functions that call
+# them, so a simulation run never loads them (cli.load_config)
 from . import spectral
 from ._csvtable import write_csv
+from ._quadrature import cumulative_trapezoid
 from .blayer import bl_profile
 from .errors import (ConfigError, DomainError, NoConvergence, QuadratureError,
                      StiffnessError)
@@ -205,8 +206,8 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
         def linear_value(ph):
             # np.power on a float has the bits of the array loop; `**` on
             # np.float64 need not
-            return (m2c.gamma2 * ph * kernel.F(ph)
-                    + m2c.gamma1 * np.power(ph, 2.0 / 3.0) * kernel.F_deriv(ph, 1))
+            f, df = kernel.F_and_slope(ph)
+            return m2c.gamma2 * ph * f + m2c.gamma1 * np.power(ph, 2.0 / 3.0) * df
     else:
         linear_value = _m1_linear_value
 
@@ -274,6 +275,8 @@ def integrate(ode: CriterionODE, ln_a0_init: float, tau0: float,
     ln a0 = -745 ends the run early with the underflow flag set; leaving
     through ln a0 = 0 (amplitude above 1) raises DomainError.
     """
+    from scipy.integrate import solve_ivp
+
     if not 1e-12 <= tol <= 1e-6:
         raise ConfigError(f"tol must lie in [1e-12, 1e-6], got {tol:g}")
     if tau0 < ode.phi.tau_min:
@@ -384,6 +387,9 @@ def _period_sum(ode: CriterionODE, s0: float, s1: float):
     each piece whose quad returned an error flag, with its error estimate
     and quad's message.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     m2c = ode.m2_constants
 
     def phase(s):
@@ -427,6 +433,8 @@ def linear_closed_form(m: int, phi: SlowGrowthFn, tau: float,
     the oscillatory integrand at the zeros of its cosine carrier and
     sums the pieces, raising QuadratureError if quad flags any piece.
     """
+    from scipy.integrate import quad
+
     if tau <= tau0:
         raise ValueError("need tau > tau0")
     ode = build_criterion(m, "multiplicative", phi, lookup("zero-kappa"))

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg.lapack import dgbsv, dgtsv
 
 from . import spectral
 from ._csvtable import write_csv
+from ._quadrature import simpson
 from .blayer import BLProfile, bl_profile
 from .errors import BlowupError, ConfigError, ResolutionError, StepFailure
 from .funcs import Kappa, SlowGrowthFn

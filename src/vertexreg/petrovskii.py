@@ -13,10 +13,10 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import criterion, funcs, spectral
 from ._csvtable import write_csv
+from ._quadrature import cumulative_trapezoid
 from .errors import ConfigError, DomainError
 from .funcs import SlowGrowthFn
 
@@ -150,7 +150,7 @@ def petrovskii_integral(phi: SlowGrowthFn, N: int = 1, tau0: float = 10.0,
     ln_f = N * np.log(ph) - 0.25 * ph ** 2
     with np.errstate(under="ignore"):
         per_sigma = np.exp(ln_f + sigma)
-    partial = np.concatenate([[0.0], cumulative_trapezoid(per_sigma, sigma)])
+    partial = cumulative_trapezoid(per_sigma, sigma, initial=0.0)
     cls, fit = _classify_decay(tau, ln_f, float(partial[-1]))
     return IntegralTrace("tau", np.column_stack([tau, partial]), cls, fit)
 
@@ -184,7 +184,7 @@ def dini_osgood_form(rho, *, h_max: float = 0.1, ell_max: float = 690.0,
     ln_f = ln_r + 0.5 * np.log(-ln_r)
     with np.errstate(under="ignore"):
         per_ell = np.exp(ln_f)
-    partial = np.concatenate([[0.0], cumulative_trapezoid(per_ell, ell)])
+    partial = cumulative_trapezoid(per_ell, ell, initial=0.0)
     cls, fit = _classify_decay(ell, ln_f, float(partial[-1]))
     return IntegralTrace("h", np.column_stack([np.exp(-ell), partial]), cls, fit)
 

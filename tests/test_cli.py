@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -452,6 +454,49 @@ def test_report_document_shape(tmp_path):
     assert report["config"]["version"] == 1
     on_disk = json.load(open(tmp_path / "out" / "report.json"))
     assert on_disk["reports"] == report["reports"]
+
+
+# -- what a batch imports ---------------------------------------------------------
+
+# scipy.integrate brings the rest of these with it; only the ODE and integral
+# routes call into them
+SOLVER_STACK = ("scipy.integrate", "scipy.optimize", "scipy.special",
+                "scipy.sparse", "scipy.fft")
+
+
+def solver_modules_after(code):
+    """The SOLVER_STACK modules a fresh interpreter has loaded after code."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = (f"{code}\nimport sys\nprint(sorted(m for m in sys.modules "
+             f"if m.startswith({SOLVER_STACK!r})))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_simulation_batch_never_loads_the_solver_stack(tmp_path):
+    sim = {"grid_points": 201, "tau_span": [10.0, 14.0], "n_checkpoints": 20}
+    doc = {"version": 1, "scenarios": [
+        {"id": "sim", "task": "simulate",
+         "parameters": dict(sim, m=1, phi="petrovskii-critical")},
+        {"id": "cmp1", "task": "compare",
+         "parameters": dict(sim, m=1, phi="petrovskii-critical", window=[13.0, 14.0])},
+        {"id": "cmp2", "task": "compare",
+         "parameters": dict(sim, m=2, phi="biharmonic-critical", shape="g0",
+                            window=[13.0, 14.0])}]}
+    path = write_config(tmp_path, doc)
+    code = ("from vertexreg import cli\n"
+            f"status, doc = cli.run_scenarios({path!r}, {str(tmp_path / 'out')!r})\n"
+            "assert status == 0, doc['failed_scenarios']")
+    assert solver_modules_after(code) == "[]"
+
+
+def test_criterion_batch_loads_the_solvers_in_load_config(tmp_path):
+    path = write_config(tmp_path, one_scenario(
+        "ode", "criterion", {"m": 1, "phi": "petrovskii-critical"}))
+    code = f"from vertexreg import cli\ncli.load_config({path!r})"
+    loaded = solver_modules_after(code)
+    assert "'scipy.integrate'" in loaded and "'scipy.optimize'" in loaded
 
 
 # -- canonical configs ----------------------------------------------------------

@@ -227,7 +227,7 @@ def test_biharmonic_flagged_quadrature_is_reported(monkeypatch):
     # a flag from quad must reach the trace instead of escaping as a
     # warning; no catalog width flags any more, so quad flags every piece
     width = funcs.lookup("biharmonic-critical", c=3.5)
-    real_quad = criterion.quad
+    real_quad = quad
 
     def flagging_quad(*args, **kwargs):
         return real_quad(*args, **kwargs)[:3] + ("Roundoff error is detected",)
@@ -235,7 +235,7 @@ def test_biharmonic_flagged_quadrature_is_reported(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         clean = petrovskii.biharmonic_linear_criterion(width)
-        monkeypatch.setattr(criterion, "quad", flagging_quad)
+        monkeypatch.setattr("scipy.integrate.quad", flagging_quad)
         trace = petrovskii.biharmonic_linear_criterion(width)
     assert clean.classification is Classification.BOUNDED
     assert clean.diagnostic == ""

@@ -159,6 +159,23 @@ def test_m2_far_field_value_does_not_depend_on_the_call():
         assert _same_bits(alone, float(model.F_deriv(crowd, k)[spectral._BLOCK + 7])), k
 
 
+def test_m2_F_and_slope_has_the_bits_of_F_and_F_deriv():
+    # beyond the span one contour call serves both orders; the 300 far
+    # points of the array fill that call's first block and reach its second
+    model = spectral.default_kernel(2)
+    far = np.linspace(60.5, 300.0, 300)
+    y = np.concatenate([np.linspace(-59.0, 59.0, 41), far, -far[:7], [np.nan]])
+    f, df = model.F_and_slope(y)
+    assert f.tobytes() == model.F(y).tobytes()
+    assert df.tobytes() == model.F_deriv(y, 1).tobytes()
+    near = y[:41]
+    assert model.F_and_slope(near)[1].tobytes() == model.F_deriv(near, 1).tobytes()
+    for v in (70.3, -61.5, 250.0, 60.0, 30.0, -0.0):
+        one, slope = model.F_and_slope(v)
+        assert type(one) is float and type(slope) is float
+        assert _same_bits(one, model.F(v)) and _same_bits(slope, model.F_deriv(v, 1)), v
+
+
 def _fourier_raw(y, k, m):
     """int_0^{s_max} s^k e^{-s^{2m}} cos(s y + k pi/2) ds, the Fourier-cosine
     form of the kernel integral, cut where e^{-s^{2m}} is 1e-40."""
@@ -223,6 +240,31 @@ def test_m2_interpolant_refuses_low_degree(monkeypatch):
         spectral.build_kernel(2)
 
 
+def test_m2_interpolant_miss_is_bounded_by_the_kernel_size():
+    # 1e-15 added to the node samples of the panels beyond y = 45 is below
+    # INTERP_TOL, but F's size there is about 1e-17: only the bound
+    # relative to that size refuses it
+    model = spectral.default_kernel(2)
+
+    def sample(y, orders):
+        return model.normalizer * model._raw(y, orders)
+
+    nodes_seen = []
+
+    def perturbed(y, orders):
+        out = sample(y, orders)
+        if not nodes_seen:  # the first call takes the nodes; the check
+            out[:, y > 45.0] += 1e-15  # points keep the rule's values
+        nodes_seen.append(True)
+        return out
+
+    assert 1e-15 < spectral.INTERP_TOL
+    assert model._size(45.0, 0) < 1e-16
+    spectral._PiecewiseChebyshev(sample, model._y_span, model._size)
+    with pytest.raises(QuadratureError, match="of its size"):
+        spectral._PiecewiseChebyshev(perturbed, model._y_span, model._size)
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_kernel_parity_is_exact(m):
     model = spectral.default_kernel(m)
@@ -264,9 +306,11 @@ def test_local_maxima_match_argrelmax(values):
 
 
 def test_cli_import_skips_scipy_signal_and_stats():
+    # nor the solver stack, which only the ODE and integral routes call
     src = os.path.dirname(os.path.dirname(spectral.__file__))
     code = ("import sys, vertexreg.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.signal', 'scipy.stats'))))")
+            "if m.startswith(('scipy.signal', 'scipy.stats', 'scipy.integrate', "
+            "'scipy.optimize', 'scipy.special', 'scipy.sparse', 'scipy.fft'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
