@@ -356,13 +356,27 @@ _VALIDATORS = {
 }
 
 
+def _calls_solvers(task, params):
+    """Whether a validated scenario reaches solve_ivp, quad, brentq or
+    least_squares: the ODE route (criterion.integrate), the m=2 period sum
+    (criterion._period_sum) or the kernel's asymptotic fit."""
+    if task == "sweep":
+        return any(_calls_solvers(params["task"], point["params"])
+                   for point in params["points"])
+    if task == "petrovskii":
+        return params["variant"] == "biharmonic"
+    if task == "validate":
+        return "petrovskii-consistency" in params["checks"]
+    return task in ("criterion", "kernel")
+
+
 def load_config(path):
     """Parse and schema-validate a config file.
 
     Returns (document echo, scenarios). Every scenario names its task.
-    A batch with any task other than simulate and compare imports
+    A batch with a scenario that calls the solvers (_calls_solvers) imports
     scipy.integrate and scipy.optimize here, so that set-up pays for them
-    and no scenario's time does; a simulation batch never loads them.
+    and no scenario's time does; any other batch never loads them.
     """
     try:
         with open(path) as fh:
@@ -411,7 +425,7 @@ def load_config(path):
             _fail(sid, f"unknown task {task!r}; known: " + ", ".join(_VALIDATORS))
         params = _VALIDATORS[task](sid, entry.get("parameters", {}))
         scenarios.append(Scenario(id=sid, task=task, parameters=params))
-    if any(s.task not in ("simulate", "compare") for s in scenarios):
+    if any(_calls_solvers(s.task, s.parameters) for s in scenarios):
         import scipy.integrate
         import scipy.optimize
     return doc, scenarios

@@ -206,7 +206,7 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
         def linear_value(ph):
             # np.power on a float has the bits of the array loop; `**` on
             # np.float64 need not
-            f, df = kernel.F_and_slope(ph)
+            f, df = kernel.F_deriv(ph, (0, 1))
             return m2c.gamma2 * ph * f + m2c.gamma1 * np.power(ph, 2.0 / 3.0) * df
     else:
         linear_value = _m1_linear_value

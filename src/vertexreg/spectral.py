@@ -334,57 +334,52 @@ class KernelModel:
             return (np.exp(-c.d0 * y ** c.alpha) * y ** -c.delta0
                     * np.maximum(1.0, radius) ** order)
 
-    def _eval(self, y, order):
-        scalar = np.isscalar(y) or np.ndim(y) == 0
-        out = self.normalizer * self._raw(y, (order,))[0]
-        return float(out[0]) if scalar else out
+    def _eval(self, y, orders):
+        """The rule's F^(k) for each k in orders, a row per order; a list of
+        floats for a 0-d y."""
+        out = self.normalizer * self._raw(y, orders)
+        if np.isscalar(y) or np.ndim(y) == 0:
+            return [float(v) for v in out[:, 0]]
+        return out
 
-    def _eval_fast(self, y, order):
+    def _eval_fast(self, y, orders):
+        """F^(k) for each k in orders (0..3) by the Gaussian or the
+        interpolant, and by one _eval call for all orders at the points
+        beyond its span."""
         if self._interp is not None and isinstance(y, float):
             if abs(y) <= self._y_span:
-                return self._interp.scalar(float(y), order)
-            return self._eval(y, order)
+                return [self._interp.scalar(y, k) for k in orders]
+            return self._eval(y, orders)
         scalar = np.isscalar(y) or np.ndim(y) == 0
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if self._interp is None:
-            out = _gaussian_derivative(y, order)
+            out = [_gaussian_derivative(y, k) for k in orders]
         elif np.max(np.abs(y)) <= self._y_span:  # False for NaN too
-            out = self._interp(y, order)
+            out = [self._interp(y, k) for k in orders]
         else:
             far = ~(np.abs(y) <= self._y_span)
-            out = self._interp(np.where(far, 0.0, y), order)
-            out[far] = self._eval(y[far], order)
-        return float(out[0]) if scalar else out
+            near = np.where(far, 0.0, y)
+            out = [self._interp(near, k) for k in orders]
+            for row, rule in zip(out, self._eval(y[far], orders)):
+                row[far] = rule
+        return [float(row[0]) for row in out] if scalar else out
 
     # -- public evaluators --------------------------------------------------
 
     def F(self, y):
         """Kernel value; the Gaussian (4 pi)^{-1/2} e^{-y^2/4} when m=1."""
-        return self._eval_fast(y, 0)
+        return self._eval_fast(y, (0,))[0]
 
     def F_deriv(self, y, order):
-        """Derivative of F up to the guaranteed order 3."""
-        if not 0 <= order <= DERIV_ORDER_MAX:
+        """Derivative of F up to the guaranteed order 3. A tuple of orders
+        gives a list with a row per order (a float each for a float y),
+        with the bits of one call per order; beyond the m=2 interpolant's
+        span one contour call serves them all."""
+        orders = order if isinstance(order, tuple) else (order,)
+        if min(orders) < 0 or max(orders) > DERIV_ORDER_MAX:
             raise ValueError("F_deriv supports orders 0..%d" % DERIV_ORDER_MAX)
-        return self._eval_fast(y, order)
-
-    def F_and_slope(self, y):
-        """F(y) and F_deriv(y, 1), with their bits. Beyond the m=2
-        interpolant's span both come from one contour call, which forms
-        the exponentials once for the two orders."""
-        if isinstance(y, float):  # LSODA and quad: no numpy call inside the span
-            if self._interp is None or abs(y) <= self._y_span:
-                return self.F(y), self.F_deriv(y, 1)
-            f, df = self.normalizer * self._raw(y, (0, 1))[:, 0]
-            return float(f), float(df)
-        y = np.asarray(y, dtype=float)
-        far = ~(np.abs(y) <= self._y_span)  # NaN goes to the rule, as in F
-        if self._interp is None or not far.any():
-            return self.F(y), self.F_deriv(y, 1)
-        near = np.where(far, 0.0, y)
-        f, df = self.F(near), self.F_deriv(near, 1)
-        f[far], df[far] = self.normalizer * self._raw(y[far], (0, 1))
-        return f, df
+        out = self._eval_fast(y, orders)
+        return out if orders is order else out[0]
 
     def fourier_derivative(self, y, order):
         """Extended-order derivative used by the bi-orthonormality matrix.
@@ -395,7 +390,7 @@ class KernelModel:
         if not 0 <= order <= _EXTENDED_ORDER_MAX:
             raise ValueError("extended derivatives support orders 0..%d"
                              % _EXTENDED_ORDER_MAX)
-        return self._eval(y, order)
+        return self._eval(y, (order,))[0]
 
 
 def build_kernel(m):

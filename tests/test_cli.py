@@ -491,6 +491,53 @@ def test_simulation_batch_never_loads_the_solver_stack(tmp_path):
     assert solver_modules_after(code) == "[]"
 
 
+def test_integral_and_check_batch_never_loads_the_solver_stack(tmp_path):
+    # the tau and dini integrals and every check but petrovskii-consistency
+    # use the local rules and numpy alone
+    checks = [c for c in cli.VALIDATION_CHECKS if c != "petrovskii-consistency"]
+    tau = {"phi": "petrovskii-critical", "tau_max": 690.0, "n_points": 2000}
+    doc = {"version": 1, "scenarios": [
+        {"id": "checks", "task": "validate", "parameters": {"checks": checks}},
+        {"id": "tau", "task": "petrovskii", "parameters": tau},
+        {"id": "dini", "task": "petrovskii",
+         "parameters": {"phi": "log-power", "variant": "dini", "n_points": 2000}},
+        {"id": "scan", "task": "sweep", "parameters": {
+            "task": "petrovskii", "base": tau,
+            "vary": {"field": "tau0", "values": [10.0, 20.0]}}}]}
+    path = write_config(tmp_path, doc)
+    code = ("from vertexreg import cli\n"
+            f"status, doc = cli.run_scenarios({path!r}, {str(tmp_path / 'out')!r})\n"
+            "assert status == 0, doc['failed_scenarios']")
+    assert solver_modules_after(code) == "[]"
+
+
+def test_only_scenarios_that_call_the_solvers_preload_them(tmp_path):
+    star = "petrovskii-critical"
+    calls = {
+        "ode": ("criterion", {"m": 1, "phi": star}),
+        "kernel": ("kernel", {"m": 2}),
+        "biharm": ("petrovskii", {"phi": "biharmonic-critical",
+                                  "variant": "biharmonic"}),
+        "agree": ("validate", {"checks": ["bl-residual", "petrovskii-consistency"]}),
+        "ode-scan": ("sweep", {"task": "criterion", "base": {"m": 1, "phi": star},
+                               "vary": {"field": "tau0", "values": [10.0]}}),
+    }
+    none = {
+        "sim": ("simulate", {"m": 1, "phi": star}),
+        "tau": ("petrovskii", {"phi": star}),
+        "dini": ("petrovskii", {"phi": star, "variant": "dini"}),
+        "checks": ("validate", {"checks": ["kernel-mass", "biharmonic-constant"]}),
+        "tau-scan": ("sweep", {"task": "petrovskii", "base": {"phi": star},
+                               "vary": {"field": "tau0", "values": [10.0]}}),
+    }
+    doc = {"version": 1, "scenarios": [
+        {"id": sid, "task": task, "parameters": params}
+        for sid, (task, params) in {**calls, **none}.items()]}
+    _, scenarios = cli.load_config(write_config(tmp_path, doc))
+    preload = {s.id for s in scenarios if cli._calls_solvers(s.task, s.parameters)}
+    assert preload == set(calls)
+
+
 def test_criterion_batch_loads_the_solvers_in_load_config(tmp_path):
     path = write_config(tmp_path, one_scenario(
         "ode", "criterion", {"m": 1, "phi": "petrovskii-critical"}))

@@ -159,21 +159,27 @@ def test_m2_far_field_value_does_not_depend_on_the_call():
         assert _same_bits(alone, float(model.F_deriv(crowd, k)[spectral._BLOCK + 7])), k
 
 
-def test_m2_F_and_slope_has_the_bits_of_F_and_F_deriv():
-    # beyond the span one contour call serves both orders; the 300 far
+@pytest.mark.parametrize("m", [1, 2])
+def test_F_deriv_of_several_orders_has_the_bits_of_each(m):
+    # beyond the m=2 span one contour call serves every order; the 300 far
     # points of the array fill that call's first block and reach its second
-    model = spectral.default_kernel(2)
+    model = spectral.default_kernel(m)
     far = np.linspace(60.5, 300.0, 300)
     y = np.concatenate([np.linspace(-59.0, 59.0, 41), far, -far[:7], [np.nan]])
-    f, df = model.F_and_slope(y)
-    assert f.tobytes() == model.F(y).tobytes()
-    assert df.tobytes() == model.F_deriv(y, 1).tobytes()
-    near = y[:41]
-    assert model.F_and_slope(near)[1].tobytes() == model.F_deriv(near, 1).tobytes()
+    for orders in ((0, 1), (0, 1, 2, 3), (3, 1)):
+        for arg in (y, y[:41]):
+            rows = model.F_deriv(arg, orders)
+            for k, row in zip(orders, rows, strict=True):
+                assert row.tobytes() == model.F_deriv(arg, k).tobytes(), k
+    assert model.F_deriv(y, (0,))[0].tobytes() == model.F(y).tobytes()
     for v in (70.3, -61.5, 250.0, 60.0, 30.0, -0.0):
-        one, slope = model.F_and_slope(v)
-        assert type(one) is float and type(slope) is float
-        assert _same_bits(one, model.F(v)) and _same_bits(slope, model.F_deriv(v, 1)), v
+        values = model.F_deriv(v, (0, 1, 2, 3))
+        assert all(type(x) is float for x in values)
+        assert _same_bits(values[0], model.F(v)), v
+        for k, x in enumerate(values):
+            assert _same_bits(x, model.F_deriv(v, k)), (v, k)
+    with pytest.raises(ValueError):
+        model.F_deriv(1.0, (0, 4))
 
 
 def _fourier_raw(y, k, m):
