@@ -237,12 +237,18 @@ def _validate_petrovskii(sid, params):
 
 
 def _validate_kernel(sid, params):
-    return _take(sid, params, {
+    out = _take(sid, params, {
         "m": (_check_m, _REQUIRED),
         "window": (_as_pair, [5.0, 15.0]),
         "y_max": (_as_number, 20.0),
         "n_table": (_as_int, 401),
     })
+    # only the m=2 kernel oscillates, so only its fit reads the window
+    lo, hi = spectral.FIT_WINDOW_RANGE
+    y_lo, y_hi = out["window"]
+    if out["m"] == 2 and not lo <= y_lo < y_hi <= hi:
+        _fail(sid, f"parameters.window must satisfy {lo:g} <= lo < hi <= {hi:g}")
+    return out
 
 
 _SIM_FIELDS = {

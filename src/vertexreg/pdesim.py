@@ -10,13 +10,16 @@ J. Numer. Anal. 32, 1995). Everything the amplitude-ODE criterion predicts
 the grid solution for cross-checking.
 """
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgtsv
 
 from . import spectral
 from ._csvtable import write_csv
@@ -38,6 +41,24 @@ __all__ = [
     "export_snapshots_csv",
     "export_metadata_json",
 ]
+
+
+def _flapack():
+    """scipy's compiled LAPACK module, loaded from its file under its own
+    name: scipy.linalg's package init would load numpy.f2py and
+    numpy.testing with it, more than half of import vertexreg.cli."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(root, "linalg")])
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+_LAPACK = _flapack()
+dgtsv, dgbsv = _LAPACK.dgtsv, _LAPACK.dgbsv
 
 _BLOWUP_SUP = 1.0e6
 _TRANSIENT = 3.0

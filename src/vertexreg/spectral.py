@@ -412,6 +412,9 @@ def default_kernel(m):
 # ---------------------------------------------------------------------------
 # far-field asymptotic fit
 
+# the range a fit window [lo, hi] must lie in
+FIT_WINDOW_RANGE = (4.0, 25.0)
+
 
 @dataclass(frozen=True)
 class AsymptoticFit:
@@ -443,8 +446,9 @@ def kernel_asymptotic_fit(model, window):
     if cst.b0 == 0.0:
         raise FitError("kernel of order m=%d has no oscillation to fit" % cst.m)
     y_lo, y_hi = float(window[0]), float(window[1])
-    if not (4.0 <= y_lo < y_hi <= 25.0):
-        raise ConfigError("fit window must lie inside [4, 25]")
+    lo, hi = FIT_WINDOW_RANGE
+    if not (lo <= y_lo < y_hi <= hi):
+        raise ConfigError("fit window must lie inside [%g, %g]" % (lo, hi))
 
     ys = np.linspace(y_lo, y_hi, 1201)
     G = model.F(ys) * ys ** cst.delta0

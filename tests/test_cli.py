@@ -216,6 +216,12 @@ CMP = {"m": 1, "phi": STAR, "window": [15.0, 25.0]}
      "iteration"),
     ("load", "validate", {"checks": ["bl-residual"],
                           "consistency_tau_max": 1.0e9}, "consistency_tau_max"),
+    # the m=2 fit window, ordered and inside spectral.FIT_WINDOW_RANGE
+    ("load", "kernel", {"m": 2, "window": [1.0, 2.0]}, "window"),
+    ("load", "kernel", {"m": 2, "window": [15.0, 5.0]}, "window"),
+    ("load", "sweep", {"task": "kernel", "base": {"m": 2},
+                       "vary": {"field": "window", "values": [[5.0, 26.0]]}},
+     "window"),
     # ranges the library owns fail typed when the scenario runs
     ("run", "criterion", {"m": 1, "phi": STAR, "tau_max": 1.0e13}, "tau_max"),
     ("run", "criterion", {"m": 1, "phi": STAR, "tau0": 1.0}, "tau0"),
@@ -225,7 +231,6 @@ CMP = {"m": 1, "phi": STAR, "window": [15.0, 25.0]}
                            "tau_max": 5.0}, "tau_max"),
     ("run", "petrovskii", {"phi": STAR, "variant": "dini", "ell_max": 5.0},
      "ell_max"),
-    ("run", "kernel", {"m": 2, "window": [1.0, 2.0]}, "window"),
     ("run", "validate", {"checks": ["petrovskii-consistency"],
                          "consistency_tau_max": 1.0e13}, "tau_max"),
 ])
@@ -464,11 +469,11 @@ SOLVER_STACK = ("scipy.integrate", "scipy.optimize", "scipy.special",
                 "scipy.sparse", "scipy.fft")
 
 
-def solver_modules_after(code):
-    """The SOLVER_STACK modules a fresh interpreter has loaded after code."""
+def loaded_modules_after(code, prefixes=SOLVER_STACK):
+    """The modules under prefixes a fresh interpreter has loaded after code."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     probe = (f"{code}\nimport sys\nprint(sorted(m for m in sys.modules "
-             f"if m.startswith({SOLVER_STACK!r})))")
+             f"if m.startswith({prefixes!r})))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
     return out.stdout.strip().splitlines()[-1]
@@ -488,7 +493,11 @@ def test_simulation_batch_never_loads_the_solver_stack(tmp_path):
     code = ("from vertexreg import cli\n"
             f"status, doc = cli.run_scenarios({path!r}, {str(tmp_path / 'out')!r})\n"
             "assert status == 0, doc['failed_scenarios']")
-    assert solver_modules_after(code) == "[]"
+    # no scipy package at all: the stepper's LAPACK routines come from the
+    # compiled module, loaded without scipy.linalg's init (and the
+    # numpy.f2py and numpy.testing that it brings)
+    loaded = loaded_modules_after(code, ("scipy", "numpy.f2py", "numpy.testing"))
+    assert loaded == "['scipy.linalg._flapack']"
 
 
 def test_integral_and_check_batch_never_loads_the_solver_stack(tmp_path):
@@ -508,7 +517,7 @@ def test_integral_and_check_batch_never_loads_the_solver_stack(tmp_path):
     code = ("from vertexreg import cli\n"
             f"status, doc = cli.run_scenarios({path!r}, {str(tmp_path / 'out')!r})\n"
             "assert status == 0, doc['failed_scenarios']")
-    assert solver_modules_after(code) == "[]"
+    assert loaded_modules_after(code) == "[]"
 
 
 def test_only_scenarios_that_call_the_solvers_preload_them(tmp_path):
@@ -542,7 +551,7 @@ def test_criterion_batch_loads_the_solvers_in_load_config(tmp_path):
     path = write_config(tmp_path, one_scenario(
         "ode", "criterion", {"m": 1, "phi": "petrovskii-critical"}))
     code = f"from vertexreg import cli\ncli.load_config({path!r})"
-    loaded = solver_modules_after(code)
+    loaded = loaded_modules_after(code)
     assert "'scipy.integrate'" in loaded and "'scipy.optimize'" in loaded
 
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -514,6 +517,21 @@ def test_step_failure_on_lapack_info(monkeypatch, m, routine):
                            tau_span=(0.0, 1.0), freeze_phi=5.0)
     with pytest.raises(StepFailure, match=r"at tau=0 .*info=1"):
         pdesim.run(cfg)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("vertexreg.pdesim", "scipy.linalg.lapack"),
+    ("scipy.linalg.lapack", "vertexreg.pdesim")])
+def test_pdesim_and_scipy_linalg_share_one_lapack_module(first, second):
+    # a criterion batch loads scipy.linalg (through scipy.integrate) in
+    # load_config, after pdesim; either order must leave one copy
+    src = os.path.dirname(os.path.dirname(pdesim.__file__))
+    code = (f"import {first}, {second}\n"
+            "from scipy.linalg import lapack\nfrom vertexreg import pdesim\n"
+            "assert pdesim.dgtsv is lapack.dgtsv\n"
+            "assert pdesim.dgbsv is lapack.dgbsv")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
 
 
 # ---------------------------------------------------------------------------
