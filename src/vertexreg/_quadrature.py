@@ -1,8 +1,8 @@
 """The two sampled-data rules of the simulation and integral routes, with
 the bits of scipy.integrate's (1.17) simpson(y, x=x) on an odd number of
-points and cumulative_trapezoid(y, x). Kept here so that a run that only
-simulates never imports scipy.integrate, which brings scipy.optimize,
-scipy.special, scipy.sparse and scipy.fft with it."""
+points and cumulative_trapezoid(y, x). Kept here so that no run imports
+scipy.integrate, which brings scipy.optimize, scipy.special, scipy.sparse
+and scipy.fft with it (vertexreg._solvers)."""
 
 import numpy as np
 

@@ -1,0 +1,147 @@
+"""scipy's compiled solver modules, loaded without the package inits that cost most of set-up,
+and thin drivers with the bits of scipy 1.17's LSODA solve_ivp, quad, brentq and lm fit."""
+
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
+import numpy as np
+
+EPS = np.finfo(float).eps
+
+
+def compiled(name):
+    """The compiled scipy module name (scipy.<package>._<module>), loaded
+    from its file under its own name, or the copy already loaded: a later
+    import of its package reuses it."""
+    if name not in sys.modules:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        package = name.split(".")[1]
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(root, package)])
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+_odepack = compiled("scipy.integrate._odepack")
+_quadpack = compiled("scipy.integrate._quadpack")
+_zeros = compiled("scipy.optimize._zeros")
+_minpack = compiled("scipy.optimize._minpack")
+
+
+def brentq(f, a, b, xtol):
+    """brentq(f, a, b, xtol=xtol): a root of f bracketed by [a, b]."""
+    def guarded(x):
+        fx = f(x)
+        if np.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+    return _zeros._brentq(guarded, a, b, xtol, 4 * EPS, 100, (), False, True)
+
+
+def quad(f, a, b, args, epsabs, epsrel, limit):
+    """quad(f, a, b, args, epsabs=, epsrel=, limit=) over finite a < b:
+    (value, abserr, flag), flag the first line of quad's message when
+    QUADPACK flags the value, else None."""
+    value, abserr, ier = _quadpack._qagse(f, a, b, args, 0, epsabs, epsrel, limit)
+    if ier in (6, 80):
+        raise ValueError(f"QUADPACK rejected the call (ier={ier})")
+    flag = _QUAD_FLAGS.get(ier)
+    return value, abserr, flag and flag.format(limit=limit)
+
+
+# the first line of quad's message for each flag, spaces collapsed
+_QUAD_FLAGS = {
+    1: "The maximum number of subdivisions ({limit}) has been achieved.",
+    2: "The occurrence of roundoff error is detected, which prevents",
+    3: "Extremely bad integrand behavior occurs at some points of the",
+    4: "The algorithm does not converge. Roundoff error is detected",
+    5: "The integral is probably divergent, or slowly convergent.",
+    7: "Abnormal termination of the routine. The estimates for result",
+}
+
+
+def least_squares_lm(fun, x0, ftol, xtol):
+    """least_squares(fun, x0, method="lm", ftol=, xtol=) with its 2-point
+    Jacobian: the solution x and the residuals fun(x) there."""
+    x0 = np.asarray(x0, dtype=float)
+
+    def jac(x):
+        f0 = fun(x)
+        h = EPS ** 0.5 * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
+        J_transposed = np.empty((x.size, f0.size))
+        for i in range(x.size):
+            x1 = np.copy(x)
+            x1[i] = x[i] + h[i]
+            J_transposed[i] = (fun(x1) - f0) / ((x[i] + h[i]) - x[i])
+        return J_transposed.T
+
+    x, info, _ = _minpack._lmder(fun, jac, x0, (), True, False, ftol, xtol,
+                                 1e-8, 100 * x0.size, 100.0, None)
+    return x, info["fvec"]
+
+
+def lsoda(fun, t_eval, y0, events, rtol, atol, max_step):
+    """solve_ivp(fun, (t_eval[0], t_eval[-1]), [y0], method="LSODA",
+    t_eval=t_eval, events=events, rtol=, atol=, max_step=) for one equation
+    integrated forward, every event terminal. Returns (t, y, hit, failure):
+    the t_eval points reached and y there; hit = (index, t, y) of the event
+    that ended the run, else None; failure = why a step failed, else None."""
+    t, t_bound = float(t_eval[0]), float(t_eval[-1])
+    rwork = np.zeros(36)
+    rwork[0], rwork[5] = t_bound, max_step
+    iwork = np.zeros(21, dtype=np.int32)
+    iwork[5:9] = 500, 0, 12, 5
+    doubles, ints = np.zeros(240), np.zeros(48, dtype=np.int32)
+    state = np.array([y0], dtype=float)
+    directions = [event.direction for event in events]
+    g = [event(t, state) for event in events]
+    ts, ys, i, istate, hit, failure = [], [], 0, 1, None, None
+    while hit is None and t < t_bound:
+        t_old = t
+        state, t, istate = _odepack.lsoda(
+            fun, state, t, t_bound, rtol, atol, 5, istate, rwork, iwork,
+            None, 2, (), 1, (), doubles, ints)
+        if istate < 0:
+            failure = f"LSODA failed at t={t!r} with istate={istate}"
+            break
+        istate, dense = 2, None
+        g_new = [event(t, state) for event in events]
+        fired = [k for k, (a, b, d) in enumerate(zip(g, g_new, directions))
+                 if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)]
+        g, t_last = g_new, t
+        if fired:
+            dense = _nordsieck(rwork, iwork, t)
+            roots = [brentq(lambda s: events[k](s, dense(s)), t_old, t, 4 * EPS)
+                     for k in fired]
+            first = int(np.argmin(roots))
+            t_last = roots[first]
+            hit = (fired[first], t_last, dense(t_last)[0])
+        j = int(np.searchsorted(t_eval, t_last, side="right"))
+        if j > i:
+            if dense is None:
+                dense = _nordsieck(rwork, iwork, t)
+            ts.append(t_eval[i:j])
+            ys.append(dense(t_eval[i:j])[0])
+            i = j
+    return np.hstack([np.empty(0)] + ts), np.hstack([np.empty(0)] + ys), hit, failure
+
+
+def _nordsieck(rwork, iwork, t):
+    """LSODA's interpolant over its last step, from the Nordsieck history
+    left in rwork: the order and step size of that step, and the last
+    column rescaled when the order is set to drop."""
+    order = iwork[13]
+    h = rwork[11]
+    yh = np.reshape(rwork[20:20 + (order + 1)], (1, order + 1), order="F").copy()
+    if iwork[14] < order:
+        yh[:, -1] *= (h / rwork[10]) ** order
+    p = np.arange(order + 1)
+
+    def dense(s):
+        s = np.asarray(s)
+        return np.dot(yh, ((s - t) / h) ** (p if s.ndim == 0 else p[:, None]))
+    return dense

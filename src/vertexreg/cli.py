@@ -244,9 +244,14 @@ def _validate_kernel(sid, params):
         "n_table": (_as_int, 401),
     })
     # only the m=2 kernel oscillates, so only its fit reads the window
+    if out["m"] == 1:
+        if params.get("window") is not None:
+            _fail(sid, "parameters.window is read only by the m=2 fit; "
+                       "the m=1 kernel does not oscillate")
+        return out
     lo, hi = spectral.FIT_WINDOW_RANGE
     y_lo, y_hi = out["window"]
-    if out["m"] == 2 and not lo <= y_lo < y_hi <= hi:
+    if not lo <= y_lo < y_hi <= hi:
         _fail(sid, f"parameters.window must satisfy {lo:g} <= lo < hi <= {hi:g}")
     return out
 
@@ -362,27 +367,10 @@ _VALIDATORS = {
 }
 
 
-def _calls_solvers(task, params):
-    """Whether a validated scenario reaches solve_ivp, quad, brentq or
-    least_squares: the ODE route (criterion.integrate), the m=2 period sum
-    (criterion._period_sum) or the kernel's asymptotic fit."""
-    if task == "sweep":
-        return any(_calls_solvers(params["task"], point["params"])
-                   for point in params["points"])
-    if task == "petrovskii":
-        return params["variant"] == "biharmonic"
-    if task == "validate":
-        return "petrovskii-consistency" in params["checks"]
-    return task in ("criterion", "kernel")
-
-
 def load_config(path):
     """Parse and schema-validate a config file.
 
     Returns (document echo, scenarios). Every scenario names its task.
-    A batch with a scenario that calls the solvers (_calls_solvers) imports
-    scipy.integrate and scipy.optimize here, so that set-up pays for them
-    and no scenario's time does; any other batch never loads them.
     """
     try:
         with open(path) as fh:
@@ -431,9 +419,6 @@ def load_config(path):
             _fail(sid, f"unknown task {task!r}; known: " + ", ".join(_VALIDATORS))
         params = _VALIDATORS[task](sid, entry.get("parameters", {}))
         scenarios.append(Scenario(id=sid, task=task, parameters=params))
-    if any(_calls_solvers(s.task, s.parameters) for s in scenarios):
-        import scipy.integrate
-        import scipy.optimize
     return doc, scenarios
 
 

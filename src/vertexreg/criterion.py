@@ -18,9 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# scipy.integrate and scipy.optimize are imported by the functions that call
-# them, so a simulation run never loads them (cli.load_config)
-from . import spectral
+from . import _solvers, spectral
 from ._csvtable import write_csv
 from ._quadrature import cumulative_trapezoid
 from .blayer import bl_profile
@@ -275,8 +273,6 @@ def integrate(ode: CriterionODE, ln_a0_init: float, tau0: float,
     ln a0 = -745 ends the run early with the underflow flag set; leaving
     through ln a0 = 0 (amplitude above 1) raises DomainError.
     """
-    from scipy.integrate import solve_ivp
-
     if not 1e-12 <= tol <= 1e-6:
         raise ConfigError(f"tol must lie in [1e-12, 1e-6], got {tol:g}")
     if tau0 < ode.phi.tau_min:
@@ -294,31 +290,25 @@ def integrate(ode: CriterionODE, ln_a0_init: float, tau0: float,
 
     def hit_underflow(s, y):
         return y[0] - _LN_UNDERFLOW
-    hit_underflow.terminal = True
     hit_underflow.direction = -1
 
     def hit_overflow(s, y):
         return y[0] - 1e-9
-    hit_overflow.terminal = True
     hit_overflow.direction = 1
 
     n_points = max(300, int(150.0 * (s1 - s0) / math.log(10.0)))
-    t_eval = np.linspace(s0, s1, n_points)
-    sol = solve_ivp(rhs_sigma, (s0, s1), [float(ln_a0_init)], method="LSODA",
-                    rtol=tol, atol=tol, t_eval=t_eval, max_step=0.25,
-                    events=(hit_underflow, hit_overflow))
-    if len(sol.t_events[1]):
+    sigmas, values, hit, failure = _solvers.lsoda(
+        rhs_sigma, np.linspace(s0, s1, n_points), float(ln_a0_init),
+        (hit_underflow, hit_overflow), rtol=tol, atol=tol, max_step=0.25)
+    if failure is not None:
+        raise StiffnessError(f"integration stalled: {failure}")
+    if hit is not None and hit[0] == 1:  # hit_overflow
         raise DomainError(
-            f"amplitude overflow: ln a0 reached 0 at tau={math.exp(sol.t_events[1][0]):.4g}")
-    underflow = bool(len(sol.t_events[0]))
-    if not sol.success and not underflow:
-        raise StiffnessError(f"integration stalled: {sol.message}")
-
-    sigmas = sol.t
-    values = sol.y[0]
+            f"amplitude overflow: ln a0 reached 0 at tau={math.exp(hit[1]):.4g}")
+    underflow = hit is not None
     if underflow:
-        sigmas = np.append(sigmas, sol.t_events[0][0])
-        values = np.append(values, sol.y_events[0][0][0])
+        sigmas = np.append(sigmas, hit[1])
+        values = np.append(values, hit[2])
     tau = np.exp(sigmas)
     lin = np.asarray(ode.linear_rhs(tau), dtype=float)
     nonlin = np.asarray(ode.nonlinear_rhs(tau, values), dtype=float)
@@ -387,9 +377,6 @@ def _period_sum(ode: CriterionODE, s0: float, s1: float):
     each piece whose quad returned an error flag, with its error estimate
     and quad's message.
     """
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-
     m2c = ode.m2_constants
 
     def phase(s):
@@ -406,22 +393,20 @@ def _period_sum(ode: CriterionODE, s0: float, s1: float):
     lo = s0
     while target < th1:
         if target > th0:
-            cuts.append(brentq(lambda s: phase(s) - target, lo, s1, xtol=1e-13))
+            cuts.append(_solvers.brentq(lambda s: phase(s) - target, lo, s1, 1e-13))
             lo = cuts[-1]
         target += math.pi
     cuts.append(s1)
 
     pieces, flags = [], []
     for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-        val, abserr, *rest = quad(_linear_in_ln_tau, a, b, args=(ode,),
-                                  epsabs=1e-13, epsrel=1e-10, limit=200,
-                                  full_output=1)
+        val, abserr, flag = _solvers.quad(_linear_in_ln_tau, a, b, (ode,),
+                                          epsabs=1e-13, epsrel=1e-10, limit=200)
         pieces.append(val)
-        if len(rest) > 1:  # quad appends its message only when it flags
-            message = " ".join(rest[1].splitlines()[0].split())
+        if flag is not None:
             flags.append(f"quad flagged half-period {i} of {len(cuts) - 1} "
                          f"(tau {math.exp(a):.4g} to {math.exp(b):.4g}, "
-                         f"abserr {abserr:.2g}): {message}")
+                         f"abserr {abserr:.2g}): {flag}")
     return cuts, pieces, flags
 
 
@@ -431,17 +416,18 @@ def linear_closed_form(m: int, phi: SlowGrowthFn, tau: float,
 
     m=1 integrates the sign-definite linear term directly; m=2 splits
     the oscillatory integrand at the zeros of its cosine carrier and
-    sums the pieces, raising QuadratureError if quad flags any piece.
+    sums the pieces. Both raise QuadratureError when quad flags a piece.
     """
-    from scipy.integrate import quad
-
     if tau <= tau0:
         raise ValueError("need tau > tau0")
     ode = build_criterion(m, "multiplicative", phi, lookup("zero-kappa"))
     s0, s1 = math.log(tau0), math.log(tau)
     if m == 1:
-        val, _ = quad(_linear_in_ln_tau, s0, s1, args=(ode,),
-                      epsabs=1e-13, epsrel=1e-11, limit=500)
+        val, abserr, flag = _solvers.quad(_linear_in_ln_tau, s0, s1, (ode,),
+                                          epsabs=1e-13, epsrel=1e-11, limit=500)
+        if flag is not None:
+            raise QuadratureError(f"quad flagged the m=1 integral (tau {tau0:.4g} "
+                                  f"to {tau:.4g}, abserr {abserr:.2g}): {flag}")
         return val
     _, pieces, flags = _period_sum(ode, s0, s1)
     if flags:

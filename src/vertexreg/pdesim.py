@@ -10,18 +10,14 @@ J. Numer. Anal. 32, 1995). Everything the amplitude-ODE criterion predicts
 the grid solution for cross-checking.
 """
 
-import importlib.machinery
-import importlib.util
 import json
 import math
-import os
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import spectral
+from . import _solvers, spectral
 from ._csvtable import write_csv
 from ._quadrature import simpson
 from .blayer import BLProfile, bl_profile
@@ -43,21 +39,9 @@ __all__ = [
 ]
 
 
-def _flapack():
-    """scipy's compiled LAPACK module, loaded from its file under its own
-    name: scipy.linalg's package init would load numpy.f2py and
-    numpy.testing with it, more than half of import vertexreg.cli."""
-    name = "scipy.linalg._flapack"
-    if name not in sys.modules:
-        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
-        spec = importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(root, "linalg")])
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
-
-
-_LAPACK = _flapack()
+# scipy.linalg's package init would load numpy.f2py and numpy.testing,
+# more than half of import vertexreg.cli
+_LAPACK = _solvers.compiled("scipy.linalg._flapack")
 dgtsv, dgbsv = _LAPACK.dgtsv, _LAPACK.dgbsv
 
 _BLOWUP_SUP = 1.0e6

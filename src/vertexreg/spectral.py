@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
+from . import _solvers
 from ._csvtable import write_csv
 from .errors import ConfigError, FitError, QuadratureError, UnsupportedOrder
 
@@ -440,8 +441,6 @@ def kernel_asymptotic_fit(model, window):
     spacing (wavenumber) and the extremum envelope (decay rate), so the
     nonlinear refinement starts in the right basin.
     """
-    from scipy.optimize import least_squares
-
     cst = model.constants
     if cst.b0 == 0.0:
         raise FitError("kernel of order m=%d has no oscillation to fit" % cst.m)
@@ -471,11 +470,11 @@ def kernel_asymptotic_fit(model, window):
         d, b, c1, c2 = p
         return np.exp(-d * t) * (c1 * np.sin(b * t) + c2 * np.cos(b * t)) - G
 
-    sol = least_squares(resid, [d_init, b_init, 0.3, 0.3], method="lm",
-                        xtol=1e-15, ftol=1e-15)
-    d_fit, b_fit, c1, c2 = (float(v) for v in sol.x)
+    x, fvec = _solvers.least_squares_lm(resid, [d_init, b_init, 0.3, 0.3],
+                                        ftol=1e-15, xtol=1e-15)
+    d_fit, b_fit, c1, c2 = (float(v) for v in x)
     envelope = math.hypot(c1, c2) * np.exp(-d_fit * t)
-    rel = float(np.max(np.abs(sol.fun) / envelope))
+    rel = float(np.max(np.abs(fvec) / envelope))
     if rel > 0.10:
         raise FitError("fit residual %.3g exceeds 10%% of the envelope" % rel)
     return AsymptoticFit(d_fit=d_fit, b_fit=b_fit, C1=c1, C2=c2, residual=rel,

@@ -222,6 +222,12 @@ CMP = {"m": 1, "phi": STAR, "window": [15.0, 25.0]}
     ("load", "sweep", {"task": "kernel", "base": {"m": 2},
                        "vary": {"field": "window", "values": [[5.0, 26.0]]}},
      "window"),
+    # the m=1 kernel does not oscillate: nothing would read its window
+    ("load", "kernel", {"m": 1, "window": [5.0, 15.0]}, "window"),
+    ("load", "kernel", {"m": 1, "window": [15.0, 5.0]}, "window"),
+    ("load", "sweep", {"task": "kernel", "base": {"m": 1},
+                       "vary": {"field": "window", "values": [[5.0, 15.0]]}},
+     "window"),
     # ranges the library owns fail typed when the scenario runs
     ("run", "criterion", {"m": 1, "phi": STAR, "tau_max": 1.0e13}, "tau_max"),
     ("run", "criterion", {"m": 1, "phi": STAR, "tau0": 1.0}, "tau0"),
@@ -463,13 +469,17 @@ def test_report_document_shape(tmp_path):
 
 # -- what a batch imports ---------------------------------------------------------
 
-# scipy.integrate brings the rest of these with it; only the ODE and integral
-# routes call into them
-SOLVER_STACK = ("scipy.integrate", "scipy.optimize", "scipy.special",
-                "scipy.sparse", "scipy.fft")
+# the package inits and what they bring; the drivers in vertexreg._solvers
+# and the stepper use five compiled modules from under them, loaded alone
+SCIPY_PACKAGES = ("scipy.integrate", "scipy.optimize", "scipy.linalg",
+                  "scipy.special", "scipy.sparse", "scipy.fft", "scipy.signal",
+                  "scipy.stats", "numpy.f2py", "numpy.testing")
+COMPILED = ["scipy.integrate._odepack", "scipy.integrate._quadpack",
+            "scipy.linalg._flapack", "scipy.optimize._minpack",
+            "scipy.optimize._zeros"]
 
 
-def loaded_modules_after(code, prefixes=SOLVER_STACK):
+def loaded_modules_after(code, prefixes=SCIPY_PACKAGES):
     """The modules under prefixes a fresh interpreter has loaded after code."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     probe = (f"{code}\nimport sys\nprint(sorted(m for m in sys.modules "
@@ -479,80 +489,37 @@ def loaded_modules_after(code, prefixes=SOLVER_STACK):
     return out.stdout.strip().splitlines()[-1]
 
 
-def test_simulation_batch_never_loads_the_solver_stack(tmp_path):
+def test_every_task_loads_only_the_compiled_modules(tmp_path):
+    # one load path for every task: the ODE route, the period sum, the
+    # kernel fit and the stepper run scipy's compiled modules without any
+    # scipy package init (the scipy root and scipy._lib._ccallback, which
+    # quad loads on its first call, are allowed)
+    star, bih = "petrovskii-critical", "biharmonic-critical"
     sim = {"grid_points": 201, "tau_span": [10.0, 14.0], "n_checkpoints": 20}
-    doc = {"version": 1, "scenarios": [
-        {"id": "sim", "task": "simulate",
-         "parameters": dict(sim, m=1, phi="petrovskii-critical")},
-        {"id": "cmp1", "task": "compare",
-         "parameters": dict(sim, m=1, phi="petrovskii-critical", window=[13.0, 14.0])},
-        {"id": "cmp2", "task": "compare",
-         "parameters": dict(sim, m=2, phi="biharmonic-critical", shape="g0",
-                            window=[13.0, 14.0])}]}
-    path = write_config(tmp_path, doc)
-    code = ("from vertexreg import cli\n"
-            f"status, doc = cli.run_scenarios({path!r}, {str(tmp_path / 'out')!r})\n"
-            "assert status == 0, doc['failed_scenarios']")
-    # no scipy package at all: the stepper's LAPACK routines come from the
-    # compiled module, loaded without scipy.linalg's init (and the
-    # numpy.f2py and numpy.testing that it brings)
-    loaded = loaded_modules_after(code, ("scipy", "numpy.f2py", "numpy.testing"))
-    assert loaded == "['scipy.linalg._flapack']"
-
-
-def test_integral_and_check_batch_never_loads_the_solver_stack(tmp_path):
-    # the tau and dini integrals and every check but petrovskii-consistency
-    # use the local rules and numpy alone
-    checks = [c for c in cli.VALIDATION_CHECKS if c != "petrovskii-consistency"]
-    tau = {"phi": "petrovskii-critical", "tau_max": 690.0, "n_points": 2000}
-    doc = {"version": 1, "scenarios": [
-        {"id": "checks", "task": "validate", "parameters": {"checks": checks}},
-        {"id": "tau", "task": "petrovskii", "parameters": tau},
-        {"id": "dini", "task": "petrovskii",
-         "parameters": {"phi": "log-power", "variant": "dini", "n_points": 2000}},
-        {"id": "scan", "task": "sweep", "parameters": {
-            "task": "petrovskii", "base": tau,
-            "vary": {"field": "tau0", "values": [10.0, 20.0]}}}]}
-    path = write_config(tmp_path, doc)
-    code = ("from vertexreg import cli\n"
-            f"status, doc = cli.run_scenarios({path!r}, {str(tmp_path / 'out')!r})\n"
-            "assert status == 0, doc['failed_scenarios']")
-    assert loaded_modules_after(code) == "[]"
-
-
-def test_only_scenarios_that_call_the_solvers_preload_them(tmp_path):
-    star = "petrovskii-critical"
     calls = {
-        "ode": ("criterion", {"m": 1, "phi": star}),
-        "kernel": ("kernel", {"m": 2}),
-        "biharm": ("petrovskii", {"phi": "biharmonic-critical",
-                                  "variant": "biharmonic"}),
-        "agree": ("validate", {"checks": ["bl-residual", "petrovskii-consistency"]}),
-        "ode-scan": ("sweep", {"task": "criterion", "base": {"m": 1, "phi": star},
-                               "vary": {"field": "tau0", "values": [10.0]}}),
+        "ode1": ("criterion", {"m": 1, "phi": star, "tau_max": 1.0e6}),
+        "ode2": ("criterion", {"m": 2, "phi": bih, "tau_max": 1.0e6}),
+        "fit": ("kernel", {"m": 2}),
+        "biharm": ("petrovskii", {"phi": bih, "variant": "biharmonic"}),
+        "tau": ("petrovskii", {"phi": star, "tau_max": 690.0, "n_points": 2000}),
+        "dini": ("petrovskii", {"phi": "log-power", "variant": "dini",
+                                "n_points": 2000}),
+        "checks": ("validate", {"checks": ["petrovskii-consistency", "bl-residual",
+                                           "biharmonic-constant"],
+                                "consistency_tau_max": 1.0e6}),
+        "sim": ("simulate", dict(sim, m=1, phi=star)),
+        "cmp2": ("compare", dict(sim, m=2, phi=bih, shape="g0", window=[13.0, 14.0])),
+        "scan": ("sweep", {"task": "criterion", "base": {"m": 1, "phi": star},
+                           "vary": {"field": "tau0", "values": [10.0, 20.0]}}),
     }
-    none = {
-        "sim": ("simulate", {"m": 1, "phi": star}),
-        "tau": ("petrovskii", {"phi": star}),
-        "dini": ("petrovskii", {"phi": star, "variant": "dini"}),
-        "checks": ("validate", {"checks": ["kernel-mass", "biharmonic-constant"]}),
-        "tau-scan": ("sweep", {"task": "petrovskii", "base": {"phi": star},
-                               "vary": {"field": "tau0", "values": [10.0]}}),
-    }
-    doc = {"version": 1, "scenarios": [
+    path = write_config(tmp_path, {"version": 1, "scenarios": [
         {"id": sid, "task": task, "parameters": params}
-        for sid, (task, params) in {**calls, **none}.items()]}
-    _, scenarios = cli.load_config(write_config(tmp_path, doc))
-    preload = {s.id for s in scenarios if cli._calls_solvers(s.task, s.parameters)}
-    assert preload == set(calls)
-
-
-def test_criterion_batch_loads_the_solvers_in_load_config(tmp_path):
-    path = write_config(tmp_path, one_scenario(
-        "ode", "criterion", {"m": 1, "phi": "petrovskii-critical"}))
-    code = f"from vertexreg import cli\ncli.load_config({path!r})"
-    loaded = loaded_modules_after(code)
-    assert "'scipy.integrate'" in loaded and "'scipy.optimize'" in loaded
+        for sid, (task, params) in calls.items()]})
+    code = ("from vertexreg import cli\n"
+            f"status, doc = cli.run_scenarios({path!r}, {str(tmp_path / 'out')!r})\n"
+            "assert status == 0, doc['failed_scenarios']")
+    assert loaded_modules_after(code) == repr(COMPILED)
+    assert loaded_modules_after("import vertexreg.cli") == repr(COMPILED)
 
 
 # -- canonical configs ----------------------------------------------------------
@@ -679,9 +646,11 @@ FIELDS = {
 }
 for variant, spec in cli._PETROVSKII_FIELDS.items():
     FIELDS[f"petrovskii/{variant}"] = ["phi", "variant", *spec]
-# drawn whenever the task has them; the defaults of the last three would
-# simulate the full span on the full grid, or run every validation check
-ALWAYS = ("m", "phi", "window", "grid_points", "tau_span", "checks")
+# drawn whenever the task has them, and window whenever it is compare's (a
+# kernel draws it only sometimes: m=1 refuses it); the defaults of the last
+# three would simulate the full span on the full grid, or run every
+# validation check
+ALWAYS = ("m", "phi", "grid_points", "tau_span", "checks")
 
 
 @st.composite
@@ -695,7 +664,8 @@ def drawn_scenarios(draw):
     for field in fields:
         if field == "variant":
             params[field] = variant
-        elif field in ALWAYS or draw(st.integers(0, 3)) == 0:
+        elif (field in ALWAYS or (field, task) == ("window", "compare")
+              or draw(st.integers(0, 3)) == 0):
             params[field] = draw(VALUES[field])
     if draw(st.integers(0, 7)) == 0:  # the points of a sweep
         field = draw(st.sampled_from(fields))

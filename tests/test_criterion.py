@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from vertexreg import blayer, criterion, funcs, spectral
+from vertexreg import _solvers, blayer, criterion, funcs, spectral
 from vertexreg.errors import (ConfigError, DomainError, NoConvergence,
                               QuadratureError)
 
@@ -365,15 +365,30 @@ def test_m2_period_summed_quadrature():
 def test_m2_flagged_half_period_fails_the_sum(monkeypatch):
     # a half-period whose quad is flagged fails the sum instead of warning;
     # no catalog width flags any more, so quad reports a flag on every piece
-    real_quad = quad
+    real_quad = _solvers.quad
 
     def flagging_quad(*args, **kwargs):
-        return real_quad(*args, **kwargs)[:3] + ("Roundoff error is detected",)
+        return real_quad(*args, **kwargs)[:2] + ("Roundoff error is detected",)
 
-    monkeypatch.setattr("scipy.integrate.quad", flagging_quad)
+    monkeypatch.setattr("vertexreg._solvers.quad", flagging_quad)
     with pytest.raises(QuadratureError, match="half-period 0 of 14"):
         criterion.linear_closed_form(
             2, funcs.lookup("biharmonic-critical", c=3.5), 1e9, 10.0)
+
+
+def test_m1_flagged_quad_fails_like_m2(monkeypatch):
+    # one flag policy for both orders: a flagged m=1 value raises with
+    # quad's message instead of being returned
+    real_quad = _solvers.quad
+
+    def flagging_quad(*args, **kwargs):
+        return real_quad(*args, **kwargs)[:2] + ("Roundoff error is detected",)
+
+    monkeypatch.setattr("vertexreg._solvers.quad", flagging_quad)
+    with pytest.raises(QuadratureError,
+                       match="m=1 integral .*Roundoff error is detected"):
+        criterion.linear_closed_form(1, funcs.lookup("petrovskii-critical"),
+                                     1e9, 10.0)
 
 
 @pytest.mark.parametrize("c", [3.5, 3.6036, 3.6534])

@@ -519,17 +519,25 @@ def test_step_failure_on_lapack_info(monkeypatch, m, routine):
         pdesim.run(cfg)
 
 
-@pytest.mark.parametrize("first, second", [
-    ("vertexreg.pdesim", "scipy.linalg.lapack"),
-    ("scipy.linalg.lapack", "vertexreg.pdesim")])
-def test_pdesim_and_scipy_linalg_share_one_lapack_module(first, second):
-    # a criterion batch loads scipy.linalg (through scipy.integrate) in
-    # load_config, after pdesim; either order must leave one copy
+@pytest.mark.parametrize("vertexreg_first", [True, False])
+def test_vertexreg_and_scipy_share_one_copy_of_each_compiled_module(vertexreg_first):
+    # vertexreg loads five compiled modules without their package inits; a
+    # later import of scipy.linalg, scipy.integrate or scipy.optimize must
+    # reuse them, and vertexreg must reuse theirs when they came first
     src = os.path.dirname(os.path.dirname(pdesim.__file__))
-    code = (f"import {first}, {second}\n"
-            "from scipy.linalg import lapack\nfrom vertexreg import pdesim\n"
-            "assert pdesim.dgtsv is lapack.dgtsv\n"
-            "assert pdesim.dgbsv is lapack.dgbsv")
+    ours = "from vertexreg import _solvers, pdesim\n"
+    theirs = ("import scipy.integrate, scipy.linalg.lapack, scipy.optimize\n"
+              "from scipy.integrate import _odepack, _quadpack\n"
+              "from scipy.linalg import lapack\n"
+              "from scipy.optimize import _minpack, _zeros\n")
+    code = ((ours + theirs if vertexreg_first else theirs + ours)
+            + "assert pdesim.dgtsv is lapack.dgtsv\n"
+            "assert pdesim.dgbsv is lapack.dgbsv\n"
+            "assert _solvers._odepack is _odepack\n"
+            "assert _solvers._quadpack is _quadpack\n"
+            "assert _solvers._minpack is _minpack\n"
+            "assert _solvers._zeros is _zeros\n"
+            "assert scipy.integrate._ode.lsoda.runner is _odepack.lsoda\n")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=src))
 

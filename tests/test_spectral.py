@@ -1,9 +1,6 @@
 """Kernel, constants, adjoint polynomial and bi-orthonormality tests."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
 from math import factorial
@@ -309,19 +306,6 @@ def test_local_maxima_match_argrelmax(values):
     # small integers make ties and plateaus common
     a = np.asarray(values, dtype=float)
     assert np.array_equal(spectral._local_maxima(a), argrelmax(a)[0])
-
-
-def test_cli_import_skips_scipy_signal_and_stats():
-    # nor any other scipy package: pdesim loads scipy's compiled LAPACK
-    # module alone, without scipy.linalg's init and the numpy.f2py and
-    # numpy.testing that it brings
-    src = os.path.dirname(os.path.dirname(spectral.__file__))
-    code = ("import sys, vertexreg.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy', 'numpy.f2py', 'numpy.testing'))))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "['scipy.linalg._flapack']"
 
 
 def test_kernel_evaluation_is_deterministic():
