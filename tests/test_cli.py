@@ -496,21 +496,24 @@ def test_every_task_loads_only_the_compiled_modules(tmp_path):
     # quad loads on its first call, are allowed)
     star, bih = "petrovskii-critical", "biharmonic-critical"
     sim = {"grid_points": 201, "tau_span": [10.0, 14.0], "n_checkpoints": 20}
+    calls_tau = {"phi": star, "tau_max": 690.0, "n_points": 2000}
     calls = {
         "ode1": ("criterion", {"m": 1, "phi": star, "tau_max": 1.0e6}),
         "ode2": ("criterion", {"m": 2, "phi": bih, "tau_max": 1.0e6}),
         "fit": ("kernel", {"m": 2}),
         "biharm": ("petrovskii", {"phi": bih, "variant": "biharmonic"}),
-        "tau": ("petrovskii", {"phi": star, "tau_max": 690.0, "n_points": 2000}),
+        "tau": ("petrovskii", calls_tau),
         "dini": ("petrovskii", {"phi": "log-power", "variant": "dini",
                                 "n_points": 2000}),
-        "checks": ("validate", {"checks": ["petrovskii-consistency", "bl-residual",
-                                           "biharmonic-constant"],
+        "checks": ("validate", {"checks": list(cli.VALIDATION_CHECKS),
                                 "consistency_tau_max": 1.0e6}),
         "sim": ("simulate", dict(sim, m=1, phi=star)),
+        "cmp1": ("compare", dict(sim, m=1, phi=star, window=[13.0, 14.0])),
         "cmp2": ("compare", dict(sim, m=2, phi=bih, shape="g0", window=[13.0, 14.0])),
-        "scan": ("sweep", {"task": "criterion", "base": {"m": 1, "phi": star},
-                           "vary": {"field": "tau0", "values": [10.0, 20.0]}}),
+        "ode-scan": ("sweep", {"task": "criterion", "base": {"m": 1, "phi": star},
+                               "vary": {"field": "tau0", "values": [10.0, 20.0]}}),
+        "tau-scan": ("sweep", {"task": "petrovskii", "base": calls_tau,
+                               "vary": {"field": "tau0", "values": [10.0, 20.0]}}),
     }
     path = write_config(tmp_path, {"version": 1, "scenarios": [
         {"id": sid, "task": task, "parameters": params}
@@ -646,10 +649,10 @@ FIELDS = {
 }
 for variant, spec in cli._PETROVSKII_FIELDS.items():
     FIELDS[f"petrovskii/{variant}"] = ["phi", "variant", *spec]
-# drawn whenever the task has them, and window whenever it is compare's (a
-# kernel draws it only sometimes: m=1 refuses it); the defaults of the last
-# three would simulate the full span on the full grid, or run every
-# validation check
+# drawn whenever the task has them, and window whenever compare or the m=2
+# kernel reads it (the m=1 kernel draws it one time in four: it refuses
+# it); the defaults of the last three would simulate the full span on the
+# full grid, or run every validation check
 ALWAYS = ("m", "phi", "grid_points", "tau_span", "checks")
 
 
@@ -664,7 +667,8 @@ def drawn_scenarios(draw):
     for field in fields:
         if field == "variant":
             params[field] = variant
-        elif (field in ALWAYS or (field, task) == ("window", "compare")
+        elif (field in ALWAYS or (field == "window" and (
+                task == "compare" or params.get("m") == 2))
               or draw(st.integers(0, 3)) == 0):
             params[field] = draw(VALUES[field])
     if draw(st.integers(0, 7)) == 0:  # the points of a sweep

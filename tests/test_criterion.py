@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from vertexreg import _solvers, blayer, criterion, funcs, spectral
 from vertexreg.errors import (ConfigError, DomainError, NoConvergence,
-                              QuadratureError)
+                              QuadratureError, StiffnessError)
 
 STAR = funcs.lookup("petrovskii-critical")
 SUPER = funcs.lookup("petrovskii-super")
@@ -231,6 +231,20 @@ def test_integrate_preconditions():
     with pytest.raises(DomainError):
         criterion.integrate(ode, 0.5, 10.0, 1e6)
 
+
+
+def test_lsoda_failure_raises_stiffness_error(monkeypatch):
+    # LSODA rejects zero tolerances with istate=-3; integrate reports the
+    # failed step instead of returning a partial trajectory
+    real_lsoda = _solvers.lsoda
+
+    def untolerant_lsoda(*args, **kwargs):
+        return real_lsoda(*args, **dict(kwargs, rtol=0.0, atol=0.0))
+
+    monkeypatch.setattr("vertexreg._solvers.lsoda", untolerant_lsoda)
+    ode = criterion.build_criterion(1, "multiplicative", STAR, ZERO)
+    with pytest.raises(StiffnessError, match=r"t=2\.30.* istate=-3"):
+        criterion.integrate(ode, -1.0, 10.0, 1e6)
 
 def test_comparison_trajectories_never_cross():
     ode = criterion.build_criterion(1, "multiplicative", STAR, NEGLOG)
