@@ -1,8 +1,9 @@
 """scipy's compiled solver modules, loaded without the package inits that cost most of set-up,
-and thin drivers with the bits of scipy 1.17's LSODA solve_ivp, quad, brentq and lm fit."""
+and thin drivers with the bits of scipy 1.17's LSODA solve_ivp, quad and brentq."""
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 
@@ -28,7 +29,6 @@ def compiled(name):
 _odepack = compiled("scipy.integrate._odepack")
 _quadpack = compiled("scipy.integrate._quadpack")
 _zeros = compiled("scipy.optimize._zeros")
-_minpack = compiled("scipy.optimize._minpack")
 
 
 def brentq(f, a, b, xtol):
@@ -64,32 +64,20 @@ _QUAD_FLAGS = {
 }
 
 
-def least_squares_lm(fun, x0, ftol, xtol):
-    """least_squares(fun, x0, method="lm", ftol=, xtol=) with its 2-point
-    Jacobian: the solution x and the residuals fun(x) there."""
-    x0 = np.asarray(x0, dtype=float)
-
-    def jac(x):
-        f0 = fun(x)
-        h = EPS ** 0.5 * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
-        J_transposed = np.empty((x.size, f0.size))
-        for i in range(x.size):
-            x1 = np.copy(x)
-            x1[i] = x[i] + h[i]
-            J_transposed[i] = (fun(x1) - f0) / ((x[i] + h[i]) - x[i])
-        return J_transposed.T
-
-    x, info, _ = _minpack._lmder(fun, jac, x0, (), True, False, ftol, xtol,
-                                 1e-8, 100 * x0.size, 100.0, None)
-    return x, info["fvec"]
-
-
 def lsoda(fun, t_eval, y0, events, rtol, atol, max_step):
     """solve_ivp(fun, (t_eval[0], t_eval[-1]), [y0], method="LSODA",
     t_eval=t_eval, events=events, rtol=, atol=, max_step=) for one equation
     integrated forward, every event terminal. Returns (t, y, hit, failure):
     the t_eval points reached and y there; hit = (index, t, y) of the event
-    that ended the run, else None; failure = why a step failed, else None."""
+    that ended the run, else None; failure = why a step failed, else None.
+    Raises ValueError when fun returns a non-finite value, which LSODA
+    would step on forever or carry along, or when an event root fails."""
+    def checked(t, y):
+        dy = fun(t, y)
+        if not math.isfinite(dy[0]):
+            raise ValueError(f"the right side is {dy[0]!r} at t={t!r}")
+        return dy
+
     t, t_bound = float(t_eval[0]), float(t_eval[-1])
     rwork = np.zeros(36)
     rwork[0], rwork[5] = t_bound, max_step
@@ -103,7 +91,7 @@ def lsoda(fun, t_eval, y0, events, rtol, atol, max_step):
     while hit is None and t < t_bound:
         t_old = t
         state, t, istate = _odepack.lsoda(
-            fun, state, t, t_bound, rtol, atol, 5, istate, rwork, iwork,
+            checked, state, t, t_bound, rtol, atol, 5, istate, rwork, iwork,
             None, 2, (), 1, (), doubles, ints)
         if istate < 0:
             failure = f"LSODA failed at t={t!r} with istate={istate}"

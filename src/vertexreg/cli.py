@@ -249,10 +249,10 @@ def _validate_kernel(sid, params):
             _fail(sid, "parameters.window is read only by the m=2 fit; "
                        "the m=1 kernel does not oscillate")
         return out
-    lo, hi = spectral.FIT_WINDOW_RANGE
-    y_lo, y_hi = out["window"]
-    if not lo <= y_lo < y_hi <= hi:
-        _fail(sid, f"parameters.window must satisfy {lo:g} <= lo < hi <= {hi:g}")
+    try:
+        spectral.check_fit_window(out["window"])
+    except ConfigError as exc:
+        _fail(sid, f"parameters.window: {exc}")
     return out
 
 
@@ -565,6 +565,8 @@ def _run_kernel(params, outdir):
             "residual": fit.residual, "n_zeros": fit.n_zeros,
             "rel_tolerance": 0.05}
     except FitError as exc:
+        if cst.b0:  # only the m=1 kernel, which does not oscillate, skips its fit
+            raise
         payload["asymptotic_fit"] = {"skipped": str(exc)}
     ys = np.linspace(0.0, params["y_max"], params["n_table"])
     spectral.export_kernel_csv(model, ys, os.path.join(outdir, "kernel.csv"))

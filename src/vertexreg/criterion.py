@@ -297,9 +297,12 @@ def integrate(ode: CriterionODE, ln_a0_init: float, tau0: float,
     hit_overflow.direction = 1
 
     n_points = max(300, int(150.0 * (s1 - s0) / math.log(10.0)))
-    sigmas, values, hit, failure = _solvers.lsoda(
-        rhs_sigma, np.linspace(s0, s1, n_points), float(ln_a0_init),
-        (hit_underflow, hit_overflow), rtol=tol, atol=tol, max_step=0.25)
+    try:
+        sigmas, values, hit, failure = _solvers.lsoda(
+            rhs_sigma, np.linspace(s0, s1, n_points), float(ln_a0_init),
+            (hit_underflow, hit_overflow), rtol=tol, atol=tol, max_step=0.25)
+    except ValueError as exc:  # a non-finite right side, or an event root failed
+        raise StiffnessError(f"integration stalled: {exc}") from exc
     if failure is not None:
         raise StiffnessError(f"integration stalled: {failure}")
     if hit is not None and hit[0] == 1:  # hit_overflow

@@ -15,7 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertexreg import cli, errors
+from vertexreg import cli, errors, spectral
 from vertexreg.errors import ConfigError
 
 
@@ -216,9 +216,11 @@ CMP = {"m": 1, "phi": STAR, "window": [15.0, 25.0]}
      "iteration"),
     ("load", "validate", {"checks": ["bl-residual"],
                           "consistency_tau_max": 1.0e9}, "consistency_tau_max"),
-    # the m=2 fit window, ordered and inside spectral.FIT_WINDOW_RANGE
+    # the m=2 fit window, ordered, inside spectral.FIT_WINDOW_RANGE and at
+    # least spectral.FIT_WINDOW_MIN_WIDTH wide
     ("load", "kernel", {"m": 2, "window": [1.0, 2.0]}, "window"),
     ("load", "kernel", {"m": 2, "window": [15.0, 5.0]}, "window"),
+    ("load", "kernel", {"m": 2, "window": [10.2, 11.0]}, "window"),
     ("load", "sweep", {"task": "kernel", "base": {"m": 2},
                        "vary": {"field": "window", "values": [[5.0, 26.0]]}},
      "window"),
@@ -430,16 +432,72 @@ def test_compare_payload_shows_matched_agreement(tmp_path):
     assert payload["boundary_multiplicity"] == 2
 
 
-def test_kernel_payload_echoes_thresholds(tmp_path):
-    doc = one_scenario("k2", "kernel", {"m": 2})
+# the default window, and two that the fit weighted by absolute residual
+# failed: its residual check on [4, 25], its sign-change count on [6, 12]
+@pytest.mark.parametrize("window", [[5.0, 15.0], [4.0, 25.0], [6.0, 12.0]])
+def test_kernel_payload_echoes_thresholds(tmp_path, window):
+    doc = one_scenario("k2", "kernel", {"m": 2, "window": window})
     code, report = cli.run_scenarios(write_config(tmp_path, doc),
                                      str(tmp_path / "out"))
     assert code == 0
     payload = report["reports"][0]["payload"]
     assert payload["mass"]["abs_error"] < payload["mass"]["threshold"]
     fit = payload["asymptotic_fit"]
+    assert fit["window"] == window
     assert fit["d_rel_error"] < fit["rel_tolerance"]
     assert fit["b_rel_error"] < fit["rel_tolerance"]
+    assert fit["residual"] < 0.10
+
+
+def test_failed_m2_fit_is_a_scenario_error(tmp_path, monkeypatch):
+    fit = spectral.kernel_asymptotic_fit
+
+    def refused(model, window):
+        if model.constants.m == 1:
+            return fit(model, window)
+        raise errors.FitError("fit residual 0.2 exceeds 10% of the envelope")
+
+    monkeypatch.setattr(cli.spectral, "kernel_asymptotic_fit", refused)
+    doc = {"version": 1, "scenarios": [
+        {"id": "k1", "task": "kernel", "parameters": {"m": 1}},
+        {"id": "k2", "task": "kernel", "parameters": {"m": 2}}]}
+    code, report = cli.run_scenarios(write_config(tmp_path, doc),
+                                     str(tmp_path / "out"))
+    assert code == 1
+    k1, k2 = report["reports"]
+    assert (k2["status"], k2["error"]) == (
+        "error", "FitError: fit residual 0.2 exceeds 10% of the envelope")
+    # the m=1 kernel does not oscillate: its fit is skipped, with status ok
+    assert k1["status"] == "ok"
+    assert k1["payload"]["asymptotic_fit"] == {
+        "skipped": "kernel of order m=1 has no oscillation to fit"}
+
+
+@st.composite
+def fit_windows(draw):
+    lo = draw(st.floats(*spectral.FIT_WINDOW_RANGE))
+    near_min = st.floats(lo + 0.9 * spectral.FIT_WINDOW_MIN_WIDTH,
+                         lo + 1.1 * spectral.FIT_WINDOW_MIN_WIDTH)
+    return [lo, draw(st.floats(*spectral.FIT_WINDOW_RANGE) | near_min)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(fit_windows())
+def test_every_accepted_window_fits(window):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(one_scenario("k2", "kernel", {"m": 2, "window": window}), fh)
+        try:
+            cli.load_config(path)
+        except ConfigError:
+            return
+    model = spectral.default_kernel(2)
+    fit = spectral.kernel_asymptotic_fit(model, window)
+    c = model.constants
+    assert abs(fit.d_fit - c.d0) / c.d0 < 0.05
+    assert abs(fit.b_fit - c.b0) / c.b0 < 0.05
+    assert fit.residual < 0.10
 
 
 def test_validate_task_passes_all_default_checks(tmp_path):
@@ -470,13 +528,12 @@ def test_report_document_shape(tmp_path):
 # -- what a batch imports ---------------------------------------------------------
 
 # the package inits and what they bring; the drivers in vertexreg._solvers
-# and the stepper use five compiled modules from under them, loaded alone
+# and the stepper use four compiled modules from under them, loaded alone
 SCIPY_PACKAGES = ("scipy.integrate", "scipy.optimize", "scipy.linalg",
                   "scipy.special", "scipy.sparse", "scipy.fft", "scipy.signal",
                   "scipy.stats", "numpy.f2py", "numpy.testing")
 COMPILED = ["scipy.integrate._odepack", "scipy.integrate._quadpack",
-            "scipy.linalg._flapack", "scipy.optimize._minpack",
-            "scipy.optimize._zeros"]
+            "scipy.linalg._flapack", "scipy.optimize._zeros"]
 
 
 def loaded_modules_after(code, prefixes=SCIPY_PACKAGES):

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -244,6 +248,67 @@ def test_lsoda_failure_raises_stiffness_error(monkeypatch):
     monkeypatch.setattr("vertexreg._solvers.lsoda", untolerant_lsoda)
     ode = criterion.build_criterion(1, "multiplicative", STAR, ZERO)
     with pytest.raises(StiffnessError, match=r"t=2\.30.* istate=-3"):
+        criterion.integrate(ode, -1.0, 10.0, 1e6)
+
+
+# Each case runs in its own interpreter under a timeout, so that a driver
+# which steps on forever fails the test instead of hanging the suite.
+NON_FINITE_RUNS = {
+    # y' = y^2 from y = 1 reaches inf at t = 1
+    "blow-up": """
+import numpy as np
+from vertexreg import _solvers
+def square(t, y):
+    v = float(y[0])
+    return [v * v]
+try:
+    _solvers.lsoda(square, np.linspace(0.0, 5.0, 50), 1.0, (), 1e-10, 1e-10, 0.25)
+except ValueError as exc:
+    print(exc)
+""",
+    "nan-driver": """
+import math
+import numpy as np
+from vertexreg import _solvers
+def turns_nan(t, y):
+    return [math.nan if t > 2.0 else -float(y[0])]
+try:
+    _solvers.lsoda(turns_nan, np.linspace(0.0, 5.0, 50), 1.0, (), 1e-10, 1e-10, 0.25)
+except ValueError as exc:
+    print(exc)
+""",
+    "nan-integrate": """
+import dataclasses, math
+from vertexreg import criterion, funcs
+from vertexreg.errors import StiffnessError
+ode = criterion.build_criterion(1, "multiplicative", funcs.lookup("petrovskii-critical"),
+                                funcs.lookup("zero-kappa"))
+ode = dataclasses.replace(ode, rhs=lambda tau, x: math.nan if tau > 100.0 else -1e-3)
+try:
+    criterion.integrate(ode, -1.0, 10.0, 1e6)
+except StiffnessError as exc:
+    print(exc)
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_RUNS))
+def test_non_finite_right_side_fails_typed(case):
+    src = os.path.dirname(os.path.dirname(criterion.__file__))
+    out = subprocess.run([sys.executable, "-c", NON_FINITE_RUNS[case]],
+                         capture_output=True, text=True, check=True, timeout=30,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert re.search(r"the right side is (inf|nan) at t=\S", out.stdout), out.stdout
+
+
+def test_failed_event_root_raises_stiffness_error(monkeypatch):
+    def unbracketed(*args):
+        raise ValueError("f(a) and f(b) must have different signs")
+
+    monkeypatch.setattr("vertexreg._solvers.brentq", unbracketed)
+    ode = criterion.build_criterion(1, "multiplicative", STAR, ZERO)
+    ode = dataclasses.replace(ode, rhs=lambda tau, x: -1.0)  # underflows at once
+    with pytest.raises(StiffnessError, match="different signs"):
         criterion.integrate(ode, -1.0, 10.0, 1e6)
 
 def test_comparison_trajectories_never_cross():

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import brentq
 
-from vertexreg import _solvers, spectral
+from vertexreg import _solvers
 
 
 def bits(x):
@@ -149,22 +149,3 @@ def test_brentq_has_the_bits_of_scipy(c, w, below, above, xtol):
 def test_brentq_stops_on_nan():
     with pytest.raises(ValueError, match="NaN"):
         _solvers.brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12)
-
-
-# -- the kernel fit ---------------------------------------------------------------
-
-def scipy_lm(fun, x0, ftol, xtol):
-    sol = least_squares(fun, x0, method="lm", ftol=ftol, xtol=xtol)
-    return sol.x, sol.fun
-
-
-@pytest.mark.parametrize("window", [(4.5, 18.0), (5.0, 15.0), (6.0, 20.0),
-                                    (7.0, 16.0), (12.0, 25.0)])
-def test_kernel_fit_has_the_bits_of_least_squares(window, monkeypatch):
-    model = spectral.build_kernel(2)
-    ours = spectral.kernel_asymptotic_fit(model, window)
-    monkeypatch.setattr(_solvers, "least_squares_lm", scipy_lm)
-    theirs = spectral.kernel_asymptotic_fit(model, window)
-    fields = ("d_fit", "b_fit", "C1", "C2", "residual")
-    assert [bits(getattr(ours, f)) for f in fields] == \
-        [bits(getattr(theirs, f)) for f in fields]
