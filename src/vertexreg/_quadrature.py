@@ -10,18 +10,19 @@ import numpy as np
 def simpson(y, x):
     """Composite Simpson rule of samples y at strictly increasing points
     x, an odd number of them: one parabola per pair of intervals, each
-    weighted for its own two spacings."""
-    if len(y) % 2 == 0:
+    weighted for its own two spacings. Along the last axis of y, so a 2-D
+    y gives one integral per row, each with the bits of its own call."""
+    if np.shape(y)[-1] % 2 == 0:
         raise ValueError("simpson needs an odd number of points")
     h = np.diff(x)
     h0, h1 = h[0::2], h[1::2]
     hsum = h0 + h1
     hprod = h0 * h1
     h0divh1 = h0 / h1
-    tmp = hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / h0divh1)
-                        + y[1:-1:2] * (hsum * (hsum / hprod))
-                        + y[2::2] * (2.0 - h0divh1))
-    return np.sum(tmp)
+    tmp = hsum / 6.0 * (y[..., :-2:2] * (2.0 - 1.0 / h0divh1)
+                        + y[..., 1:-1:2] * (hsum * (hsum / hprod))
+                        + y[..., 2::2] * (2.0 - h0divh1))
+    return np.sum(tmp, axis=-1)
 
 
 def cumulative_trapezoid(y, x, initial=None):

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _solvers, spectral
-from ._csvtable import write_csv
+from ._csvtable import write_csv, write_long_csv
 from ._quadrature import simpson
 from .blayer import BLProfile, bl_profile
 from .errors import BlowupError, ConfigError, ResolutionError, StepFailure
@@ -52,6 +52,9 @@ _SHAPES = ("plateau", "bump", "g0")
 # default step in units of dz: SBDF2 with implicit drift is not capped by
 # the drift's CFL limit, so accuracy alone sets this
 _DT_PER_DZ = 5.0
+# checkpoints per project_a0 call: one kernel call and one row-wise Simpson
+# sum per block, where a call per checkpoint was mostly numpy call overhead
+_A0_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -306,13 +309,13 @@ def run(config: SimConfig) -> PdeTrajectory:
     inv_2m = 1.0 / (2.0 * config.m)
 
     snaps = []
-    vertex, a0s, bnd, bl, rho = [], [], [], [], []
+    vertex, phis, bnd, bl, rho = [], [], [], [], []
 
     def record(t, state):
         p = phi_of(t)
         snaps.append((t, state.copy()))
         vertex.append((t, float(state[mid])))
-        a0s.append((t, project_a0((z, state), kernel, p)))
+        phis.append(p)
         try:
             r_opt, dev = extract_boundary_layer((z, state), p, prof)
         except ResolutionError:
@@ -384,6 +387,10 @@ def run(config: SimConfig) -> PdeTrajectory:
                 next_cp += 1
         e_prev, e = e, explicit(t, p, w)
 
+    a0 = np.concatenate([
+        project_a0((z, np.array([w for _, w in snaps[i:i + _A0_BLOCK]])),
+                   kernel, phis[i:i + _A0_BLOCK])
+        for i in range(0, len(snaps), _A0_BLOCK)])
     metadata = {
         "m": config.m,
         "phi": None if config.phi is None else config.phi.name,
@@ -403,23 +410,30 @@ def run(config: SimConfig) -> PdeTrajectory:
     }
     return PdeTrajectory(
         config=config, z=z, snapshots=tuple(snaps),
-        vertex_values=np.array(vertex), a0_series=np.array(a0s),
+        vertex_values=np.array(vertex),
+        a0_series=np.column_stack([[t for t, _ in snaps], a0]),
         boundary_derivs=np.array(bnd), bl_deviation=np.array(bl),
         rho_series=np.array(rho), metadata=metadata)
 
 
 # -- measurements ------------------------------------------------------------------
 
-def project_a0(snapshot, kernel, phi_at_tau: float) -> float:
+def project_a0(snapshot, kernel, phi_at_tau):
     """Leading spectral coefficient: integral of w F(z phi) phi dz.
 
     The snapshot is extended by zero beyond the boundary, so the quadrature
-    over [-1, 1] in z is the full-line projection of the extension.
+    over [-1, 1] in z is the full-line projection of the extension. A 2-D
+    w is a block of states, a row per checkpoint, with phi_at_tau their
+    widths: one kernel call serves the block, and the coefficients come
+    back as an array, each with the bits of its own call.
     """
     z, w = snapshot
-    y = np.asarray(z, dtype=float) * phi_at_tau
-    return float(simpson(np.asarray(w, dtype=float) * kernel.F(y) * phi_at_tau,
-                         x=np.asarray(z, dtype=float)))
+    z = np.asarray(z, dtype=float)
+    w = np.asarray(w, dtype=float)
+    phi = np.asarray(phi_at_tau, dtype=float)[..., None]
+    y = z * phi
+    a0 = simpson(w * kernel.F(y.ravel()).reshape(y.shape) * phi, x=z)
+    return float(a0) if w.ndim == 1 else a0
 
 
 def extract_boundary_layer(snapshot, phi_at_tau: float, blp: BLProfile):
@@ -507,15 +521,14 @@ def export_series_csv(trajectory: PdeTrajectory, path: str) -> None:
 
 def export_snapshots_csv(trajectory: PdeTrajectory, path: str) -> None:
     """Long-format (tau, z, w) rows for every checkpoint, in write_csv's
-    format: the z cells are formatted once, and each checkpoint is one
-    %-template and one write. Stacking the table for write_csv instead
-    took 2-3x the time and a copy of every snapshot in memory."""
-    rows = ["%.17g,%%.17g\n" % v for v in trajectory.z.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("tau,z,w\n")
-        for t, w in trajectory.snapshots:
-            tau = "%.17g," % t
-            fh.write((tau + tau.join(rows)) % tuple(w.tolist()))
+    format. The tau and z cells are formatted once; the w cells of about
+    4,096 values' worth of checkpoints at a time are laid out by the array
+    formatter of _csvtable, which falls back to Python's '%.17g' only for
+    a value its rounding cannot certify (an exact or near tie below
+    1e-6 or from 1e17 up). No copy of the whole table is ever held."""
+    write_long_csv(path, ["tau", "z", "w"],
+                   [t for t, _ in trajectory.snapshots], trajectory.z,
+                   [w for _, w in trajectory.snapshots])
 
 
 def export_metadata_json(trajectory: PdeTrajectory, path: str):

@@ -1,5 +1,6 @@
 """Direct-simulation checks: scheme validation, diagnostic laws, failure paths."""
 
+import dataclasses
 import json
 import math
 import os
@@ -105,6 +106,20 @@ def test_projection_unit_mass_fourth_order():
     z = np.linspace(-1.0, 1.0, 801)
     a0 = pdesim.project_a0((z, np.ones_like(z)), kernel, 6.0)
     assert abs(a0 - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_projection_of_a_block_has_the_bits_of_one_call_per_state(m):
+    # widths up to 90 put part of the m=2 block beyond the kernel
+    # interpolant's span (|y| = 60), where the contour rule takes over
+    kernel = spectral.default_kernel(m)
+    z = np.linspace(-1.0, 1.0, 801)
+    rng = np.random.default_rng(4)
+    states = rng.standard_normal((7, z.size)) * (1.0 - z ** 2)
+    phis = [3.0, 6.0, 12.5, 30.0, 45.0, 61.0, 90.0]
+    block = pdesim.project_a0((z, states), kernel, phis)
+    single = [pdesim.project_a0((z, w), kernel, p) for w, p in zip(states, phis)]
+    assert block.tolist() == single
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -580,17 +595,35 @@ def test_snapshot_csv_shape(tmp_path):
     assert w0 == 0.0
 
 
+def _snapshot_rows(traj):
+    return "".join("%.17g,%.17g,%.17g\n" % (t, zv, wv)
+                   for t, w in traj.snapshots for zv, wv in zip(traj.z, w))
+
+
 def test_snapshot_csv_matches_row_by_row_rendering(tmp_path):
-    # the per-checkpoint template writes what one %.17g line per row would
+    # the array formatter writes what one %.17g line per row would
     cfg = pdesim.SimConfig(m=2, phi=funcs.lookup("biharmonic-critical", c=6.0),
                            kappa=ZERO, grid_points=201, tau_span=(10.0, 10.5),
                            n_checkpoints=4, initial_data=pdesim.InitialData("g0"))
     traj = pdesim.run(cfg)
     path = tmp_path / "snaps.csv"
     pdesim.export_snapshots_csv(traj, str(path))
-    rows = "".join("%.17g,%.17g,%.17g\n" % (t, zv, wv)
-                   for t, w in traj.snapshots for zv, wv in zip(traj.z, w))
-    assert path.read_bytes() == ("tau,z,w\n" + rows).encode()
+    assert path.read_bytes() == ("tau,z,w\n" + _snapshot_rows(traj)).encode()
+    # states holding +-0, subnormals and values on both sides of 1e-4,
+    # where %.17g switches between fixed and exponent notation; enough
+    # checkpoints for several blocks of the formatter
+    rng = np.random.default_rng(9)
+    n = traj.z.size
+    edge = [0.0, -0.0, 5e-324, -2.2e-310, 1e-4, 9.9999999999999991e-05,
+            -1e-5, 1.0000000000000001e-4, 0.5, -123456.789]
+    snaps = []
+    for i, t in enumerate(np.geomspace(10.0, 1e7, 60)):
+        w = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3, n)
+        w[i % (n - len(edge)):][:len(edge)] = edge
+        snaps.append((float(t), w))
+    odd = dataclasses.replace(traj, snapshots=tuple(snaps))
+    pdesim.export_snapshots_csv(odd, str(path))
+    assert path.read_bytes() == ("tau,z,w\n" + _snapshot_rows(odd)).encode()
 
 
 def test_metadata_json_roundtrip(tmp_path, star_run):
