@@ -8,6 +8,12 @@ second-order semi-implicit BDF scheme SBDF2 (Ascher, Ruuth & Wetton, SIAM
 J. Numer. Anal. 32, 1995). Everything the amplitude-ODE criterion predicts
 (a0 slope, boundary-layer shape, boundary derivative laws) is measured from
 the grid solution for cross-checking.
+
+The data are even in z (the backward parabola is symmetric, and a0 follows
+the even mode), so the state lives on the grid nodes with z >= 0: the
+even extension w(-z) = w(z) folds into the rows at z = 0, and the banded
+solves are half the size of the full slab's. Each recorded snapshot is
+the full even state on z in [-1, 1].
 """
 
 import json
@@ -62,7 +68,9 @@ class InitialData:
     """Named start profile with an amplitude factor.
 
     profile, when given, overrides shape with a custom callable of z
-    (validation hook: manufactured solutions, sign-count experiments).
+    (validation hook: manufactured solutions, sign-count experiments). It
+    must be even in z, as every named shape is: run evaluates it on z >= 0
+    only.
     """
 
     shape: str = "plateau"
@@ -76,7 +84,10 @@ class SimConfig:
 
     freeze_phi pins the width at a constant and bypasses the slow-growth
     domain check; used by eigenvalue validation and manufactured-solution
-    runs. source(tau, z) is added to the explicit stage.
+    runs. source(tau, z) is added to the explicit stage. The solution is
+    stepped on the nodes with z >= 0, so an initial profile or a source
+    (at tau_span[0]) that differs from its mirror image on the grid by more
+    than 1e-12 of its sup is a ConfigError.
     """
 
     m: int
@@ -121,6 +132,29 @@ class SimConfig:
             raise ConfigError("initial amplitude must be finite and nonzero")
         if self.n_checkpoints < 2:
             raise ConfigError("need at least 2 checkpoints")
+        if data.profile is not None:
+            _require_even("initial profile", data.profile, self.grid_points)
+        if self.source is not None:
+            _require_even(f"source at tau={tau0:g}",
+                          lambda x: self.source(tau0, x), self.grid_points)
+
+
+def _grid(n):
+    """The n-node grid on [-1, 1], with its midpoint exactly at z = 0."""
+    z = np.linspace(-1.0, 1.0, n)
+    z[n // 2] = 0.0
+    return z
+
+
+def _require_even(what, f, n):
+    # a NaN gap passes: a poisoned source is the stepper's StepFailure
+    z = _grid(n)
+    v = np.asarray(f(z), dtype=float)
+    gap = float(np.max(np.abs(v - np.asarray(f(-z), dtype=float))))
+    sup = float(np.max(np.abs(v)))
+    if gap > 1e-12 * sup:
+        raise ConfigError(f"{what} is not even in z: |f(z) - f(-z)| reaches "
+                          f"{gap:.3g} against sup|f| = {sup:.3g}")
 
 
 @dataclass(frozen=True)
@@ -180,19 +214,18 @@ class ComparisonReport:
 
 # -- pieces of the step ----------------------------------------------------------
 
-def _phi_evaluators(config):
+def _width(config):
+    """t -> (phi(t), phi'(t) / phi(t)), from one evaluation of phi."""
     if config.freeze_phi is not None:
         L = float(config.freeze_phi)
-        return (lambda t: L), (lambda t: 0.0)
+        return lambda t: (L, 0.0)
     phi = config.phi
 
-    def value(t):
-        return float(phi.phi(t))
+    def width(t):
+        p = float(phi.phi(t))
+        return p, float(phi.dphi(t)) / p
 
-    def log_slope(t):
-        return float(phi.dphi(t)) / float(phi.phi(t))
-
-    return value, log_slope
+    return width
 
 
 def _initial_profile(config, z, phi0):
@@ -205,40 +238,46 @@ def _initial_profile(config, z, phi0):
         w = (1.0 - z * z) ** 2
     else:
         prof = bl_profile(config.m)
-        xi = phi0 ** prof.stretch_exponent * (1.0 - np.abs(z))
+        xi = phi0 ** prof.stretch_exponent * (1.0 - z)
         w = prof.g0(xi)
     w = data.amplitude * w
-    w[0] = w[-1] = 0.0
+    w[-1] = 0.0
     return w
 
 
+# The band fills below take the nodes z >= 0, from z = 0 (row 0) to the
+# wall z = 1 (the last row, the identity). s is the per-node drift
+# dt c z / (2 dz) of the centred first difference, zero at z = 0.
+
 def _fill_m1_band(dl, d, du, a, r, s):
-    """Dirichlet a I - r D2 - s D1 as the three diagonals dgtsv takes; s is
-    the per-node drift dt c z / (2 dz) of the centred first difference."""
+    """Dirichlet a I - r D2 - s D1 as the three diagonals dgtsv takes."""
     np.subtract(s[1:], r, out=dl)
     np.subtract(-r, s[:-1], out=du)
     d.fill(a + 2.0 * r)
-    # boundary rows reduce to the identity
-    d[0] = d[-1] = 1.0
-    du[0] = dl[-1] = 0.0
+    # the even extension w(-dz) = w(dz) folds onto row 0
+    du[0] = -2.0 * r
+    d[-1] = 1.0
+    dl[-1] = 0.0
 
 
 def _fill_m2_band(ab, a, r4, s):
-    """Clamped a I + r4 D4 - s D1 in the dgbsv layout: two LU fill-in rows,
-    then the five diagonals in solve_banded's (2, 2) order."""
-    ab.fill(0.0)
+    """Clamped a I + r4 D4 - s D1 in the dgbsv layout: two rows of LU
+    workspace, which dgbsv needs no values in, then the five diagonals in
+    solve_banded's (2, 2) order. The corners outside the matrix are never
+    read either."""
     band = ab[2:]
     band[0, 2:] = r4
     np.subtract(-4.0 * r4, s[:-1], out=band[1, 1:])
     band[2, :] = a + 6.0 * r4
     np.subtract(s[1:], 4.0 * r4, out=band[3, :-1])
     band[4, :-2] = r4
-    # mirror ghost folds back onto the first/last interior node (clamped)
+    # the even extension w(-k dz) = w(k dz) folds onto rows 0 and 1
+    band[0, 2] = 2.0 * r4
+    band[1, 1] = -8.0 * r4
     band[2, 1] = a + 7.0 * r4
+    # the clamped wall's mirror ghost folds onto the last interior row
     band[2, -2] = a + 7.0 * r4
-    # boundary rows reduce to the identity
-    band[2, 0] = band[2, -1] = 1.0
-    band[1, 1] = band[0, 2] = 0.0
+    band[2, -1] = 1.0
     band[3, -2] = band[4, -3] = 0.0
 
 
@@ -248,21 +287,25 @@ def _fill_m2_band(ab, a, r4, s):
 _WALL_FIT_NODES = 12
 
 
-def _clamped_wall_derivs(z, w):
-    """One-sided w_zz(1), w_zzz(1) from a clamped polynomial fit.
+def _clamped_wall_fit(z):
+    """w -> one-sided (w_zz(1), w_zzz(1)) from a clamped polynomial fit.
 
     Fits w(1-s) = c2 s^2 + ... + c5 s^5 over the nearest interior nodes
     (the clamped conditions kill the constant and linear terms), in the
-    normalized variable s/s_max for conditioning.
+    normalized variable s/s_max for conditioning. The design matrix depends
+    on the grid alone, so it is built once.
     """
     s = 1.0 - z[-(_WALL_FIT_NODES + 1):-1]
     smax = float(s.max())
     sig = s / smax
     cols = np.column_stack([sig ** 2, sig ** 3, sig ** 4, sig ** 5])
-    coef, *_ = np.linalg.lstsq(cols, w[-(_WALL_FIT_NODES + 1):-1], rcond=None)
-    wzz = 2.0 * coef[0] / smax ** 2
-    wzzz = -6.0 * coef[1] / smax ** 3
-    return wzz, wzzz
+
+    def derivs(w):
+        coef, *_ = np.linalg.lstsq(cols, w[-(_WALL_FIT_NODES + 1):-1],
+                                   rcond=None)
+        return 2.0 * coef[0] / smax ** 2, -6.0 * coef[1] / smax ** 3
+
+    return derivs
 
 
 def _reaction(config, w, dz, p):
@@ -285,13 +328,18 @@ def run(config: SimConfig) -> PdeTrajectory:
     the smallest checkpoint gap. Checkpoints are log-uniform in tau
     (linear if the span starts at 0). Raises BlowupError past sup|w| = 1e6
     and StepFailure if an implicit solve fails or returns non-finite values.
+    The state is stepped on the nodes z >= 0 of the grid; the snapshots,
+    and trajectory.z, cover the whole of [-1, 1].
     """
     n = config.grid_points
-    z = np.linspace(-1.0, 1.0, n)
+    mid = n // 2
+    z = _grid(n)
+    zh = z[mid:]
     dz = float(z[1] - z[0])
     tau0, tau1 = (float(v) for v in config.tau_span)
-    phi_of, log_slope = _phi_evaluators(config)
-    w = _initial_profile(config, z, phi_of(tau0))
+    width = _width(config)
+    p = width(tau0)[0]
+    w = _initial_profile(config, zh, p)
     if tau0 > 0.0:
         checkpoints = np.geomspace(tau0, tau1, config.n_checkpoints)
     else:
@@ -305,19 +353,18 @@ def run(config: SimConfig) -> PdeTrajectory:
     dt = (tau1 - tau0) / n_steps
     kernel = spectral.default_kernel(config.m)
     prof = bl_profile(config.m)
-    mid = n // 2
     inv_2m = 1.0 / (2.0 * config.m)
+    wall_derivs = _clamped_wall_fit(zh) if config.m == 2 else None
 
     snaps = []
     vertex, phis, bnd, bl, rho = [], [], [], [], []
 
-    def record(t, state):
-        p = phi_of(t)
-        snaps.append((t, state.copy()))
-        vertex.append((t, float(state[mid])))
+    def record(t, p, state):
+        snaps.append((t, np.concatenate((state[:0:-1], state))))
+        vertex.append((t, float(state[0])))
         phis.append(p)
         try:
-            r_opt, dev = extract_boundary_layer((z, state), p, prof)
+            r_opt, dev = extract_boundary_layer((zh, state), p, prof)
         except ResolutionError:
             r_opt, dev = math.nan, math.nan
         rho.append((t, r_opt))
@@ -326,32 +373,33 @@ def run(config: SimConfig) -> PdeTrajectory:
             vy = (-4.0 * state[-2] + state[-3]) / (2.0 * dz) / p
             bnd.append((t, vy))
         else:
-            wzz, wzzz = _clamped_wall_derivs(z, state)
+            wzz, wzzz = wall_derivs(state)
             bnd.append((t, wzz / p ** 2, wzzz / p ** 3))
 
     def explicit(t, p, state):
         e = _reaction(config, state, dz, p)
         if config.source is not None:
-            e = e + np.asarray(config.source(t, z), dtype=float)
+            e = e + np.asarray(config.source(t, zh), dtype=float)
         return e
 
     # dgtsv and dgbsv overwrite their bands in place (Fortran order, or f2py
     # would copy the 2-D one), so these are refilled each step; the solution
     # comes back in the fresh rhs array, which becomes w
+    nh = zh.size
     if config.m == 1:
-        dl, d, du = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+        dl, d, du = np.empty(nh - 1), np.empty(nh), np.empty(nh - 1)
     else:
-        ab = np.empty((7, n), order="F")
-    s = np.empty(n)
-    z_drift = z * (dt / (2.0 * dz))
+        ab = np.zeros((7, nh), order="F")
+    s = np.empty(nh)
+    z_drift = zh * (dt / (2.0 * dz))
 
-    record(tau0, w)
+    record(tau0, p, w)
     next_cp = 1
-    t, p = tau0, phi_of(tau0)
+    t = tau0
     e = explicit(t, p, w)
     for k in range(1, n_steps + 1):
         t_new = tau1 if k == n_steps else tau0 + k * dt
-        p_new = phi_of(t_new)
+        p_new, slope = width(t_new)
         if k == 1:
             # IMEX Euler start: (I - dt A) w1 = w0 + dt E0
             a = 1.0
@@ -360,8 +408,8 @@ def run(config: SimConfig) -> PdeTrajectory:
             # SBDF2: (3/2 I - dt A) w' = 2 w - w_prev / 2 + dt (2 E - E_prev)
             a = 1.5
             rhs = 2.0 * w - 0.5 * w_prev + dt * (2.0 * e - e_prev)
-        rhs[0] = rhs[-1] = 0.0
-        np.multiply(z_drift, log_slope(t_new) - inv_2m, out=s)
+        rhs[-1] = 0.0
+        np.multiply(z_drift, slope - inv_2m, out=s)
         if config.m == 1:
             _fill_m1_band(dl, d, du, a, dt / (p_new * p_new * dz * dz), s)
             *_, w_new, info = dgtsv(dl, d, du, rhs, overwrite_dl=1,
@@ -382,14 +430,16 @@ def run(config: SimConfig) -> PdeTrajectory:
         if sup > _BLOWUP_SUP:
             raise BlowupError(f"sup|w|={sup:.4g} exceeded 1e6 at tau={t:.6g}")
         if next_cp < len(checkpoints) and t >= checkpoints[next_cp] - 1e-12:
-            record(t, w)
+            record(t, p, w)
             while next_cp < len(checkpoints) and t >= checkpoints[next_cp] - 1e-12:
                 next_cp += 1
         e_prev, e = e, explicit(t, p, w)
 
+    # a0 of the even state is twice its projection over z in [0, 1]
     a0 = np.concatenate([
-        project_a0((z, np.array([w for _, w in snaps[i:i + _A0_BLOCK]])),
-                   kernel, phis[i:i + _A0_BLOCK])
+        2.0 * project_a0(
+            (zh, np.array([full[mid:] for _, full in snaps[i:i + _A0_BLOCK]])),
+            kernel, phis[i:i + _A0_BLOCK])
         for i in range(0, len(snaps), _A0_BLOCK)])
     metadata = {
         "m": config.m,
@@ -422,10 +472,11 @@ def project_a0(snapshot, kernel, phi_at_tau):
     """Leading spectral coefficient: integral of w F(z phi) phi dz.
 
     The snapshot is extended by zero beyond the boundary, so the quadrature
-    over [-1, 1] in z is the full-line projection of the extension. A 2-D
-    w is a block of states, a row per checkpoint, with phi_at_tau their
-    widths: one kernel call serves the block, and the coefficients come
-    back as an array, each with the bits of its own call.
+    over its nodes in [-1, 1] is the full-line projection of the
+    extension; run passes the nodes z >= 0 of an even state and doubles
+    the result. A 2-D w is a block of states, a row per checkpoint, with
+    phi_at_tau their widths: one kernel call serves the block, and the
+    coefficients come back as an array, each with the bits of its own call.
     """
     z, w = snapshot
     z = np.asarray(z, dtype=float)

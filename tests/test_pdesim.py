@@ -87,6 +87,28 @@ def test_config_rejects_malformed_fields():
         pdesim.SimConfig(m=1, phi=STAR, kappa=ZERO, n_checkpoints=1)
 
 
+def test_config_rejects_data_that_is_not_even():
+    # the stepper keeps the nodes z >= 0 only
+    with pytest.raises(ConfigError, match="initial profile is not even"):
+        pdesim.SimConfig(m=1, phi=STAR, kappa=ZERO,
+                         initial_data=pdesim.InitialData(
+                             profile=lambda z: np.sin(3.0 * np.pi * z)))
+    with pytest.raises(ConfigError, match="initial profile is not even"):
+        pdesim.SimConfig(m=2, phi=None, kappa=ZERO, freeze_phi=5.0,
+                         initial_data=pdesim.InitialData(
+                             profile=lambda z: (1.0 - z * z) ** 2 * (1.0 + 1e-9 * z)))
+    with pytest.raises(ConfigError, match="source at tau=10 is not even"):
+        pdesim.SimConfig(m=1, phi=STAR, kappa=ZERO,
+                         source=lambda t, z: (t - 10.0) + z)
+    # only the value at the start is checked, and an odd part of rounding
+    # size passes
+    pdesim.SimConfig(m=1, phi=STAR, kappa=ZERO,
+                     source=lambda t, z: (t - 10.0) * z)
+    pdesim.SimConfig(m=1, phi=STAR, kappa=ZERO,
+                     initial_data=pdesim.InitialData(
+                         profile=lambda z: np.cos(z) + 1e-14 * z))
+
+
 # ---------------------------------------------------------------------------
 # projection and layer extraction on synthetic data
 
@@ -144,7 +166,7 @@ def test_clamped_wall_fit_on_synthetic_profile():
     z = np.linspace(-1.0, 1.0, 801)
     phi = 11.2
     w = 0.6 * blp.g0(phi ** blp.stretch_exponent * (1.0 - z))
-    wzz, wzzz = pdesim._clamped_wall_derivs(z, w)
+    wzz, wzzz = pdesim._clamped_wall_fit(z)(w)
     assert abs(wzz - 0.6 * phi ** (8.0 / 3.0) * blp.deriv(0.0, 2)) \
         < 1e-3 * abs(wzz)
     assert abs(wzzz + 0.6 * phi ** 4 * blp.deriv(0.0, 3)) < 5e-3 * abs(wzzz)
@@ -195,50 +217,75 @@ def test_manufactured_solution_error_and_order():
     assert 3.4 < errs[401] / errs[801] < 4.8
 
 
-def _frozen_step(m, L, n, dt=None):
+def _full_bands(m, a, r, s):
+    """The stepper's matrix on the whole slab z in [-1, 1] in solve_banded's
+    layout, with identity rows at both walls; r is dt / (L^2 dz^2) for m=1
+    and dt / (L^4 dz^4) for m=2, s the per-node drift."""
+    n = s.size
+    if m == 1:
+        ab = np.zeros((3, n))
+        ab[0, 1:] = -r - s[:-1]
+        ab[1, :] = a + 2.0 * r
+        ab[2, :-1] = -r + s[1:]
+        ab[1, 0] = ab[1, -1] = 1.0
+        ab[0, 1] = 0.0
+        ab[2, -2] = 0.0
+    else:
+        ab = np.zeros((5, n))
+        ab[0, 2:] = r
+        ab[1, 1:] = -4.0 * r - s[:-1]
+        ab[2, :] = a + 6.0 * r
+        ab[3, :-1] = -4.0 * r + s[1:]
+        ab[4, :-2] = r
+        ab[2, 1] = ab[2, -2] = a + 7.0 * r
+        ab[2, 0] = ab[2, -1] = 1.0
+        ab[1, 1] = ab[0, 2] = 0.0
+        ab[3, -2] = ab[4, -3] = 0.0
+    return ab
+
+
+def _half_bands(m, a, r, s):
+    """The same matrix on the nodes z >= 0 for even data: the slab's
+    left-wall rows become the rows at z = 0, folded by w(-z) = w(z)."""
+    ab = _full_bands(m, a, r, s)
+    if m == 1:
+        ab[1, 0] = a + 2.0 * r
+        ab[0, 1] = -2.0 * r
+    else:
+        ab[2, 0] = a + 6.0 * r
+        ab[1, 1] = -8.0 * r
+        ab[0, 2] = 2.0 * r
+    return ab
+
+
+def _frozen_step(m, L, n, dt=None, half=True):
     """(z, dt, step) for the SBDF2 scheme at frozen width L and zero
     reaction, solved by scipy's solve_banded (the oracle for the stepper's
     direct LAPACK calls). The principal term and the drift -z w_z / (2m)
     are implicit. step(u, u_prev) advances one step; u_prev=None takes
-    the IMEX Euler start step. dt defaults to the stepper's 5 dz."""
+    the IMEX Euler start step. dt defaults to the stepper's 5 dz. With
+    half (the stepper's system) z holds the nodes z >= 0 of the n-node
+    grid, its first one set to 0; otherwise it is the whole linspace."""
     z = np.linspace(-1.0, 1.0, n)
     dz = float(z[1] - z[0])
+    if half:
+        z[n // 2] = 0.0
+        z = z[n // 2:]
     dt = pdesim._DT_PER_DZ * dz if dt is None else dt
     # c = phi'/phi - 1/2m with phi'/phi = 0, grouped as the stepper does
     s = z * (dt / (2.0 * dz)) * (0.0 - 1.0 / (2.0 * m))
-
-    def band(a):
-        if m == 1:
-            r = dt / (L * L * dz * dz)
-            ab = np.zeros((3, n))
-            ab[0, 1:] = -r - s[:-1]
-            ab[1, :] = a + 2.0 * r
-            ab[2, :-1] = -r + s[1:]
-            ab[1, 0] = ab[1, -1] = 1.0
-            ab[0, 1] = 0.0
-            ab[2, -2] = 0.0
-        else:
-            r4 = dt / (L ** 4 * dz ** 4)
-            ab = np.zeros((5, n))
-            ab[0, 2:] = r4
-            ab[1, 1:] = -4.0 * r4 - s[:-1]
-            ab[2, :] = a + 6.0 * r4
-            ab[3, :-1] = -4.0 * r4 + s[1:]
-            ab[4, :-2] = r4
-            ab[2, 1] = ab[2, -2] = a + 7.0 * r4
-            ab[2, 0] = ab[2, -1] = 1.0
-            ab[1, 1] = ab[0, 2] = 0.0
-            ab[3, -2] = ab[4, -3] = 0.0
-        return ab
-
-    euler, sbdf2 = band(1.0), band(1.5)
+    r = dt / (L * L * dz * dz) if m == 1 else dt / (L ** 4 * dz ** 4)
+    bands = _half_bands if half else _full_bands
+    euler, sbdf2 = bands(m, 1.0, r, s), bands(m, 1.5, r, s)
 
     def step(u, u_prev=None):
         if u_prev is None:
             ab, rhs = euler, u.copy()
         else:
             ab, rhs = sbdf2, 2.0 * u - 0.5 * u_prev
-        rhs[0] = rhs[-1] = 0.0
+        rhs[-1] = 0.0
+        if not half:
+            rhs[0] = 0.0
         return solve_banded((m, m), ab, rhs)
 
     return z, dt, step
@@ -273,7 +320,29 @@ def test_stepper_matches_solve_banded_step(m):
         prev, v = v, step(v, prev)
     assert traj.metadata["steps"] == steps
     assert traj.snapshots[-1][0] == steps * dt
-    assert np.array_equal(traj.snapshots[-1][1], v)
+    assert np.array_equal(traj.snapshots[-1][1], np.concatenate((v[:0:-1], v)))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [401, 207])
+def test_half_domain_step_matches_the_full_slab_step(m, n):
+    # for even data the folded rows at z = 0 are the slab's rows; at 207
+    # nodes linspace's midpoint is -1.1e-16, not 0, so the slab's drift
+    # there is not exactly zero. Width 10: at 5, the m=2 slab's own
+    # rounding (the asymmetry of its result) reaches 1.5e-11 of sup|w|
+    zf, _, full = _frozen_step(m, 10.0, n, half=False)
+    z, _, half = _frozen_step(m, 10.0, n)
+    assert (zf[n // 2] == 0.0) == (n == 401)
+
+    def even(u):
+        return np.concatenate((u[:0:-1], u))
+
+    u = (1.0 - z * z) ** 2 * (1.0 + 0.3 * np.cos(2.0 * np.pi * z))
+    u_prev = 1.1 * (1.0 - z * z) ** 2 * np.cos(z)
+    for got, ref in ((half(u), full(even(u))),
+                     (half(u, u_prev), full(even(u), even(u_prev)))):
+        tol = 1e-12 * float(np.max(np.abs(ref)))
+        assert np.max(np.abs(even(got) - ref)) < tol
 
 
 def test_steps_are_equal_and_end_on_the_span(super_run):
@@ -336,10 +405,12 @@ def test_frozen_width_rate_at_measurable_scale():
 
 
 def test_sign_change_count_never_increases():
+    # cos(5 pi z / 2) is even, vanishes at the walls and changes sign at
+    # z = +-1/5 and +-3/5
     cfg = pdesim.SimConfig(m=1, phi=None, kappa=ZERO, grid_points=401,
                            tau_span=(0.0, 6.0), freeze_phi=5.0,
                            initial_data=pdesim.InitialData(
-                               profile=lambda z: np.sin(3.0 * np.pi * z)))
+                               profile=lambda z: np.cos(2.5 * np.pi * z)))
     traj = pdesim.run(cfg)
 
     def changes(w):
@@ -347,7 +418,7 @@ def test_sign_change_count_never_increases():
         return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
     counts = [changes(w) for _, w in traj.snapshots]
-    assert counts[0] == 5
+    assert counts[0] == 4
     assert all(b <= a for a, b in zip(counts, counts[1:]))
     assert counts[-1] <= 1
 
@@ -375,9 +446,16 @@ def test_grid_halving_changes_a0_by_under_one_percent(star_run):
 
 def test_even_data_stays_even(star_run, biharmonic_run):
     for traj in (star_run, biharmonic_run):
-        worst = max(float(np.max(np.abs(w - w[::-1])))
-                    for _, w in traj.snapshots)
-        assert worst < 1e-10
+        assert all(np.array_equal(w, w[::-1]) for _, w in traj.snapshots)
+
+
+@pytest.mark.parametrize("run", ["star_run", "biharmonic_run"])
+def test_walls_are_held_at_zero(request, run):
+    # a pivoting solve need not keep a wall row's identity exact; the wall
+    # is the last row of the stepped system, which no pivot touches
+    traj = request.getfixturevalue(run)
+    walls = np.array([(w[0], w[-1]) for _, w in traj.snapshots])
+    assert np.all(walls == 0.0)
 
 
 def test_amplitude_bounded_by_sup(star_run, super_run, biharmonic_run):
