@@ -85,9 +85,10 @@ class SimConfig:
     freeze_phi pins the width at a constant and bypasses the slow-growth
     domain check; used by eigenvalue validation and manufactured-solution
     runs. source(tau, z) is added to the explicit stage. The solution is
-    stepped on the nodes with z >= 0, so an initial profile or a source
-    (at tau_span[0]) that differs from its mirror image on the grid by more
-    than 1e-12 of its sup is a ConfigError.
+    stepped on the nodes with z >= 0, so an initial profile, or a source at
+    either end of tau_span, that differs from its mirror image on the grid
+    by more than 1e-12 of its sup is a ConfigError. In between, only the
+    source's values on z >= 0 are used: the run sees its even extension.
     """
 
     m: int
@@ -135,8 +136,9 @@ class SimConfig:
         if data.profile is not None:
             _require_even("initial profile", data.profile, self.grid_points)
         if self.source is not None:
-            _require_even(f"source at tau={tau0:g}",
-                          lambda x: self.source(tau0, x), self.grid_points)
+            for t in (tau0, tau1):
+                _require_even(f"source at tau={t:g}",
+                              lambda x: self.source(t, x), self.grid_points)
 
 
 def _grid(n):
@@ -435,10 +437,17 @@ def run(config: SimConfig) -> PdeTrajectory:
                 next_cp += 1
         e_prev, e = e, explicit(t, p, w)
 
-    # a0 of the even state is twice its projection over z in [0, 1]
+    # a0 of the even state is twice its projection over z in [0, 1], whose
+    # Simpson weights, doubled, are the full grid's when the half grid has
+    # an odd number of nodes (n = 1 mod 4); on the other odd grids
+    # (n = 3 mod 4) Simpson runs over the full even state
+    if nh % 2:
+        zq, lo, fold = zh, mid, 2.0
+    else:
+        zq, lo, fold = z, 0, 1.0
     a0 = np.concatenate([
-        2.0 * project_a0(
-            (zh, np.array([full[mid:] for _, full in snaps[i:i + _A0_BLOCK]])),
+        fold * project_a0(
+            (zq, np.array([full[lo:] for _, full in snaps[i:i + _A0_BLOCK]])),
             kernel, phis[i:i + _A0_BLOCK])
         for i in range(0, len(snaps), _A0_BLOCK)])
     metadata = {
@@ -474,7 +483,7 @@ def project_a0(snapshot, kernel, phi_at_tau):
     The snapshot is extended by zero beyond the boundary, so the quadrature
     over its nodes in [-1, 1] is the full-line projection of the
     extension; run passes the nodes z >= 0 of an even state and doubles
-    the result. A 2-D w is a block of states, a row per checkpoint, with
+    the result, on the grids whose half has an odd number of nodes. A 2-D w is a block of states, a row per checkpoint, with
     phi_at_tau their widths: one kernel call serves the block, and the
     coefficients come back as an array, each with the bits of its own call.
     """

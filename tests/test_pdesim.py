@@ -100,10 +100,11 @@ def test_config_rejects_data_that_is_not_even():
     with pytest.raises(ConfigError, match="source at tau=10 is not even"):
         pdesim.SimConfig(m=1, phi=STAR, kappa=ZERO,
                          source=lambda t, z: (t - 10.0) + z)
-    # only the value at the start is checked, and an odd part of rounding
-    # size passes
-    pdesim.SimConfig(m=1, phi=STAR, kappa=ZERO,
-                     source=lambda t, z: (t - 10.0) * z)
+    # the source is checked at both ends of the span
+    with pytest.raises(ConfigError, match="source at tau=25 is not even"):
+        pdesim.SimConfig(m=1, phi=STAR, kappa=ZERO,
+                         source=lambda t, z: (t - 10.0) * z)
+    # an odd part of rounding size passes
     pdesim.SimConfig(m=1, phi=STAR, kappa=ZERO,
                      initial_data=pdesim.InitialData(
                          profile=lambda z: np.cos(z) + 1e-14 * z))
@@ -343,6 +344,24 @@ def test_half_domain_step_matches_the_full_slab_step(m, n):
                      (half(u, u_prev), full(even(u), even(u_prev)))):
         tol = 1e-12 * float(np.max(np.abs(ref)))
         assert np.max(np.abs(even(got) - ref)) < tol
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [201, 203, 207])
+def test_a0_is_the_full_grid_projection_on_every_odd_grid(m, n):
+    # the half grid has an odd number of nodes, as Simpson's rule needs,
+    # only when n = 1 (mod 4); on the other odd grids a0 is projected from
+    # the full even state
+    cfg = pdesim.SimConfig(m=m, phi=None, kappa=ZERO, grid_points=n,
+                           tau_span=(0.0, 0.5), freeze_phi=5.0,
+                           n_checkpoints=10)
+    traj = pdesim.run(cfg)
+    kernel = spectral.default_kernel(m)
+    ref = np.array([pdesim.project_a0((traj.z, w), kernel, 5.0)
+                    for _, w in traj.snapshots])
+    a0 = traj.a0_series[:, 1]
+    assert a0.size == 10
+    assert np.max(np.abs(a0 - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_steps_are_equal_and_end_on_the_span(super_run):
