@@ -12,8 +12,9 @@ the grid solution for cross-checking.
 The data are even in z (the backward parabola is symmetric, and a0 follows
 the even mode), so the state lives on the grid nodes with z >= 0: the
 even extension w(-z) = w(z) folds into the rows at z = 0, and the banded
-solves are half the size of the full slab's. Each recorded snapshot is
-the full even state on z in [-1, 1].
+solves are half the size of the full slab's. run's step loop only steps
+and stores the checkpoint states; every diagnostic, and each snapshot's
+full even state on z in [-1, 1], is taken from them after the last step.
 """
 
 import json
@@ -58,9 +59,9 @@ _SHAPES = ("plateau", "bump", "g0")
 # default step in units of dz: SBDF2 with implicit drift is not capped by
 # the drift's CFL limit, so accuracy alone sets this
 _DT_PER_DZ = 5.0
-# checkpoints per project_a0 call: one kernel call and one row-wise Simpson
-# sum per block, where a call per checkpoint was mostly numpy call overhead
-_A0_BLOCK = 8
+# checkpoints per project_a0 and extract_boundary_layer call, where a call
+# per checkpoint was mostly numpy call overhead
+_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -149,10 +150,11 @@ def _grid(n):
 
 
 def _require_even(what, f, n):
-    # a NaN gap passes: a poisoned source is the stepper's StepFailure
+    # a NaN gap, inf - inf too, passes: a poisoned source is a StepFailure
     z = _grid(n)
     v = np.asarray(f(z), dtype=float)
-    gap = float(np.max(np.abs(v - np.asarray(f(-z), dtype=float))))
+    with np.errstate(invalid="ignore"):
+        gap = float(np.max(np.abs(v - np.asarray(f(-z), dtype=float))))
     sup = float(np.max(np.abs(v)))
     if gap > 1e-12 * sup:
         raise ConfigError(f"{what} is not even in z: |f(z) - f(-z)| reaches "
@@ -187,7 +189,9 @@ class ComparisonReport:
     assembled; matched_* doubles the linear term first, because the
     symmetric simulation loses mass through both boundaries while the
     reduced ODE books one boundary's flux (boundary_multiplicity echoes
-    the factor).
+    the factor). Both are np.gradient slopes of ln a0 between checkpoints
+    a few hundredths of a tau unit apart, so they carry about 7
+    significant digits: rounding in the state moves them at ~1e-7.
     """
 
     window: tuple
@@ -216,18 +220,13 @@ class ComparisonReport:
 
 # -- pieces of the step ----------------------------------------------------------
 
-def _width(config):
-    """t -> (phi(t), phi'(t) / phi(t)), from one evaluation of phi."""
+def _schedule(config, times):
+    """phi and phi'/phi at every step time, one array evaluation each."""
     if config.freeze_phi is not None:
-        L = float(config.freeze_phi)
-        return lambda t: (L, 0.0)
-    phi = config.phi
-
-    def width(t):
-        p = float(phi.phi(t))
-        return p, float(phi.dphi(t)) / p
-
-    return width
+        return (np.full(times.size, float(config.freeze_phi)),
+                np.zeros(times.size))
+    p = np.asarray(config.phi.phi(times), dtype=float)
+    return p, np.asarray(config.phi.dphi(times), dtype=float) / p
 
 
 def _initial_profile(config, z, phi0):
@@ -251,15 +250,16 @@ def _initial_profile(config, z, phi0):
 # wall z = 1 (the last row, the identity). s is the per-node drift
 # dt c z / (2 dz) of the centred first difference, zero at z = 0.
 
-def _fill_m1_band(dl, d, du, a, r, s):
-    """Dirichlet a I - r D2 - s D1 as the three diagonals dgtsv takes."""
-    np.subtract(s[1:], r, out=dl)
-    np.subtract(-r, s[:-1], out=du)
+def _fill_m1_band(lu, d, a, r, s):
+    """Dirichlet a I - r D2 - s D1 as the three diagonals dgtsv takes. lu
+    holds the sub-diagonal and then the super-diagonal, and s here their
+    drift terms, s[1:] and then -s[:-1], so one subtraction fills both."""
+    np.subtract(s, r, out=lu)
     d.fill(a + 2.0 * r)
-    # the even extension w(-dz) = w(dz) folds onto row 0
-    du[0] = -2.0 * r
+    # the even extension w(-dz) = w(dz) folds onto row 0 (du[0])
+    lu[d.size - 1] = -2.0 * r
     d[-1] = 1.0
-    dl[-1] = 0.0
+    lu[d.size - 2] = 0.0
 
 
 def _fill_m2_band(ab, a, r4, s):
@@ -289,25 +289,24 @@ def _fill_m2_band(ab, a, r4, s):
 _WALL_FIT_NODES = 12
 
 
-def _clamped_wall_fit(z):
-    """w -> one-sided (w_zz(1), w_zzz(1)) from a clamped polynomial fit.
+def _clamped_wall_fit(z, w):
+    """One-sided (w_zz(1), w_zzz(1)) from a clamped polynomial fit, for a
+    state w or a block of them (a row each).
 
     Fits w(1-s) = c2 s^2 + ... + c5 s^5 over the nearest interior nodes
     (the clamped conditions kill the constant and linear terms), in the
-    normalized variable s/s_max for conditioning. The design matrix depends
-    on the grid alone, so it is built once.
+    normalized variable s/s_max for conditioning. The fit is linear in w,
+    so the two rows of the pseudo-inverse it needs are formed once and
+    applied to every row's tail in one product; it is summed row by row,
+    so a row of a block gets the bits of a call on that row alone.
     """
     s = 1.0 - z[-(_WALL_FIT_NODES + 1):-1]
     smax = float(s.max())
     sig = s / smax
     cols = np.column_stack([sig ** 2, sig ** 3, sig ** 4, sig ** 5])
-
-    def derivs(w):
-        coef, *_ = np.linalg.lstsq(cols, w[-(_WALL_FIT_NODES + 1):-1],
-                                   rcond=None)
-        return 2.0 * coef[0] / smax ** 2, -6.0 * coef[1] / smax ** 3
-
-    return derivs
+    tail = w[..., None, -(_WALL_FIT_NODES + 1):-1]
+    coef = (tail * np.linalg.pinv(cols)[:2]).sum(axis=-1)
+    return 2.0 * coef[..., 0] / smax ** 2, -6.0 * coef[..., 1] / smax ** 3
 
 
 def _reaction(config, w, dz, p):
@@ -323,7 +322,7 @@ def _reaction(config, w, dz, p):
 
 
 def run(config: SimConfig) -> PdeTrajectory:
-    """Time-step the configured problem and record all diagnostics.
+    """Time-step the configured problem, then measure every checkpoint.
 
     SBDF2 steps (an IMEX Euler first step) of one fixed size: the span is
     cut into the fewest equal steps no longer than dtau (default 5 dz) or
@@ -331,17 +330,19 @@ def run(config: SimConfig) -> PdeTrajectory:
     (linear if the span starts at 0). Raises BlowupError past sup|w| = 1e6
     and StepFailure if an implicit solve fails or returns non-finite values.
     The state is stepped on the nodes z >= 0 of the grid; the snapshots,
-    and trajectory.z, cover the whole of [-1, 1].
+    and trajectory.z, cover the whole of [-1, 1]. The widths and implicit
+    coefficients of all steps are evaluated before the loop, which only
+    forms the right side (with no explicit stage for a linear kappa and no
+    source), solves, guards and stores the checkpoint states; every
+    diagnostic is taken from the stored block after the last step.
     """
     n = config.grid_points
     mid = n // 2
     z = _grid(n)
     zh = z[mid:]
+    nh = zh.size
     dz = float(z[1] - z[0])
     tau0, tau1 = (float(v) for v in config.tau_span)
-    width = _width(config)
-    p = width(tau0)[0]
-    w = _initial_profile(config, zh, p)
     if tau0 > 0.0:
         checkpoints = np.geomspace(tau0, tau1, config.n_checkpoints)
     else:
@@ -353,103 +354,102 @@ def run(config: SimConfig) -> PdeTrajectory:
     h = min(target, float(np.diff(checkpoints).min()))
     n_steps = math.ceil((tau1 - tau0) / h - 1e-9)
     dt = (tau1 - tau0) / n_steps
-    kernel = spectral.default_kernel(config.m)
-    prof = bl_profile(config.m)
-    inv_2m = 1.0 / (2.0 * config.m)
-    wall_derivs = _clamped_wall_fit(zh) if config.m == 2 else None
+    times = tau0 + np.arange(n_steps + 1) * dt
+    times[-1] = tau1
+    phis, slopes = _schedule(config, times)
+    r = (dt / (phis * phis * dz * dz) if config.m == 1
+         else dt / (phis ** 4 * dz ** 4))
+    # the drift is dt (phi'/phi - 1/2m) z / (2 dz) at each node
+    drift = slopes - 1.0 / (2.0 * config.m)
+    z_drift = zh * (dt / (2.0 * dz))
+    # each checkpoint is stored by the first step that ends at or past it
+    stored = np.zeros(n_steps + 2, dtype=bool)
+    stored[[0, *np.searchsorted(times[1:], checkpoints[1:] - 1e-12) + 1]] = True
+    stored = np.flatnonzero(stored[:-1])
+    row_of = dict(zip(stored.tolist(), range(stored.size)))
 
-    snaps = []
-    vertex, phis, bnd, bl, rho = [], [], [], [], []
+    w = _initial_profile(config, zh, float(phis[0]))
+    full = np.empty((stored.size, n))
+    half = full[:, mid:]
+    half[0] = w
+    t_of, r_of, drift_of = times.tolist(), r.tolist(), drift.tolist()
+    staged = not config.kappa.linear or config.source is not None
 
-    def record(t, p, state):
-        snaps.append((t, np.concatenate((state[:0:-1], state))))
-        vertex.append((t, float(state[0])))
-        phis.append(p)
-        try:
-            r_opt, dev = extract_boundary_layer((zh, state), p, prof)
-        except ResolutionError:
-            r_opt, dev = math.nan, math.nan
-        rho.append((t, r_opt))
-        bl.append((t, dev))
-        if config.m == 1:
-            vy = (-4.0 * state[-2] + state[-3]) / (2.0 * dz) / p
-            bnd.append((t, vy))
-        else:
-            wzz, wzzz = wall_derivs(state)
-            bnd.append((t, wzz / p ** 2, wzzz / p ** 3))
-
-    def explicit(t, p, state):
-        e = _reaction(config, state, dz, p)
+    def explicit(k, state):
+        e = _reaction(config, state, dz, phis[k])
         if config.source is not None:
-            e = e + np.asarray(config.source(t, zh), dtype=float)
+            e = e + np.asarray(config.source(t_of[k], zh), dtype=float)
         return e
 
     # dgtsv and dgbsv overwrite their bands in place (Fortran order, or f2py
     # would copy the 2-D one), so these are refilled each step; the solution
     # comes back in the fresh rhs array, which becomes w
-    nh = zh.size
     if config.m == 1:
-        dl, d, du = np.empty(nh - 1), np.empty(nh), np.empty(nh - 1)
+        lu, d = np.empty(2 * nh - 2), np.empty(nh)
+        dl, du = lu[:nh - 1], lu[nh - 1:]
+        z_drift = np.concatenate((z_drift[1:], -z_drift[:-1]))
     else:
         ab = np.zeros((7, nh), order="F")
-    s = np.empty(nh)
-    z_drift = zh * (dt / (2.0 * dz))
-
-    record(tau0, p, w)
-    next_cp = 1
-    t = tau0
-    e = explicit(t, p, w)
+    s = np.empty(z_drift.size)
+    e = explicit(0, w) if staged else None
     for k in range(1, n_steps + 1):
-        t_new = tau1 if k == n_steps else tau0 + k * dt
-        p_new, slope = width(t_new)
         if k == 1:
             # IMEX Euler start: (I - dt A) w1 = w0 + dt E0
-            a = 1.0
-            rhs = w + dt * e
+            a, x2 = 1.0, 1.0
+            rhs = w + dt * e if staged else w.copy()
         else:
-            # SBDF2: (3/2 I - dt A) w' = 2 w - w_prev / 2 + dt (2 E - E_prev)
-            a = 1.5
-            rhs = 2.0 * w - 0.5 * w_prev + dt * (2.0 * e - e_prev)
+            # SBDF2, (3/2 I - dt A) w' = 2 w - w_prev / 2 + dt (2 E - E_prev),
+            # doubled: each term scales exactly; the rhs is one product less
+            a, x2 = 3.0, 2.0
+            rhs = 4.0 * w - w_prev
+            if staged:
+                rhs += 2.0 * dt * (2.0 * e - e_prev)
         rhs[-1] = 0.0
-        np.multiply(z_drift, slope - inv_2m, out=s)
+        np.multiply(z_drift, x2 * drift_of[k], out=s)
         if config.m == 1:
-            _fill_m1_band(dl, d, du, a, dt / (p_new * p_new * dz * dz), s)
-            *_, w_new, info = dgtsv(dl, d, du, rhs, overwrite_dl=1,
-                                    overwrite_d=1, overwrite_du=1,
-                                    overwrite_b=1)
+            _fill_m1_band(lu, d, a, x2 * r_of[k], s)
+            *_, w_new, info = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
         else:
-            _fill_m2_band(ab, a, dt / (p_new ** 4 * dz ** 4), s)
-            *_, w_new, info = dgbsv(2, 2, ab, rhs, overwrite_ab=1,
-                                    overwrite_b=1)
+            _fill_m2_band(ab, a, x2 * r_of[k], s)
+            *_, w_new, info = dgbsv(2, 2, ab, rhs, 1, 1)
         if info != 0:
-            raise StepFailure(f"implicit solve failed at tau={t:.6g} "
+            raise StepFailure(f"implicit solve failed at tau={t_of[k - 1]:.6g} "
                               f"(LAPACK info={info})")
-        sup = float(np.abs(w_new).max())
-        if not math.isfinite(sup):
-            raise StepFailure(f"non-finite state after the step at tau={t:.6g}")
+        # w.w <= 1e12 holds only if every |w_i| <= 1e6 and none is NaN
+        if not w_new.dot(w_new) <= _BLOWUP_SUP * _BLOWUP_SUP:
+            sup = float(np.abs(w_new).max())
+            if not math.isfinite(sup):
+                raise StepFailure("non-finite state after the step at "
+                                  f"tau={t_of[k - 1]:.6g}")
+            if sup > _BLOWUP_SUP:
+                raise BlowupError(f"sup|w|={sup:.4g} exceeded 1e6 "
+                                  f"at tau={t_of[k]:.6g}")
         w_prev, w = w, w_new
-        t, p = t_new, p_new
-        if sup > _BLOWUP_SUP:
-            raise BlowupError(f"sup|w|={sup:.4g} exceeded 1e6 at tau={t:.6g}")
-        if next_cp < len(checkpoints) and t >= checkpoints[next_cp] - 1e-12:
-            record(t, p, w)
-            while next_cp < len(checkpoints) and t >= checkpoints[next_cp] - 1e-12:
-                next_cp += 1
-        e_prev, e = e, explicit(t, p, w)
+        if k in row_of:
+            half[row_of[k]] = w
+        if staged:
+            e_prev, e = e, explicit(k, w)
 
+    tau, p = times[stored], phis[stored]
     # a0 of the even state is twice its projection over z in [0, 1], whose
     # Simpson weights, doubled, are the full grid's when the half grid has
     # an odd number of nodes (n = 1 mod 4); on the other odd grids
     # (n = 3 mod 4) Simpson runs over the full even state
-    if nh % 2:
-        zq, lo, fold = zh, mid, 2.0
+    zq, lo, fold = (zh, mid, 2.0) if nh % 2 else (z, 0, 1.0)
+    kernel = spectral.default_kernel(config.m)
+    prof = bl_profile(config.m)
+    a0, rho, dev = np.empty((3, stored.size))
+    for i in range(0, stored.size, _BLOCK):
+        b = slice(i, i + _BLOCK)
+        # a block at a time, as a copy within one array takes a temporary
+        full[b, :mid] = half[b, :0:-1]
+        a0[b] = fold * project_a0((zq, full[b, lo:]), kernel, p[b])
+        rho[b], dev[b] = extract_boundary_layer((zh, half[b]), p[b], prof)
+    if config.m == 1:
+        bnd = ((-4.0 * half[:, -2] + half[:, -3]) / (2.0 * dz) / p,)
     else:
-        zq, lo, fold = z, 0, 1.0
-    a0 = np.concatenate([
-        fold * project_a0(
-            (zq, np.array([full[lo:] for _, full in snaps[i:i + _A0_BLOCK]])),
-            kernel, phis[i:i + _A0_BLOCK])
-        for i in range(0, len(snaps), _A0_BLOCK)])
+        wzz, wzzz = _clamped_wall_fit(zh, half)
+        bnd = (wzz / p ** 2, wzzz / p ** 3)
     metadata = {
         "m": config.m,
         "phi": None if config.phi is None else config.phi.name,
@@ -464,15 +464,16 @@ def run(config: SimConfig) -> PdeTrajectory:
         "amplitude": config.initial_data.amplitude,
         "freeze_phi": config.freeze_phi,
         "steps": n_steps,
-        "checkpoints": len(snaps),
+        "checkpoints": stored.size,
         "final_sup": float(np.max(np.abs(w))),
     }
     return PdeTrajectory(
-        config=config, z=z, snapshots=tuple(snaps),
-        vertex_values=np.array(vertex),
-        a0_series=np.column_stack([[t for t, _ in snaps], a0]),
-        boundary_derivs=np.array(bnd), bl_deviation=np.array(bl),
-        rho_series=np.array(rho), metadata=metadata)
+        config=config, z=z, snapshots=tuple(zip(tau.tolist(), full)),
+        vertex_values=np.column_stack((tau, half[:, 0])),
+        a0_series=np.column_stack((tau, a0)),
+        boundary_derivs=np.column_stack((tau, *bnd)),
+        bl_deviation=np.column_stack((tau, dev)),
+        rho_series=np.column_stack((tau, rho)), metadata=metadata)
 
 
 # -- measurements ------------------------------------------------------------------
@@ -496,29 +497,48 @@ def project_a0(snapshot, kernel, phi_at_tau):
     return float(a0) if w.ndim == 1 else a0
 
 
-def extract_boundary_layer(snapshot, phi_at_tau: float, blp: BLProfile):
+def extract_boundary_layer(snapshot, phi_at_tau, blp: BLProfile):
     """Fit the near-boundary profile against g0 in stretched coordinates.
 
     Returns (rho_opt, sup_deviation) where rho_opt is the least-squares
-    amplitude and the deviation is sup|w/rho_opt - g0| over xi in [0, 10].
+    amplitude and the deviation is sup|w/rho_opt - g0| over the nodes
+    z > 0 with xi in [0, 10]; a state that is zero there gives (0, inf).
+    A 2-D w is a block of states, a row per checkpoint, with phi_at_tau
+    their widths: both come back as arrays, each entry with the bits of
+    its own call, and NaN for a row with fewer than 20 points in the
+    layer, where the call on that row alone raises ResolutionError.
     """
     z = np.asarray(snapshot[0], dtype=float)
     w = np.asarray(snapshot[1], dtype=float)
-    xi = phi_at_tau ** blp.stretch_exponent * (1.0 - z)
+    scale = np.array([float(p) ** blp.stretch_exponent
+                      for p in np.ravel(phi_at_tau)])
+    xi = scale[:, None] * (1.0 - z)
     mask = (z > 0.0) & (xi <= _BL_SPAN)
-    count = int(np.count_nonzero(mask))
-    if count < _BL_MIN_POINTS:
+    count = np.count_nonzero(mask, axis=1)
+    if w.ndim == 1 and count[0] < _BL_MIN_POINTS:
         raise ResolutionError(
-            f"{count} grid points inside the boundary layer, need "
+            f"{count[0]} grid points inside the boundary layer, need "
             f">= {_BL_MIN_POINTS}; refine the grid so that dz < "
-            f"{_BL_SPAN / (_BL_MIN_POINTS * phi_at_tau ** blp.stretch_exponent):.3g}")
+            f"{_BL_SPAN / (_BL_MIN_POINTS * scale[0]):.3g}")
+    fit = count >= _BL_MIN_POINTS
+    mask[~fit] = False
+    # the layer points of the fitted rows, row after row: each row's w and
+    # g are slices of these of its own length, as in a call on that row
     g = blp.g0(xi[mask])
-    ww = w[mask]
-    rho_opt = float(ww @ g) / float(g @ g)
-    if abs(rho_opt) < 1e-300:
-        return 0.0, math.inf
-    dev = float(np.max(np.abs(ww / rho_opt - g)))
-    return rho_opt, dev
+    ww = w.reshape(-1, z.size)[mask]
+    ends = np.cumsum(count[fit])
+    starts = ends - count[fit]
+    rho, dev = np.full((2, count.size), math.nan)
+    rho[fit] = [float(ww[i:j].dot(g[i:j])) / float(g[i:j].dot(g[i:j]))
+                for i, j in zip(starts.tolist(), ends.tolist())]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.abs(ww / np.repeat(rho[fit], count[fit]) - g)
+    dev[fit] = np.maximum.reduceat(gap, starts)
+    zero = np.abs(rho) < 1e-300
+    rho[zero], dev[zero] = 0.0, math.inf
+    if w.ndim == 1:
+        return float(rho[0]), float(dev[0])
+    return rho, dev
 
 
 def compare_with_criterion(trajectory: PdeTrajectory, ode,

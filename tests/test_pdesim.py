@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.special import erf
 
@@ -162,12 +164,62 @@ def test_layer_resolution_guard():
         pdesim.extract_boundary_layer((z, np.ones_like(z)), 60.0, blp)
 
 
+def _layer_fit_per_call(z, w, phi, blp):
+    """The one-state fit as a call per checkpoint made it: fresh arrays of
+    the layer points and one dot product each; NaN where it raised."""
+    xi = phi ** blp.stretch_exponent * (1.0 - z)
+    mask = (z > 0.0) & (xi <= pdesim._BL_SPAN)
+    if np.count_nonzero(mask) < pdesim._BL_MIN_POINTS:
+        return math.nan, math.nan
+    g = blp.g0(xi[mask])
+    ww = w[mask]
+    rho = float(ww @ g) / float(g @ g)
+    if abs(rho) < 1e-300:
+        return 0.0, math.inf
+    return rho, float(np.max(np.abs(ww / rho - g)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([1, 2]), n=st.sampled_from([201, 203, 801]),
+       half=st.booleans(),
+       widths=st.lists(st.floats(1.5, 30.0), min_size=1, max_size=12),
+       seed=st.integers(0, 2 ** 32 - 1), zero_row=st.integers(0, 12))
+@example(m=1, n=201, half=True, widths=[3.0, 10.0, 5.0, 29.0], seed=0,
+         zero_row=2)
+@example(m=2, n=801, half=False, widths=[4.0, 25.0, 8.0], seed=1,
+         zero_row=0)
+def test_block_layer_fit_has_the_bits_of_one_call_per_state(
+        m, n, half, widths, seed, zero_row):
+    # rows with fewer than 20 layer points are NaN where a call on the row
+    # raises ResolutionError, and a zero row gives (0, inf)
+    blp = blayer.bl_profile(m)
+    z = pdesim._grid(n)
+    z = z[n // 2:] if half else z
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((len(widths), z.size)) * (1.0 - z * z)
+    if zero_row < len(widths):
+        states[zero_row] = 0.0
+    rho, dev = pdesim.extract_boundary_layer((z, states), widths, blp)
+    assert rho.shape == dev.shape == (len(widths),)
+    for w, phi, got in zip(states, widths, zip(rho, dev)):
+        ref = _layer_fit_per_call(z, w, phi, blp)
+        if math.isnan(ref[0]):
+            with pytest.raises(ResolutionError):
+                pdesim.extract_boundary_layer((z, w), phi, blp)
+        else:
+            one = pdesim.extract_boundary_layer((z, w), phi, blp)
+            assert np.array(one).tobytes() == np.array(ref).tobytes()
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+    if zero_row < len(widths) and not math.isnan(rho[zero_row]):
+        assert (rho[zero_row], dev[zero_row]) == (0.0, math.inf)
+
+
 def test_clamped_wall_fit_on_synthetic_profile():
     blp = blayer.bl_profile(2)
     z = np.linspace(-1.0, 1.0, 801)
     phi = 11.2
     w = 0.6 * blp.g0(phi ** blp.stretch_exponent * (1.0 - z))
-    wzz, wzzz = pdesim._clamped_wall_fit(z)(w)
+    wzz, wzzz = pdesim._clamped_wall_fit(z, w)
     assert abs(wzz - 0.6 * phi ** (8.0 / 3.0) * blp.deriv(0.0, 2)) \
         < 1e-3 * abs(wzz)
     assert abs(wzzz + 0.6 * phi ** 4 * blp.deriv(0.0, 3)) < 5e-3 * abs(wzzz)
@@ -264,7 +316,8 @@ def _frozen_step(m, L, n, dt=None, half=True):
     reaction, solved by scipy's solve_banded (the oracle for the stepper's
     direct LAPACK calls). The principal term and the drift -z w_z / (2m)
     are implicit. step(u, u_prev) advances one step; u_prev=None takes
-    the IMEX Euler start step. dt defaults to the stepper's 5 dz. With
+    the IMEX Euler start step, and explicit, when given, is the explicit
+    stage's dt E0 or dt (2 E - E_prev), added to the right side. dt defaults to the stepper's 5 dz. With
     half (the stepper's system) z holds the nodes z >= 0 of the n-node
     grid, its first one set to 0; otherwise it is the whole linspace."""
     z = np.linspace(-1.0, 1.0, n)
@@ -279,11 +332,13 @@ def _frozen_step(m, L, n, dt=None, half=True):
     bands = _half_bands if half else _full_bands
     euler, sbdf2 = bands(m, 1.0, r, s), bands(m, 1.5, r, s)
 
-    def step(u, u_prev=None):
+    def step(u, u_prev=None, explicit=None):
         if u_prev is None:
             ab, rhs = euler, u.copy()
         else:
             ab, rhs = sbdf2, 2.0 * u - 0.5 * u_prev
+        if explicit is not None:
+            rhs += explicit
         rhs[-1] = 0.0
         if not half:
             rhs[0] = 0.0
@@ -322,6 +377,32 @@ def test_stepper_matches_solve_banded_step(m):
     assert traj.metadata["steps"] == steps
     assert traj.snapshots[-1][0] == steps * dt
     assert np.array_equal(traj.snapshots[-1][1], np.concatenate((v[:0:-1], v)))
+
+
+@pytest.mark.parametrize("name", ["petrovskii-critical", "petrovskii-super"])
+def test_root_log_width_schedule_has_the_bits_of_one_call_per_step(name):
+    # the m=1 trajectories keep the bits of a width evaluated step by step
+    phi = funcs.lookup(name)
+    cfg = pdesim.SimConfig(m=1, phi=phi, kappa=ZERO)
+    times = 10.0 + np.arange(6401) * (15.0 / 6400)
+    p, slope = pdesim._schedule(cfg, times)
+    assert p.tolist() == [float(phi.phi(t)) for t in times.tolist()]
+    assert slope.tolist() == [float(phi.dphi(t)) / float(phi.phi(t))
+                              for t in times.tolist()]
+
+
+@pytest.mark.parametrize("c", [6.0, funcs.BIHARMONIC_CRITICAL_C])
+def test_log_power_width_schedule_has_the_bits_of_one_element_arrays(c):
+    # `**` on one np.float64 need not round as the array loop does; the
+    # criterion evaluates a width on a 1-element array
+    phi = funcs.lookup("biharmonic-critical", c=c)
+    cfg = pdesim.SimConfig(m=2, phi=phi, kappa=ZERO)
+    times = 10.0 + np.arange(2478) * (15.0 / 2477)
+    p, slope = pdesim._schedule(cfg, times)
+    one = [np.array([t]) for t in times.tolist()]
+    assert p.tolist() == [float(phi.phi(t)[0]) for t in one]
+    assert slope.tolist() == [float(phi.dphi(t)[0] / phi.phi(t)[0])
+                              for t in one]
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -477,6 +558,58 @@ def test_walls_are_held_at_zero(request, run):
     assert np.all(walls == 0.0)
 
 
+def _diagnostics_per_snapshot(traj):
+    """The diagnostic series rebuilt from the snapshots, a call per
+    checkpoint with the one-state functions, as the step loop used to."""
+    cfg = traj.config
+    n, m = cfg.grid_points, cfg.m
+    mid = n // 2
+    zh = traj.z[mid:]
+    dz = float(traj.z[1] - traj.z[0])
+    kernel, blp = spectral.default_kernel(m), blayer.bl_profile(m)
+    rows = []
+    for t, w in traj.snapshots:
+        p = cfg.freeze_phi or float(cfg.phi.phi(t))
+        h = w[mid:]
+        if zh.size % 2:
+            a0 = 2.0 * pdesim.project_a0((zh, h), kernel, p)
+        else:
+            a0 = pdesim.project_a0((traj.z, w), kernel, p)
+        try:
+            rho, dev = pdesim.extract_boundary_layer((zh, h), p, blp)
+        except ResolutionError:
+            rho, dev = math.nan, math.nan
+        if m == 1:
+            bnd = [(-4.0 * h[-2] + h[-3]) / (2.0 * dz) / p]
+        else:
+            wzz, wzzz = pdesim._clamped_wall_fit(zh, h)
+            bnd = [wzz / p ** 2, wzzz / p ** 3]
+        rows.append([t, h[0], a0, rho, dev, *bnd])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("case", ["star_run", "frozen-m2-401", "frozen-m1-203"])
+def test_diagnostics_have_the_bits_of_one_call_per_snapshot(request, case):
+    # the post-pass over the stored block against a call per checkpoint;
+    # at 203 nodes a0 is projected from the full even state
+    if case == "star_run":
+        traj = request.getfixturevalue(case)
+    else:
+        m, n = (2, 401) if case == "frozen-m2-401" else (1, 203)
+        traj = pdesim.run(pdesim.SimConfig(
+            m=m, phi=None, kappa=ZERO, grid_points=n, tau_span=(0.0, 3.0),
+            freeze_phi=6.0, initial_data=pdesim.InitialData("g0")))
+    ref = _diagnostics_per_snapshot(traj)
+    got = np.column_stack([traj.vertex_values, traj.a0_series[:, 1],
+                           traj.rho_series[:, 1], traj.bl_deviation[:, 1],
+                           traj.boundary_derivs[:, 1:]])
+    assert not np.any(np.isnan(got))
+    assert got.tobytes() == ref.tobytes()
+    for series in (traj.a0_series, traj.rho_series, traj.bl_deviation,
+                   traj.boundary_derivs):
+        assert series[:, 0].tobytes() == ref[:, 0].tobytes()
+
+
 def test_amplitude_bounded_by_sup(star_run, super_run, biharmonic_run):
     for traj in (star_run, super_run, biharmonic_run):
         sups = np.array([np.max(np.abs(w)) for _, w in traj.snapshots])
@@ -614,6 +747,48 @@ def test_step_failure_on_poisoned_source(m):
                            source=lambda t, z: np.full_like(z, np.nan))
     with pytest.raises(StepFailure, match=r"at tau=0\b"):
         pdesim.run(cfg)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_step_failure_on_an_infinite_source(m):
+    cfg = pdesim.SimConfig(m=m, phi=None, kappa=ZERO, grid_points=201,
+                           tau_span=(0.0, 1.0), freeze_phi=5.0,
+                           source=lambda t, z: np.full_like(z, np.inf))
+    with pytest.raises(StepFailure, match=r"non-finite state .* at tau=0\b"):
+        pdesim.run(cfg)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_blowup_fires_where_the_exact_sup_first_passes_1e6(m):
+    # a growing even source: sup|w| climbs through 1e5, where the one-dot
+    # guard w.w <= 1e12 no longer holds and the exact sup decides, to 1e6.
+    # The oracle steps the same scheme and takes the exact sup each step.
+    dt, steps = 2.0 ** -6, 128
+
+    def source(t, z):
+        return 1e6 * t * np.cos(0.5 * np.pi * np.asarray(z, dtype=float))
+
+    cfg = pdesim.SimConfig(m=m, phi=None, kappa=ZERO, grid_points=401,
+                           tau_span=(0.0, steps * dt), dtau=dt,
+                           freeze_phi=5.0, source=source, n_checkpoints=2,
+                           initial_data=pdesim.InitialData("bump"))
+    with pytest.raises(BlowupError) as caught:
+        pdesim.run(cfg)
+    z, _, step = _frozen_step(m, 5.0, 401, dt)
+    prev, v = None, (1.0 - z * z) ** 2
+    e_prev, e = None, 0.0 + source(0.0, z)
+    slow = 0
+    for k in range(1, steps + 1):
+        explicit = dt * e if k == 1 else dt * (2.0 * e - e_prev)
+        prev, v = v, step(v, prev, explicit)
+        sup = float(np.max(np.abs(v)))
+        slow += float(v @ v) > 1e12
+        if sup > 1e6:
+            break
+        e_prev, e = e, 0.0 + source(k * dt, z)
+    assert sup > 1e6 and 1 < k < steps and slow > 1
+    assert str(caught.value) == (f"sup|w|={sup:.4g} exceeded 1e6 "
+                                 f"at tau={k * dt:.6g}")
 
 
 @pytest.mark.parametrize("m, routine", [(1, "dgtsv"), (2, "dgbsv")])
