@@ -64,14 +64,16 @@ _QUAD_FLAGS = {
 }
 
 
-def lsoda(fun, t_eval, y0, events, rtol, atol, max_step):
+def lsoda(fun, t_eval, y0, lo, hi, rtol, atol, max_step):
     """solve_ivp(fun, (t_eval[0], t_eval[-1]), [y0], method="LSODA",
-    t_eval=t_eval, events=events, rtol=, atol=, max_step=) for one equation
-    integrated forward, every event terminal. Returns (t, y, hit, failure):
-    the t_eval points reached and y there; hit = (index, t, y) of the event
-    that ended the run, else None; failure = why a step failed, else None.
-    Raises ValueError when fun returns a non-finite value, which LSODA
-    would step on forever or carry along, or when an event root fails."""
+    t_eval=t_eval, events=(y falls to lo, y rises to hi), rtol=, atol=,
+    max_step=) for one equation integrated forward, both events terminal;
+    an infinite level is never reached. Returns (t, y, hit, failure): the
+    t_eval points reached and y there; hit = (k, t, y) where the run
+    reached its floor lo (k = 0) or its ceiling hi (k = 1), else None;
+    failure = why a step failed, else None. Raises ValueError when fun
+    returns a non-finite value, which LSODA would step on forever or carry
+    along, or when a level's root fails."""
     def checked(t, y):
         dy = fun(t, y)
         if not math.isfinite(dy[0]):
@@ -85,8 +87,8 @@ def lsoda(fun, t_eval, y0, events, rtol, atol, max_step):
     iwork[5:9] = 500, 0, 12, 5
     doubles, ints = np.zeros(240), np.zeros(48, dtype=np.int32)
     state = np.array([y0], dtype=float)
-    directions = [event.direction for event in events]
-    g = [event(t, state) for event in events]
+    levels = (lo, hi)
+    g_lo, g_hi = state[0] - lo, state[0] - hi
     ts, ys, i, istate, hit, failure = [], [], 0, 1, None, None
     while hit is None and t < t_bound:
         t_old = t
@@ -97,13 +99,14 @@ def lsoda(fun, t_eval, y0, events, rtol, atol, max_step):
             failure = f"LSODA failed at t={t!r} with istate={istate}"
             break
         istate, dense = 2, None
-        g_new = [event(t, state) for event in events]
-        fired = [k for k, (a, b, d) in enumerate(zip(g, g_new, directions))
-                 if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)]
-        g, t_last = g_new, t
+        new_lo, new_hi = state[0] - lo, state[0] - hi
+        # solve_ivp's tests for a falling and a rising event
+        fired = [k for k, crossed in enumerate((g_lo >= 0 >= new_lo,
+                                                g_hi <= 0 <= new_hi)) if crossed]
+        g_lo, g_hi, t_last = new_lo, new_hi, t
         if fired:
             dense = _nordsieck(rwork, iwork, t)
-            roots = [brentq(lambda s: events[k](s, dense(s)), t_old, t, 4 * EPS)
+            roots = [brentq(lambda s: dense(s)[0] - levels[k], t_old, t, 4 * EPS)
                      for k in fired]
             first = int(np.argmin(roots))
             t_last = roots[first]

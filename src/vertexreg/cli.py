@@ -33,7 +33,7 @@ import yaml
 from . import __version__, blayer, criterion, funcs, pdesim, petrovskii, spectral
 from ._csvtable import write_csv
 from ._quadrature import simpson
-from .errors import ConfigError, DomainError, FitError, NoConvergence
+from .errors import ConfigError
 
 __all__ = ["Scenario", "Report", "load_config", "run_scenarios",
            "emit_reproduction_suite", "main"]
@@ -458,32 +458,16 @@ def _run_criterion(params, outdir):
                "tol": params["tol"]}
     cert = None
     if params["iteration"]:
-        try:
-            it = criterion.irregularity_iteration(ode)
-            cert = it.certificate
-        except NoConvergence as exc:
-            it = exc.record
+        it = criterion.irregularity_iteration(ode)
+        cert = it.certificate
         payload["iteration"] = {"certificate": it.certificate,
                                 "margin": it.margin, "trend": it.trend,
                                 "converged": it.converged}
-    artifacts = []
-    try:
-        traj = criterion.integrate(ode, params["init"], params["tau0"],
-                                   params["tau_max"], tol=params["tol"])
-    except DomainError as exc:
-        # the comparison amplitude climbed to its admissible ceiling: no decay
-        payload.update({"verdict": "Irregular", "ln_a0_final": 0.0,
-                        "trend_slope": None, "certificate": str(exc),
-                        "trajectory_ref": None,
-                        "thresholds": dict(criterion.DEFAULT_THRESHOLDS),
-                        "decades": None})
-    else:
-        ver = criterion.verdict(traj, certificate=cert)
-        payload.update(ver.as_record())
-        payload["decades"] = traj.decades
-        criterion.export_trajectory_csv(traj,
-                                        os.path.join(outdir, "trajectory.csv"))
-        artifacts.append("trajectory.csv")
+    traj = criterion.integrate(ode, params["init"], params["tau0"],
+                               params["tau_max"], tol=params["tol"])
+    payload.update(criterion.verdict(traj, certificate=cert).as_record())
+    payload["decades"] = traj.decades
+    criterion.export_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"))
     if params["negligibility"]:
         neg = criterion.gradient_negligibility(phi, kappa)
         payload["negligibility"] = {"max_ratio": neg.max_ratio,
@@ -493,7 +477,7 @@ def _run_criterion(params, outdir):
         osg = criterion.osgood_dini_check(kappa)
         payload["osgood"] = {"diverges": osg.diverges,
                              "tail_slope": osg.tail_slope}
-    return payload, artifacts
+    return payload, ["trajectory.csv"]
 
 
 def _run_petrovskii(params, outdir):
@@ -556,7 +540,7 @@ def _run_kernel(params, outdir):
                              "delta0": cst.delta0},
                "mass": {"value": mass, "abs_error": abs(mass - 1.0),
                         "threshold": _MASS_TOL}}
-    try:
+    if cst.b0:
         fit = spectral.kernel_asymptotic_fit(model, tuple(params["window"]))
         payload["asymptotic_fit"] = {
             "window": list(fit.window), "d_fit": fit.d_fit, "b_fit": fit.b_fit,
@@ -564,10 +548,9 @@ def _run_kernel(params, outdir):
             "b_rel_error": abs(fit.b_fit - cst.b0) / cst.b0,
             "residual": fit.residual, "n_zeros": fit.n_zeros,
             "rel_tolerance": 0.05}
-    except FitError as exc:
-        if cst.b0:  # only the m=1 kernel, which does not oscillate, skips its fit
-            raise
-        payload["asymptotic_fit"] = {"skipped": str(exc)}
+    else:  # the m=1 kernel does not oscillate: it has no far form to fit
+        payload["asymptotic_fit"] = {
+            "skipped": f"kernel of order m={m} has no oscillation to fit"}
     ys = np.linspace(0.0, params["y_max"], params["n_table"])
     spectral.export_kernel_csv(model, ys, os.path.join(outdir, "kernel.csv"))
     return payload, ["kernel.csv"]

@@ -22,12 +22,12 @@ from . import _solvers, spectral
 from ._csvtable import write_csv
 from ._quadrature import cumulative_trapezoid
 from .blayer import bl_profile
-from .errors import (ConfigError, DomainError, NoConvergence, QuadratureError,
-                     StiffnessError)
+from .errors import ConfigError, DomainError, QuadratureError, StiffnessError
 from .funcs import Kappa, SlowGrowthFn, lookup
 
 _SQRT_PI = math.sqrt(math.pi)
 _LN_UNDERFLOW = -745.0  # exp() underflows to 0 just below this
+_LN_CEILING = 1e-9  # ln a0 just past 0: the amplitude ceiling a0 = 1
 _MAX_TAU = 1.0e12
 _PERIOD_CAP = 1.0e5  # most carrier half-periods a period sum will integrate
 
@@ -75,7 +75,11 @@ class CriterionODE:
 
 @dataclass(frozen=True)
 class CriterionTrajectory:
-    """Integrated path of ln a0 with the rhs split recorded alongside."""
+    """Integrated path of ln a0 with the rhs split recorded alongside.
+
+    stop names the level that ended the run before the horizon:
+    "underflow" (the floor), "ceiling", or None.
+    """
 
     ode: CriterionODE
     tau: np.ndarray
@@ -83,10 +87,7 @@ class CriterionTrajectory:
     rhs_linear: np.ndarray
     rhs_nonlinear: np.ndarray
     ln_a0_init: float
-    tau0: float
-    tau_max: float
-    tol: float
-    underflow: bool
+    stop: Optional[str]
     ref: str
 
     @property
@@ -124,7 +125,6 @@ class IterationResult:
     trend: float
     certificate: Optional[str]
     converged: bool
-    final_gap: float
 
 
 @dataclass(frozen=True)
@@ -269,9 +269,10 @@ def integrate(ode: CriterionODE, ln_a0_init: float, tau0: float,
     """March ln a0 from tau0 to tau_max on a logarithmic tau grid.
 
     Works in sigma = ln tau and in ln a0 throughout, so decay far below
-    the floating-point range of a0 itself stays representable.  Reaching
-    ln a0 = -745 ends the run early with the underflow flag set; leaving
-    through ln a0 = 0 (amplitude above 1) raises DomainError.
+    the floating-point range of a0 itself stays representable. The run
+    ends early where ln a0 falls to -745 (stop "underflow") or rises
+    through 0, the amplitude ceiling (stop "ceiling"); the trajectory
+    keeps the point where it stopped, and verdict decides either stop.
     """
     if not 1e-12 <= tol <= 1e-6:
         raise ConfigError(f"tol must lie in [1e-12, 1e-6], got {tol:g}")
@@ -288,28 +289,18 @@ def integrate(ode: CriterionODE, ln_a0_init: float, tau0: float,
         t = math.exp(s)
         return [t * float(ode.rhs(t, y[0]))]
 
-    def hit_underflow(s, y):
-        return y[0] - _LN_UNDERFLOW
-    hit_underflow.direction = -1
-
-    def hit_overflow(s, y):
-        return y[0] - 1e-9
-    hit_overflow.direction = 1
-
     n_points = max(300, int(150.0 * (s1 - s0) / math.log(10.0)))
     try:
         sigmas, values, hit, failure = _solvers.lsoda(
             rhs_sigma, np.linspace(s0, s1, n_points), float(ln_a0_init),
-            (hit_underflow, hit_overflow), rtol=tol, atol=tol, max_step=0.25)
-    except ValueError as exc:  # a non-finite right side, or an event root failed
+            _LN_UNDERFLOW, _LN_CEILING, rtol=tol, atol=tol, max_step=0.25)
+    except ValueError as exc:  # a non-finite right side, or a level's root failed
         raise StiffnessError(f"integration stalled: {exc}") from exc
     if failure is not None:
         raise StiffnessError(f"integration stalled: {failure}")
-    if hit is not None and hit[0] == 1:  # hit_overflow
-        raise DomainError(
-            f"amplitude overflow: ln a0 reached 0 at tau={math.exp(hit[1]):.4g}")
-    underflow = hit is not None
-    if underflow:
+    stop = None
+    if hit is not None:
+        stop = ("underflow", "ceiling")[hit[0]]
         sigmas = np.append(sigmas, hit[1])
         values = np.append(values, hit[2])
     tau = np.exp(sigmas)
@@ -319,17 +310,18 @@ def integrate(ode: CriterionODE, ln_a0_init: float, tau0: float,
            f"-tau{tau0:g}-{tau_max:g}")
     return CriterionTrajectory(ode=ode, tau=tau, ln_a0=values, rhs_linear=lin,
                                rhs_nonlinear=nonlin, ln_a0_init=float(ln_a0_init),
-                               tau0=tau0, tau_max=tau_max, tol=tol,
-                               underflow=underflow, ref=ref)
+                               stop=stop, ref=ref)
 
 
 def verdict(trajectory: CriterionTrajectory,
             certificate: Optional[str] = None) -> RegularityVerdict:
     """Classify a trajectory as Regular / Irregular / Inconclusive.
 
+    A run that stopped at the amplitude ceiling is Irregular; otherwise an
+    irregularity certificate attached by the caller forces Irregular; then
+    a run that stopped at the underflow floor is Regular. Past those,
     DEFAULT_THRESHOLDS are finite-horizon heuristics, echoed by the
-    verdict's record; an irregularity certificate attached by the caller
-    forces Irregular.
+    verdict's record.
     """
     th = DEFAULT_THRESHOLDS
     tau = trajectory.tau
@@ -346,9 +338,12 @@ def verdict(trajectory: CriterionTrajectory,
                                  trend_slope=slope, certificate=cert,
                                  trajectory_ref=trajectory.ref)
 
+    if trajectory.stop == "ceiling":
+        return make("Irregular", f"amplitude overflow: ln a0 reached 0 "
+                                 f"at tau={tau[-1]:.4g}")
     if certificate is not None:
         return make("Irregular", certificate)
-    if trajectory.underflow:
+    if trajectory.stop == "underflow":
         return make("Regular",
                     f"amplitude underflow: ln a0 reached {_LN_UNDERFLOW:g} "
                     f"at tau={tau[-1]:.4g}")
@@ -454,15 +449,16 @@ def irregularity_iteration(ode: CriterionODE) -> IterationResult:
     The certificate tests whether the full right-hand side, evaluated
     along the linear comparison solution, trends positive over the last
     decade: if so the decay cannot continue and the vertex is flagged
-    irregular.  Without a certificate this raises NoConvergence carrying
-    the partial result.
+    irregular. Without that evidence the result carries certificate None.
+    Raises ConfigError unless kappa is positive and increasing on
+    (0, u_max].
     """
     if ode.kind != "multiplicative":
         raise ConfigError("irregularity iteration applies to multiplicative reactions")
     probe = np.geomspace(1e-12, ode.kappa.u_max, 64)
     vals = np.asarray(ode.kappa.kappa(probe), dtype=float)
     if not (np.all(vals > 0.0) and np.all(np.diff(vals) >= -1e-15)):
-        raise ValueError("irregularity iteration needs a positive increasing kappa")
+        raise ConfigError("irregularity iteration needs a positive increasing kappa")
     tau0, tau_max = max(ode.phi.tau_min, 10.0), _ITER_TAU_MAX
 
     sg = np.linspace(math.log(tau0), math.log(tau_max), _ITER_POINTS)
@@ -490,21 +486,15 @@ def irregularity_iteration(ode: CriterionODE) -> IterationResult:
     mask = tau >= tau_max / 10.0
     margin = float(np.mean(first_order[mask]))
     trend = float(np.polyfit(sg[mask], first_order[mask], 1)[0])
-    converged = gap < 1e-10
 
     certificate = None
     if margin > 0.0:
         certificate = (f"irregularity evidence: rhs along the linear comparison "
                        f"solution averages {margin:+.4g} (in d ln tau) over "
                        f"tau in [{tau_max / 10.0:.3g}, {tau_max:.3g}]")
-    result = IterationResult(tau=tau, iterates=tuple(iterates), margin=margin,
-                             trend=trend, certificate=certificate,
-                             converged=converged, final_gap=gap)
-    if certificate is None:
-        raise NoConvergence(
-            f"no irregularity certificate after {_ITER_MAX} iterates "
-            f"(last-decade margin {margin:+.4g})", record=result)
-    return result
+    return IterationResult(tau=tau, iterates=tuple(iterates), margin=margin,
+                           trend=trend, certificate=certificate,
+                           converged=gap < 1e-10)
 
 
 # the Osgood-Dini partial integrals run up to ell = -ln z = 690 on 6000 points

@@ -28,7 +28,7 @@ from . import _solvers, spectral
 from ._csvtable import write_csv, write_long_csv
 from ._quadrature import simpson
 from .blayer import BLProfile, bl_profile
-from .errors import BlowupError, ConfigError, ResolutionError, StepFailure
+from .errors import BlowupError, ConfigError, StepFailure
 from .funcs import Kappa, SlowGrowthFn
 
 __all__ = [
@@ -484,9 +484,11 @@ def project_a0(snapshot, kernel, phi_at_tau):
     The snapshot is extended by zero beyond the boundary, so the quadrature
     over its nodes in [-1, 1] is the full-line projection of the
     extension; run passes the nodes z >= 0 of an even state and doubles
-    the result, on the grids whose half has an odd number of nodes. A 2-D w is a block of states, a row per checkpoint, with
-    phi_at_tau their widths: one kernel call serves the block, and the
-    coefficients come back as an array, each with the bits of its own call.
+    the result, on the grids whose half has an odd number of nodes.
+
+    A 2-D w is a block of states, a row per checkpoint, with phi_at_tau
+    their widths: one kernel call serves the block, and the coefficients
+    come back as an array, each with the bits of its own call.
     """
     z, w = snapshot
     z = np.asarray(z, dtype=float)
@@ -502,11 +504,11 @@ def extract_boundary_layer(snapshot, phi_at_tau, blp: BLProfile):
 
     Returns (rho_opt, sup_deviation) where rho_opt is the least-squares
     amplitude and the deviation is sup|w/rho_opt - g0| over the nodes
-    z > 0 with xi in [0, 10]; a state that is zero there gives (0, inf).
-    A 2-D w is a block of states, a row per checkpoint, with phi_at_tau
-    their widths: both come back as arrays, each entry with the bits of
-    its own call, and NaN for a row with fewer than 20 points in the
-    layer, where the call on that row alone raises ResolutionError.
+    z > 0 with xi in [0, 10]; a state that is zero there gives (0, inf),
+    and a layer of fewer than 20 grid points, too few to resolve, gives
+    (nan, nan). A 2-D w is a block of states, a row per checkpoint, with
+    phi_at_tau their widths: both come back as arrays, each entry with the
+    bits of its own call.
     """
     z = np.asarray(snapshot[0], dtype=float)
     w = np.asarray(snapshot[1], dtype=float)
@@ -515,11 +517,6 @@ def extract_boundary_layer(snapshot, phi_at_tau, blp: BLProfile):
     xi = scale[:, None] * (1.0 - z)
     mask = (z > 0.0) & (xi <= _BL_SPAN)
     count = np.count_nonzero(mask, axis=1)
-    if w.ndim == 1 and count[0] < _BL_MIN_POINTS:
-        raise ResolutionError(
-            f"{count[0]} grid points inside the boundary layer, need "
-            f">= {_BL_MIN_POINTS}; refine the grid so that dz < "
-            f"{_BL_SPAN / (_BL_MIN_POINTS * scale[0]):.3g}")
     fit = count >= _BL_MIN_POINTS
     mask[~fit] = False
     # the layer points of the fitted rows, row after row: each row's w and

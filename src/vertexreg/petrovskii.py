@@ -210,8 +210,11 @@ def biharmonic_linear_criterion(phi: SlowGrowthFn, *, radial_exponent: int = 1,
                                     funcs.lookup("zero-kappa"), radial_exponent)
     m2c = ode.m2_constants
     s0, s1 = math.log(tau0), math.log(tau_max)
-    spread = float(phi.phi(tau_max)) ** m2c.alpha - float(phi.phi(tau0)) ** m2c.alpha
     envelope_slope = envelope_exponent(phi, tau_lo=tau0, tau_hi=tau_max)
+    # the carrier phase b0 phi^alpha moves b0/d0 times as far as the
+    # envelope's exponent d0 phi^alpha over the horizon
+    phase_move = (m2c.b0 / spectral.kernel_constants(2).d0
+                  * envelope_slope * (s1 - s0))
     cuts, pieces, flags = criterion._period_sum(ode, s0, s1)
     partial = np.concatenate([[0.0], np.cumsum(pieces)])
     pv = np.column_stack([np.exp(cuts), partial])
@@ -221,7 +224,7 @@ def biharmonic_linear_criterion(phi: SlowGrowthFn, *, radial_exponent: int = 1,
     contribs = np.asarray(pieces[1:-1], dtype=float)
     diagnostic = ""
     extrapolation = math.nan
-    if m2c.b0 * spread < 1.0e-3:  # the carrier phase barely moves
+    if phase_move < 1.0e-3:
         cls = Classification.UNDETERMINED
         diagnostic = ("integrand envelope does not decay: the width is "
                       "constant over the horizon")

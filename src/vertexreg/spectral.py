@@ -436,8 +436,6 @@ def check_fit_window(window):
 class AsymptoticFit:
     d_fit: float
     b_fit: float
-    C1: float
-    C2: float
     residual: float  # sup of |fit - data| relative to the envelope amplitude
     window: tuple
     n_zeros: int
@@ -450,8 +448,8 @@ def kernel_asymptotic_fit(model, window):
     a two-pole signal: on a grid uniform in t, G[n] = a1 G[n-1] + a2 G[n-2]
     with e^{(-d + ib) dt} a root of z^2 - a1 z - a2 (linear prediction, as
     in Prony's method). Its rows are weighted by the envelope e^{d t}, d
-    from a first unweighted solve, so the whole window counts alike. C1 and
-    C2 then come from a linear fit of G e^{d t}.
+    from a first unweighted solve, so the whole window counts alike. A
+    linear fit of G e^{d t} for C1 and C2 gives the residual.
     """
     cst = model.constants
     if cst.b0 == 0.0:
@@ -478,8 +476,7 @@ def kernel_asymptotic_fit(model, window):
     rel = float(np.max(np.abs(basis @ (c1, c2) - H)) / math.hypot(c1, c2))
     if rel > 0.10:
         raise FitError("fit residual %.3g exceeds 10%% of the envelope" % rel)
-    return AsymptoticFit(d_fit=d, b_fit=b, C1=float(c1), C2=float(c2), residual=rel,
-                         window=(y_lo, y_hi),
+    return AsymptoticFit(d_fit=d, b_fit=b, residual=rel, window=(y_lo, y_hi),
                          n_zeros=int(np.count_nonzero(np.diff(np.sign(G)))))
 
 

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -241,6 +242,13 @@ CMP = {"m": 1, "phi": STAR, "window": [15.0, 25.0]}
      "ell_max"),
     ("run", "validate", {"checks": ["petrovskii-consistency"],
                          "consistency_tau_max": 1.0e13}, "tau_max"),
+    # a kappa named positive-increasing whose parameters make it not so
+    ("run", "criterion", {"m": 1, "phi": STAR, "iteration": True,
+                          "kappa": {"name": "critical-kappa",
+                                    "params": {"c": -1.0}}}, "iteration"),
+    ("run", "criterion", {"m": 1, "phi": STAR, "iteration": True,
+                          "kappa": {"name": "positive-log",
+                                    "params": {"c": 0.0}}}, "iteration"),
 ])
 def test_unused_fields_and_out_of_range_values_are_config_errors(
         tmp_path, when, task, parameters, field):
@@ -364,18 +372,32 @@ def test_scenario_errors_are_isolated(tmp_path):
     assert report["failed_scenarios"] == ["too-far"]
 
 
-def test_amplitude_ceiling_reported_as_irregular(tmp_path):
-    # strong positive reaction pushes ln a0 to 0; that is an outcome, not an error
-    doc = one_scenario("ceiling", "criterion", {
-        "m": 1, "phi": "petrovskii-critical",
-        "kappa": {"name": "critical-kappa", "params": {"c": 100.0}}})
+@pytest.mark.parametrize("parameters", [
+    # strong positive reaction pushes ln a0 to 0
+    {"m": 1, "phi": "petrovskii-critical",
+     "kappa": {"name": "critical-kappa", "params": {"c": 100.0}}},
+    # the m=2 linear term grows from ln a0 = -1 below c*
+    {"m": 2, "phi": {"name": "biharmonic-critical", "params": {"c": 2.5}},
+     "tau_max": 1.0e9},
+], ids=["m1-reaction", "m2-linear"])
+def test_amplitude_ceiling_reported_as_irregular(tmp_path, parameters):
+    # reaching the ceiling is an outcome, not an error: the run keeps its
+    # trajectory, and the verdict record reads it
+    doc = one_scenario("ceiling", "criterion", parameters)
     code, report = cli.run_scenarios(write_config(tmp_path, doc),
                                      str(tmp_path / "out"))
     assert code == 0
     payload = report["reports"][0]["payload"]
     assert payload["verdict"] == "Irregular"
-    assert "overflow" in payload["certificate"]
-    assert report["reports"][0]["artifacts"] == []
+    assert re.fullmatch(r"amplitude overflow: ln a0 reached 0 at tau=\S+",
+                        payload["certificate"])
+    assert report["reports"][0]["artifacts"] == ["ceiling/trajectory.csv"]
+    rows = np.loadtxt(tmp_path / "out" / "ceiling" / "trajectory.csv",
+                      delimiter=",", skiprows=1)
+    assert payload["ln_a0_final"] == rows[-1, 1] == pytest.approx(0.0, abs=1e-8)
+    assert math.isfinite(payload["trend_slope"])
+    assert payload["decades"] == pytest.approx(math.log10(rows[-1, 0] / 10.0))
+    assert payload["trajectory_ref"].startswith(f"m{parameters['m']}-")
 
 
 def test_reruns_byte_identical_modulo_timestamp(tmp_path):

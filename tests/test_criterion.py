@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from vertexreg import _solvers, blayer, criterion, funcs, spectral
-from vertexreg.errors import (ConfigError, DomainError, NoConvergence,
-                              QuadratureError, StiffnessError)
+from vertexreg.errors import (ConfigError, DomainError, QuadratureError,
+                              StiffnessError)
 
 STAR = funcs.lookup("petrovskii-critical")
 SUPER = funcs.lookup("petrovskii-super")
@@ -207,7 +207,7 @@ def test_wide_parabola_amplitude_settles():
 def test_underflow_terminates_early():
     ode = criterion.build_criterion(1, "multiplicative", STAR, NEGLOG)
     traj = criterion.integrate(ode, -1.0, 10.0, 1e12)
-    assert traj.underflow
+    assert traj.stop == "underflow"
     assert traj.ln_a0[-1] == pytest.approx(-745.0, abs=0.5)
     assert traj.tau[-1] == pytest.approx(2.761e5, rel=0.02)
     v = criterion.verdict(traj)
@@ -215,11 +215,35 @@ def test_underflow_terminates_early():
     assert "underflow" in v.certificate
 
 
-def test_amplitude_overflow_raises():
+def test_amplitude_ceiling_stops_the_run():
+    # reaching the ceiling is an outcome: the run stops there, the verdict
+    # is Irregular, and a caller's certificate does not replace its reason
     ode = criterion.build_criterion(
         1, "multiplicative", STAR, funcs.lookup("positive-log", c=10.0))
-    with pytest.raises(DomainError):
-        criterion.integrate(ode, -0.05, 10.0, 1e6)
+    traj = criterion.integrate(ode, -0.05, 10.0, 1e6)
+    assert traj.stop == "ceiling"
+    assert traj.tau[-1] < 1e6
+    assert traj.ln_a0[-1] == pytest.approx(0.0, abs=1e-8)
+    for cert in (None, "caller's certificate"):
+        v = criterion.verdict(traj, certificate=cert)
+        assert v.verdict == "Irregular"
+        assert v.certificate == (f"amplitude overflow: ln a0 reached 0 at "
+                                 f"tau={traj.tau[-1]:.4g}")
+
+
+def test_m2_linear_run_from_near_the_ceiling_stops_there():
+    # biharmonic-critical at c = 2.5 grows from ln a0 = -1 through the
+    # ceiling; the run keeps its trajectory up to that point
+    phi = funcs.lookup("biharmonic-critical", c=2.5)
+    ode = criterion.build_criterion(2, "multiplicative", phi, ZERO)
+    traj = criterion.integrate(ode, -1.0, 10.0, 1e9)
+    assert traj.stop == "ceiling"
+    assert traj.ln_a0[-1] == pytest.approx(0.0, abs=1e-8)
+    assert np.all(traj.ln_a0[:-1] < 0.0)
+    v = criterion.verdict(traj)
+    assert v.verdict == "Irregular"
+    assert v.certificate == "amplitude overflow: ln a0 reached 0 at tau=35.19"
+    assert v.ln_a0_final == traj.ln_a0[-1]
 
 
 def test_integrate_preconditions():
@@ -256,13 +280,15 @@ def test_lsoda_failure_raises_stiffness_error(monkeypatch):
 NON_FINITE_RUNS = {
     # y' = y^2 from y = 1 reaches inf at t = 1
     "blow-up": """
+import math
 import numpy as np
 from vertexreg import _solvers
 def square(t, y):
     v = float(y[0])
     return [v * v]
 try:
-    _solvers.lsoda(square, np.linspace(0.0, 5.0, 50), 1.0, (), 1e-10, 1e-10, 0.25)
+    _solvers.lsoda(square, np.linspace(0.0, 5.0, 50), 1.0, -math.inf, math.inf,
+                   1e-10, 1e-10, 0.25)
 except ValueError as exc:
     print(exc)
 """,
@@ -273,7 +299,8 @@ from vertexreg import _solvers
 def turns_nan(t, y):
     return [math.nan if t > 2.0 else -float(y[0])]
 try:
-    _solvers.lsoda(turns_nan, np.linspace(0.0, 5.0, 50), 1.0, (), 1e-10, 1e-10, 0.25)
+    _solvers.lsoda(turns_nan, np.linspace(0.0, 5.0, 50), 1.0, -math.inf, math.inf,
+                   1e-10, 1e-10, 0.25)
 except ValueError as exc:
     print(exc)
 """,
@@ -488,12 +515,9 @@ def test_iteration_certificate_scan():
     for c in (1.0, 10.0, 100.0):
         ode = criterion.build_criterion(
             1, "multiplicative", STAR, funcs.lookup("critical-kappa", c=c))
-        try:
-            result = criterion.irregularity_iteration(ode)
-            margins[c] = result.margin
-            assert result.certificate is not None
-        except NoConvergence as exc:
-            margins[c] = exc.record.margin
+        result = criterion.irregularity_iteration(ode)
+        margins[c] = result.margin
+        assert (result.certificate is not None) == (result.margin > 0.0)
     assert margins[1.0] == pytest.approx(-0.833, abs=0.05)
     assert margins[10.0] == pytest.approx(4.736, abs=0.15)
     assert margins[100.0] == pytest.approx(60.43, abs=1.0)
@@ -505,15 +529,14 @@ def test_iteration_rejects_superlinear_decay_reaction():
     kap = funcs.Kappa("identity", lambda u: np.asarray(u, dtype=float),
                       u_max=1.0, sign="positive-increasing")
     ode = criterion.build_criterion(1, "multiplicative", STAR, kap)
-    with pytest.raises(NoConvergence) as info:
-        criterion.irregularity_iteration(ode)
-    record = info.value.record
+    record = criterion.irregularity_iteration(ode)
+    assert record.certificate is None
     assert record.margin == pytest.approx(-1.217, abs=0.05)
     assert len(record.iterates) >= 2
 
 
 def test_iteration_preconditions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="positive increasing"):
         criterion.irregularity_iteration(
             criterion.build_criterion(1, "multiplicative", STAR, NEGLOG))
     with pytest.raises(ConfigError):

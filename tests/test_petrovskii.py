@@ -290,6 +290,20 @@ def test_envelope_exponent_identity():
         petrovskii.envelope_exponent(crit, tau_lo=1e8, tau_hi=1e4)
 
 
+@pytest.mark.parametrize("p", [0.0, 1e-6, 1e-4, 1.9e-4, 1.95e-4, 1e-3])
+def test_constant_width_guard_reads_the_carrier_phase(p):
+    # the biharmonic integral stays Undetermined where the carrier phase
+    # b0 phi^alpha moves by less than 1e-3 over the horizon
+    phi = funcs._phi_log_power(p, 3.0)
+    trace = petrovskii.biharmonic_linear_criterion(phi, tau0=10.0, tau_max=1e9)
+    b0, alpha = 3.0 ** 0.5 * 3.0 * 2.0 ** (-11.0 / 3.0), 4.0 / 3.0
+    phase_move = b0 * (float(phi.phi(1e9)) ** alpha - float(phi.phi(10.0)) ** alpha)
+    constant = trace.diagnostic.startswith("integrand envelope does not decay")
+    assert constant == (phase_move < 1e-3)
+    assert trace.fit.slope == petrovskii.envelope_exponent(phi, tau_lo=10.0,
+                                                           tau_hi=1e9)
+
+
 # -- trace export -----------------------------------------------------------------
 
 def test_export_trace_csv(tmp_path):

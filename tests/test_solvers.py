@@ -34,10 +34,10 @@ def level(value, direction):
        y0=st.floats(-1.0, 1.0), t0=st.floats(-5.0, 5.0),
        span=st.floats(0.5, 20.0), n_points=st.integers(2, 300),
        tol=st.floats(1e-12, 1e-6), max_step=st.floats(0.05, 1.0),
-       levels=st.lists(st.tuples(st.floats(-3.0, 3.0), st.sampled_from([-1, 0, 1])),
-                       max_size=3))
+       lo=st.one_of(st.floats(-3.0, 3.0), st.just(-math.inf)),
+       hi=st.one_of(st.floats(-3.0, 3.0), st.just(math.inf)))
 def test_lsoda_has_the_bits_of_solve_ivp(a, b, w, y0, t0, span, n_points, tol,
-                                         max_step, levels):
+                                         max_step, lo, hi):
     calls = [0, 0]
 
     def counted(which):
@@ -46,13 +46,13 @@ def test_lsoda_has_the_bits_of_solve_ivp(a, b, w, y0, t0, span, n_points, tol,
             return [a * y[0] + b * math.sin(w * t)]
         return rhs
 
-    events = [level(value, direction) for value, direction in levels]
     t_eval = np.linspace(t0, t0 + span, n_points)
-    ours = lambda: _solvers.lsoda(counted(1), t_eval, y0, events, rtol=tol,
+    ours = lambda: _solvers.lsoda(counted(1), t_eval, y0, lo, hi, rtol=tol,
                                   atol=tol, max_step=max_step)
     try:
         sol = solve_ivp(counted(0), (t_eval[0], t_eval[-1]), [y0],
-                        method="LSODA", t_eval=t_eval, events=events,
+                        method="LSODA", t_eval=t_eval,
+                        events=[level(lo, -1), level(hi, 1)],  # lsoda's levels
                         rtol=tol, atol=tol, max_step=max_step)
     except ValueError as exc:  # an event that starts on its level may not bracket
         with pytest.raises(ValueError, match=re.escape(str(exc))):
@@ -72,15 +72,22 @@ def test_lsoda_has_the_bits_of_solve_ivp(a, b, w, y0, t0, span, n_points, tol,
         assert bits(hit[2]) == bits(sol.y_events[hit[0]][0][0])
 
 
-def test_lsoda_stops_at_the_first_of_two_events():
-    # both levels are crossed within one step; the earlier root ends the run
-    rhs = lambda t, y: [-1.0]
-    events = [level(-0.5, -1), level(-0.3, -1)]
-    t, y, hit, failure = _solvers.lsoda(rhs, np.linspace(0.0, 2.0, 5), 0.0,
-                                        events, rtol=1e-10, atol=1e-10, max_step=1.0)
+@pytest.mark.parametrize("hi, k, t_stop", [
+    (0.9, 1, math.asin(0.9)),           # y = sin t rises to the ceiling first
+    (1.5, 0, math.pi + math.asin(0.5)),  # the ceiling is never reached
+])
+def test_lsoda_stops_at_the_floor_or_the_ceiling(hi, k, t_stop):
+    # y' = cos t from 0 against the floor -0.5: whichever level y reaches
+    # first ends the run, at its root, with y on that level
+    rhs = lambda t, y: [math.cos(t)]
+    t_eval = np.linspace(0.0, 6.0, 13)
+    t, y, hit, failure = _solvers.lsoda(rhs, t_eval, 0.0, -0.5, hi,
+                                        rtol=1e-10, atol=1e-10, max_step=0.25)
     assert failure is None
-    assert hit[0] == 1 and hit[1] == pytest.approx(0.3)
-    assert list(t) == [0.0]
+    assert hit[0] == k
+    assert hit[1] == pytest.approx(t_stop, abs=1e-8)
+    assert hit[2] == pytest.approx((-0.5, hi)[k], abs=1e-12)
+    assert list(t) == list(t_eval[t_eval <= hit[1]])
 
 
 # -- quad -------------------------------------------------------------------------
