@@ -565,7 +565,7 @@ def _run_simulate(params, outdir):
         pdesim.export_snapshots_csv(traj, os.path.join(outdir, "snapshots.csv"))
         artifacts.append("snapshots.csv")
     tv = traj.vertex_values
-    post = tv[tv[:, 0] >= tv[0, 0] + 3.0]
+    post = tv[tv[:, 0] >= tv[0, 0] + pdesim._TRANSIENT]
     retention = math.nan
     if post.shape[0] >= 2 and post[0, 1] != 0.0:
         retention = float(post[:, 1].min() / post[0, 1])
@@ -640,7 +640,7 @@ def _check_rows_consistency(params):
         traj = criterion.integrate(
             criterion.build_criterion(1, "multiplicative", phi, zero),
             -1.0, 10.0, tau_max)
-        implied = _IMPLIED_REGULARITY.get(str(cls.value))
+        implied = petrovskii.IMPLIED_REGULARITY.get(cls.value)
         if implied == criterion.verdict(traj).verdict:
             agree += 1
     yield ("petrovskii-criterion-agreement", float(agree), float(len(widths)),
@@ -725,14 +725,6 @@ def _execute(scenario, out_dir):
                   artifacts=[f"{scenario.id}/{a}" for a in artifacts])
 
 
-_IMPLIED_REGULARITY = {
-    "Divergent": "Regular",
-    "DivergentToMinusInfinity": "Regular",
-    "Convergent": "Irregular",
-    "Bounded": "Irregular",
-}
-
-
 def _consistency_checks(reports):
     """Pair integral classifications with ODE verdicts on the same problem.
 
@@ -756,7 +748,7 @@ def _consistency_checks(reports):
         for right in odes:
             if problem(left) != problem(right):
                 continue
-            implied = _IMPLIED_REGULARITY.get(left.payload["classification"])
+            implied = petrovskii.IMPLIED_REGULARITY.get(left.payload["classification"])
             verdict = right.payload["verdict"]
             consistent = None
             if implied is not None and verdict in ("Regular", "Irregular"):
@@ -830,6 +822,8 @@ def _suite_documents():
         _sc("star-petrovskii", "petrovskii", phi=star, tau_max=1.0e9),
         _sc("super005-petrovskii", "petrovskii", phi=super05, tau_max=1.0e9),
         _sc("super010-petrovskii", "petrovskii", phi=super10, tau_max=1.0e9),
+        _sc("consistency-1e9", "validate", checks=["petrovskii-consistency"],
+            consistency_tau_max=1.0e9),
     ]
     docs["decay-law"] = [
         _sc("star-decay", "criterion", m=1, phi=star, tau_max=1.0e6),

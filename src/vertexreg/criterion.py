@@ -5,9 +5,10 @@ question onto one nonautonomous ODE for ln a0, the leading-mode
 amplitude at the vertex: the vertex is regular exactly when every
 solution decays to -infinity.  This module assembles those systems for
 the second-order (m=1) and bi-harmonic (m=2) problems, integrates them
-over many decades of tau, issues finite-horizon verdicts, and provides
-the closed-form and iterated comparison solutions used as independent
-cross-checks.
+over many decades of tau, and provides the closed-form and iterated
+comparison solutions used as independent cross-checks. An m=1 verdict
+fits the tail of the decay rate with the integral criteria's own test
+(petrovskii._classify_decay), so both routes answer one question.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _solvers, spectral
+from . import _solvers, petrovskii, spectral
 from ._csvtable import write_csv
 from ._quadrature import cumulative_trapezoid
 from .blayer import bl_profile
@@ -30,13 +31,6 @@ _LN_UNDERFLOW = -745.0  # exp() underflows to 0 just below this
 _LN_CEILING = 1e-9  # ln a0 just past 0: the amplitude ceiling a0 = 1
 _MAX_TAU = 1.0e12
 _PERIOD_CAP = 1.0e5  # most carrier half-periods a period sum will integrate
-
-DEFAULT_THRESHOLDS = {
-    "drop": 10.0,        # required fall of ln a0 below its initial value
-    "slope": -0.05,      # required trend d(ln a0)/d(ln tau) over last decade
-    "plateau": 0.5,      # max |change| over the last decade to call a plateau
-    "min_decades": 3.0,  # shorter trajectories stay Inconclusive
-}
 
 
 # -- types --------------------------------------------------------------------
@@ -97,21 +91,24 @@ class CriterionTrajectory:
 
 @dataclass(frozen=True)
 class RegularityVerdict:
+    """tail_exponent is the decay rate's fitted power p (rate ~ tau^-p; inf
+    when the rate sank below the floor), or None when a stop, a certificate
+    or the m=2 rule decided."""
+
     verdict: str
     ln_a0_final: float
-    trend_slope: float
+    tail_exponent: Optional[float]
     certificate: Optional[str]
     trajectory_ref: str
 
     def as_record(self) -> dict:
-        """The verdict fields, with the thresholds it was decided by."""
+        """The verdict fields, as the report stores them."""
         return {
             "verdict": self.verdict,
             "ln_a0_final": self.ln_a0_final,
-            "trend_slope": self.trend_slope,
+            "tail_exponent": self.tail_exponent,
             "certificate": self.certificate,
             "trajectory_ref": self.trajectory_ref,
-            "thresholds": dict(DEFAULT_THRESHOLDS),
         }
 
 
@@ -319,23 +316,20 @@ def verdict(trajectory: CriterionTrajectory,
 
     A run that stopped at the amplitude ceiling is Irregular; otherwise an
     irregularity certificate attached by the caller forces Irregular; then
-    a run that stopped at the underflow floor is Regular. Past those,
-    DEFAULT_THRESHOLDS are finite-horizon heuristics, echoed by the
-    verdict's record.
+    a run that stopped at the underflow floor is Regular. Past those, an
+    m=1 run classifies its decay rate -(rhs_linear + rhs_nonlinear) over
+    the last two decades with the integral criteria's tail test: a
+    divergent rate integral is Regular, a convergent one Irregular, and a
+    rate that turns negative there, or an Undetermined class, Inconclusive.
+    An m=2 run is Irregular when ln a0 moved less than 0.5 over the last
+    decade of a run of at least 3 decades, else Inconclusive.
     """
-    th = DEFAULT_THRESHOLDS
-    tau = trajectory.tau
-    x = trajectory.ln_a0
-    mask = tau >= tau[-1] / 10.0
-    if int(mask.sum()) >= 2:
-        slope = float(np.polyfit(np.log(tau[mask]), x[mask], 1)[0])
-    else:
-        slope = 0.0
+    tau, x = trajectory.tau, trajectory.ln_a0
     final = float(x[-1])
 
-    def make(verdict_name, cert):
+    def make(verdict_name, cert, p=None):
         return RegularityVerdict(verdict=verdict_name, ln_a0_final=final,
-                                 trend_slope=slope, certificate=cert,
+                                 tail_exponent=p, certificate=cert,
                                  trajectory_ref=trajectory.ref)
 
     if trajectory.stop == "ceiling":
@@ -347,14 +341,18 @@ def verdict(trajectory: CriterionTrajectory,
         return make("Regular",
                     f"amplitude underflow: ln a0 reached {_LN_UNDERFLOW:g} "
                     f"at tau={tau[-1]:.4g}")
-    if trajectory.decades < th["min_decades"]:
+    if trajectory.ode.m == 2:
+        mid = float(np.interp(math.log(tau[-1] / 10.0), np.log(tau), x))
+        plateau = trajectory.decades >= 3.0 and abs(final - mid) < 0.5
+        return make("Irregular" if plateau else "Inconclusive", None)
+    tail = tau >= tau[-1] / 100.0
+    rate = -(trajectory.rhs_linear + trajectory.rhs_nonlinear)[tail]
+    if np.any(rate < 0.0):
         return make("Inconclusive", None)
-    if final < trajectory.ln_a0_init - th["drop"] and slope < th["slope"]:
-        return make("Regular", None)
-    mid = float(np.interp(math.log(tau[-1] / 10.0), np.log(tau), x))
-    if abs(final - mid) < th["plateau"]:
-        return make("Irregular", None)
-    return make("Inconclusive", None)
+    with np.errstate(divide="ignore"):  # a rate of 0 is at the floor
+        cls, fit = petrovskii._classify_decay(tau[tail], np.log(rate), 0.0)
+    return make(petrovskii.IMPLIED_REGULARITY.get(cls.value, "Inconclusive"),
+                None, fit.slope)
 
 
 # -- comparison solutions -------------------------------------------------------
@@ -497,7 +495,7 @@ def irregularity_iteration(ode: CriterionODE) -> IterationResult:
                            converged=gap < 1e-10)
 
 
-# the Osgood-Dini partial integrals run up to ell = -ln z = 690 on 6000 points
+# the Osgood-Dini integrand is sampled up to ell = -ln z = 690 on 6000 points
 _OSGOOD_ELL_MAX = 690.0
 _OSGOOD_POINTS = 6000
 
@@ -506,20 +504,17 @@ def osgood_dini_check(kappa: Kappa) -> OsgoodDiniResult:
     """Divergence test for the small-amplitude integral of 1/(z |kappa(z)|).
 
     Works in ell = -ln z, where the integral becomes int d(ell)/|kappa|;
-    divergence is read off the log-log growth of the partial integrals.
+    its integrand goes through the integral criteria's tail test, on the
+    log-uniform grid of the density form. tail_slope is the fitted p.
     """
     ell0 = max(-math.log(kappa.u_max), 1.0)
-    ell = np.linspace(ell0, _OSGOOD_ELL_MAX, _OSGOOD_POINTS)
+    ell = np.geomspace(ell0, _OSGOOD_ELL_MAX, _OSGOOD_POINTS)
     with np.errstate(over="ignore", divide="ignore"):
         mag = np.abs(np.asarray(kappa.kappa(np.exp(-ell)), dtype=float))
-    integrand = 1.0 / np.clip(mag, 1e-290, None)
-    partial = cumulative_trapezoid(integrand, ell, initial=0.0)
-    tail = ell >= _OSGOOD_ELL_MAX / 10.0
-    with np.errstate(divide="ignore"):
-        slope = float(np.polyfit(np.log(ell[tail]),
-                                 np.log(np.clip(partial[tail], 1e-300, None)),
-                                 1)[0])
-    return OsgoodDiniResult(diverges=slope > 0.05, tail_slope=slope)
+    ln_f = -np.log(np.clip(mag, 1e-290, None))  # ln of the integrand 1/|kappa|
+    cls, fit = petrovskii._classify_decay(ell, ln_f, 0.0)
+    return OsgoodDiniResult(diverges=cls is petrovskii.Classification.DIVERGENT,
+                            tail_slope=fit.slope)
 
 
 # the linear comparison solution starts from ln a0 = -1 at tau = 10 and runs

@@ -22,6 +22,7 @@ from .funcs import SlowGrowthFn
 
 __all__ = [
     "Classification",
+    "IMPLIED_REGULARITY",
     "TailFit",
     "IntegralTrace",
     "petrovskii_integral",
@@ -51,6 +52,15 @@ class Classification(str, Enum):
     UNDETERMINED = "Undetermined"
     DIVERGENT_TO_MINUS_INFINITY = "DivergentToMinusInfinity"
     BOUNDED = "Bounded"
+
+
+# the vertex each tail class implies; Undetermined implies nothing
+IMPLIED_REGULARITY = {
+    Classification.DIVERGENT.value: "Regular",
+    Classification.DIVERGENT_TO_MINUS_INFINITY.value: "Regular",
+    Classification.CONVERGENT.value: "Irregular",
+    Classification.BOUNDED.value: "Irregular",
+}
 
 
 @dataclass(frozen=True)
@@ -169,7 +179,7 @@ def dini_osgood_form(rho, *, h_max: float = 0.1, ell_max: float = 690.0,
     ell0 = -math.log(h_max)
     if ell_max <= ell0:
         raise ConfigError("ell_max=%g leaves no room below h_max=%g" % (ell_max, h_max))
-    ell = np.linspace(ell0, ell_max, n_points)
+    ell = np.geomspace(ell0, ell_max, n_points)  # tau's log-uniform grid
     with np.errstate(under="ignore"):
         r = np.asarray(rho(np.exp(-ell)), dtype=float)
     if not np.all(np.isfinite(r)):

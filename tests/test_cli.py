@@ -192,7 +192,7 @@ CMP = {"m": 1, "phi": STAR, "window": [15.0, 25.0]}
     ("load", "sweep", {"task": "compare", "base": CMP,
                        "vary": {"field": "freeze_phi", "values": [4.0]}},
      "freeze_phi"),
-    # the verdict thresholds are constants, not config
+    # the verdict takes no thresholds from a config
     ("load", "criterion", {"m": 1, "phi": STAR, "thresholds": {"drop": 12.0}},
      "thresholds"),
     # runs whose report would describe another computation
@@ -395,7 +395,7 @@ def test_amplitude_ceiling_reported_as_irregular(tmp_path, parameters):
     rows = np.loadtxt(tmp_path / "out" / "ceiling" / "trajectory.csv",
                       delimiter=",", skiprows=1)
     assert payload["ln_a0_final"] == rows[-1, 1] == pytest.approx(0.0, abs=1e-8)
-    assert math.isfinite(payload["trend_slope"])
+    assert payload["tail_exponent"] is None  # the stop decided, nothing was fitted
     assert payload["decades"] == pytest.approx(math.log10(rows[-1, 0] / 10.0))
     assert payload["trajectory_ref"].startswith(f"m{parameters['m']}-")
 
@@ -615,6 +615,22 @@ def test_reproduction_suite_contents(tmp_path):
     for path in paths:
         _, scenarios = cli.load_config(path)
         assert scenarios
+    # CI's repro step runs the consistency check at a horizon short of the
+    # default 1e12
+    _, scenarios = cli.load_config(os.path.join(str(tmp_path),
+                                                "petrovskii-dichotomy.yaml"))
+    assert [(s.id, s.parameters) for s in scenarios if s.task == "validate"] == [
+        ("consistency-1e9", {"checks": ["petrovskii-consistency"],
+                             "consistency_tau_max": 1.0e9})]
+
+
+@pytest.mark.parametrize("tau_max", [1.0e6, 1.0e9, 1.0e12])
+def test_petrovskii_consistency_passes_at_every_horizon(tau_max):
+    # the ODE verdict and the tau form share one tail test, so every
+    # catalog width agrees at short horizons too, log-power p=0.75 included
+    rows = list(cli.VALIDATION_CHECKS["petrovskii-consistency"](
+        {"consistency_tau_max": tau_max}))
+    assert rows == [("petrovskii-criterion-agreement", 6.0, 6.0, True)]
 
 
 def test_emitted_config_runs(tmp_path):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from vertexreg import _solvers, blayer, criterion, funcs, spectral
+from vertexreg import _solvers, blayer, criterion, funcs, petrovskii, spectral
 from vertexreg.errors import (ConfigError, DomainError, QuadratureError,
                               StiffnessError)
 
@@ -349,22 +350,83 @@ def test_comparison_trajectories_never_cross():
 # -- verdicts --------------------------------------------------------------------
 
 def test_verdict_dichotomy():
-    reg = criterion.verdict(criterion.integrate(
-        criterion.build_criterion(1, "multiplicative", STAR, ZERO),
-        -1.0, 10.0, 1e9))
-    assert reg.verdict == "Regular"
-    assert reg.trend_slope < -0.05
-    irr = criterion.verdict(criterion.integrate(
-        criterion.build_criterion(1, "multiplicative", SUPER, ZERO),
-        -1.0, 10.0, 1e9))
-    assert irr.verdict == "Irregular"
+    # the m=1 verdict is the integral criterion's tail test applied to the
+    # decay rate: its fitted p is the tau form's, up to the sample grid.
+    # log-power p=0.75 converges (2p > 1), and its verdict says so at 1e9
+    for phi, expect in ((STAR, "Regular"), (SUPER, "Irregular"),
+                        (funcs.lookup("log-power", p=0.75), "Irregular")):
+        v = criterion.verdict(criterion.integrate(
+            criterion.build_criterion(1, "multiplicative", phi, ZERO),
+            -1.0, 10.0, 1e9))
+        assert v.verdict == expect
+        assert v.certificate is None
+        fit = petrovskii.petrovskii_integral(phi, tau_max=1e9).fit
+        assert v.tail_exponent == pytest.approx(fit.slope, abs=1e-3)
 
 
 def test_verdict_short_run_is_inconclusive():
+    # an m=2 run keeps the plateau rule, which needs 3 decades
     traj = criterion.integrate(
-        criterion.build_criterion(1, "multiplicative", STAR, ZERO),
+        criterion.build_criterion(2, "multiplicative", BIH, ZERO),
         -1.0, 10.0, 100.0)
-    assert criterion.verdict(traj).verdict == "Inconclusive"
+    v = criterion.verdict(traj)
+    assert (v.verdict, v.tail_exponent) == ("Inconclusive", None)
+    # an m=1 run whose rate turns negative in its tail: ln a0 rises
+    rising = criterion.integrate(
+        criterion.build_criterion(1, "multiplicative", STAR,
+                                  funcs.lookup("positive-log")),
+        -50.0, 10.0, 100.0)
+    assert rising.stop is None and rising.ln_a0[-1] > -50.0
+    v = criterion.verdict(rising)
+    assert (v.verdict, v.tail_exponent) == ("Inconclusive", None)
+    # a short m=1 run that decays is decided by the tail test
+    short = criterion.verdict(criterion.integrate(
+        criterion.build_criterion(1, "multiplicative", STAR, ZERO),
+        -1.0, 10.0, 100.0))
+    assert short.verdict == "Regular"
+
+
+@pytest.mark.parametrize("kappa, init, stop", [
+    (funcs.lookup("negative-log"), -745.0, "underflow"),
+    (funcs.lookup("positive-log", c=10.0), 0.0, "ceiling"),
+], ids=["floor", "ceiling"])
+def test_first_step_stop_fits_nothing(kappa, init, stop):
+    # a run that stops within its first step leaves two points; the stop
+    # decides, so nothing is fitted and nothing warns
+    traj = criterion.integrate(
+        criterion.build_criterion(1, "multiplicative", STAR, kappa),
+        init, 10.0, 1e6)
+    assert traj.stop == stop and traj.tau.size == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = criterion.verdict(traj)
+    assert v.tail_exponent is None
+    assert v.verdict == ("Regular" if stop == "underflow" else "Irregular")
+
+
+def _m1_widths():
+    catalog = [f for f in funcs.builtin_catalog()
+               if isinstance(f, funcs.SlowGrowthFn)]
+    return st.one_of(
+        st.sampled_from(catalog),
+        st.floats(0.0, 0.5).map(lambda e: funcs.lookup("petrovskii-super", eps=e)),
+        st.floats(0.5, 5.0).map(lambda p: funcs.lookup("log-power", p=p)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(phi=_m1_widths(), log_tau_max=st.floats(2.0, 12.0))
+def test_ode_verdict_is_the_tau_form_class(phi, log_tau_max):
+    # zero kappa: the ODE's decay rate is the tau form's integrand up to a
+    # constant, so one tail test gives one answer over one span. A run that
+    # reaches the floor first is decided by the floor rule instead.
+    tau_max = 10.0 ** log_tau_max
+    traj = criterion.integrate(
+        criterion.build_criterion(1, "multiplicative", phi, ZERO),
+        -1.0, 10.0, tau_max)
+    cls = petrovskii.petrovskii_integral(phi, tau_max=tau_max).classification
+    if traj.stop is None:
+        assert criterion.verdict(traj).verdict == \
+            petrovskii.IMPLIED_REGULARITY.get(cls.value, "Inconclusive")
 
 
 def test_verdict_stability_under_tolerance_and_horizon():
@@ -383,11 +445,12 @@ def test_verdict_record_and_certificate():
         criterion.build_criterion(1, "multiplicative", STAR, ZERO),
         -1.0, 10.0, 1e9)
     rec = criterion.verdict(traj).as_record()
-    assert rec["thresholds"] == criterion.DEFAULT_THRESHOLDS
-    assert set(rec) >= {"verdict", "ln_a0_final", "trend_slope", "certificate",
-                        "trajectory_ref"}
+    assert set(rec) == {"verdict", "ln_a0_final", "tail_exponent",
+                        "certificate", "trajectory_ref"}
+    assert rec["tail_exponent"] == criterion.verdict(traj).tail_exponent
     forced = criterion.verdict(traj, certificate="external evidence")
     assert forced.verdict == "Irregular"
+    assert (forced.certificate, forced.tail_exponent) == ("external evidence", None)
 
 
 # -- bi-harmonic linear term ------------------------------------------------------
@@ -548,8 +611,9 @@ def test_iteration_preconditions():
 # -- Osgood-Dini and gradient negligibility ----------------------------------------
 
 def test_osgood_dini_examples():
+    # the tail test's p of 1/|kappa(e^-ell)| in ell: -1 for 1/|kappa| = ell
     assert criterion.osgood_dini_check(NEGLOG).diverges
-    assert criterion.osgood_dini_check(NEGLOG).tail_slope == pytest.approx(2.0, abs=0.05)
+    assert criterion.osgood_dini_check(NEGLOG).tail_slope == pytest.approx(-1.0, abs=1e-9)
     assert criterion.osgood_dini_check(funcs.lookup("negative-power")).diverges
     const = funcs.Kappa("const-neg-one",
                         lambda u: -np.ones_like(np.asarray(u, dtype=float)))
@@ -559,6 +623,7 @@ def test_osgood_dini_examples():
                         lambda u: -(np.log(np.asarray(u, dtype=float)) ** 2),
                         u_max=math.exp(-1.0))
     assert not criterion.osgood_dini_check(steep).diverges
+    assert criterion.osgood_dini_check(steep).tail_slope == pytest.approx(2.0, abs=1e-9)
 
 
 def test_gradient_negligibility_decays():

@@ -159,6 +159,19 @@ def test_form_equivalence_on_catalog():
         assert a == b, phi.name
 
 
+def test_forms_agree_across_the_super_scan():
+    # both forms sample log-uniformly, in tau and in ell = tau, so they fit
+    # one p and a width near the margin (eps 0.06 to 0.065 here) gets one
+    # class from both
+    for eps in np.arange(0.05, 0.2 + 1e-9, 0.0025):
+        phi = funcs.lookup("petrovskii-super", eps=float(eps))
+        a = petrovskii.petrovskii_integral(phi, 1, 10.0, 690.0, n_points=6000)
+        b = petrovskii.dini_osgood_form(rho_of(phi), h_max=math.exp(-10.0),
+                                        ell_max=690.0, n_points=6000)
+        assert a.classification == b.classification, eps
+        assert a.fit.slope == pytest.approx(b.fit.slope, abs=1e-12)
+
+
 def test_classification_matches_amplitude_verdict_on_catalog():
     zero = funcs.lookup("zero-kappa")
     to_verdict = {Classification.DIVERGENT: "Regular",
