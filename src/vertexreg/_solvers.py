@@ -73,7 +73,8 @@ def lsoda(fun, t_eval, y0, lo, hi, rtol, atol, max_step):
     reached its floor lo (k = 0) or its ceiling hi (k = 1), else None;
     failure = why a step failed, else None. Raises ValueError when fun
     returns a non-finite value, which LSODA would step on forever or carry
-    along, or when a level's root fails."""
+    along, or when a level's root fails. The step loop keeps each step's
+    end and Nordsieck history; the t_eval values come after it."""
     def checked(t, y):
         dy = fun(t, y)
         if not math.isfinite(dy[0]):
@@ -89,7 +90,7 @@ def lsoda(fun, t_eval, y0, lo, hi, rtol, atol, max_step):
     state = np.array([y0], dtype=float)
     levels = (lo, hi)
     g_lo, g_hi = state[0] - lo, state[0] - hi
-    ts, ys, i, istate, hit, failure = [], [], 0, 1, None, None
+    ends, histories, flags, istate, hit, failure = [], [], [], 1, None, None
     while hit is None and t < t_bound:
         t_old = t
         state, t, istate = _odepack.lsoda(
@@ -98,41 +99,59 @@ def lsoda(fun, t_eval, y0, lo, hi, rtol, atol, max_step):
         if istate < 0:
             failure = f"LSODA failed at t={t!r} with istate={istate}"
             break
-        istate, dense = 2, None
+        istate = 2
         new_lo, new_hi = state[0] - lo, state[0] - hi
         # solve_ivp's tests for a falling and a rising event
         fired = [k for k, crossed in enumerate((g_lo >= 0 >= new_lo,
                                                 g_hi <= 0 <= new_hi)) if crossed]
-        g_lo, g_hi, t_last = new_lo, new_hi, t
+        g_lo, g_hi = new_lo, new_hi
+        ends.append(t)
+        histories.append(rwork[10:33].copy())  # the last and next step size, yh
+        flags.append(iwork[13:15].copy())  # the order, and the next one
         if fired:
-            dense = _nordsieck(rwork, iwork, t)
-            roots = [brentq(lambda s: dense(s)[0] - levels[k], t_old, t, 4 * EPS)
+            yh, h = _nordsieck(histories[-1], flags[-1]), rwork[11]
+
+            def dense(s):
+                return np.dot(yh, ((s - t) / h) ** np.arange(yh.shape[1]))[0]
+            roots = [brentq(lambda s: dense(s) - levels[k], t_old, t, 4 * EPS)
                      for k in fired]
             first = int(np.argmin(roots))
-            t_last = roots[first]
-            hit = (fired[first], t_last, dense(t_last)[0])
-        j = int(np.searchsorted(t_eval, t_last, side="right"))
-        if j > i:
-            if dense is None:
-                dense = _nordsieck(rwork, iwork, t)
-            ts.append(t_eval[i:j])
-            ys.append(dense(t_eval[i:j])[0])
-            i = j
-    return np.hstack([np.empty(0)] + ts), np.hstack([np.empty(0)] + ys), hit, failure
+            hit = (fired[first], roots[first], dense(roots[first]))
+    return _dense_output(t_eval, ends, histories, flags, hit) + (hit, failure)
 
 
-def _nordsieck(rwork, iwork, t):
-    """LSODA's interpolant over its last step, from the Nordsieck history
-    left in rwork: the order and step size of that step, and the last
-    column rescaled when the order is set to drop."""
-    order = iwork[13]
-    h = rwork[11]
-    yh = np.reshape(rwork[20:20 + (order + 1)], (1, order + 1), order="F").copy()
-    if iwork[14] < order:
-        yh[:, -1] *= (h / rwork[10]) ** order
-    p = np.arange(order + 1)
+def _nordsieck(history, flags):
+    """A step's Nordsieck array yh as a 1-row matrix, from the copies of
+    rwork[10:33] and iwork[13:15] taken after it: the last column rescaled
+    when the order is set to drop."""
+    order, next_order = flags
+    yh = history[10:11 + order].reshape(1, -1).copy()
+    if next_order < order:
+        yh[:, -1] *= (history[1] / history[0]) ** order
+    return yh
 
-    def dense(s):
-        s = np.asarray(s)
-        return np.dot(yh, ((s - t) / h) ** (p if s.ndim == 0 else p[:, None]))
-    return dense
+
+def _dense_output(t_eval, ends, histories, flags, hit):
+    """The t_eval points up to the last step's end, or its level root, and y
+    there from the interpolant of the first step whose end reaches each: one
+    np.power over all (point, power) pairs, whose values do not depend on the
+    array, then one np.dot per step in the shapes of solve_ivp's, which do."""
+    reach = hit[1] if hit else ends[-1] if ends else -math.inf
+    n = int(np.searchsorted(t_eval, reach, side="right"))
+    if n == 0:
+        return np.empty(0), np.empty(0)
+    t_out, ends = np.array(t_eval[:n], dtype=float), np.array(ends)
+    step = np.searchsorted(ends, t_out)
+    first = np.flatnonzero(np.diff(step, prepend=-1))
+    counts = np.diff(first, append=n)
+    sizes = counts * (np.array(flags)[step[first], 0] + 1)
+    offsets = np.cumsum(sizes) - sizes
+    power, col = np.divmod(np.arange(sizes.sum()) - np.repeat(offsets, sizes),
+                           np.repeat(counts, sizes))
+    x = (t_out - ends[step]) / np.array(histories)[step, 1]
+    powers = np.power(x[np.repeat(first, sizes) + col], power)
+    return t_out, np.concatenate([
+        np.dot(_nordsieck(histories[k], flags[k]),
+               powers[a:a + size].reshape(-1, count))[0]
+        for k, a, size, count in zip(step[first].tolist(), offsets.tolist(),
+                                     sizes.tolist(), counts.tolist())])

@@ -13,6 +13,7 @@ fits the tail of the decay rate with the integral criteria's own test
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -54,7 +55,9 @@ class M2Constants:
 
 @dataclass(frozen=True)
 class CriterionODE:
-    """Assembled 1D system d(ln a0)/dtau = linear(tau) + nonlinear(tau, ln a0)."""
+    """Assembled 1D system d(ln a0)/dtau = linear(tau) + nonlinear(tau, ln a0):
+    rhs is that sum, and integrate solves a kappa.linear system, whose
+    nonlinear_rhs is 0, from linear_rhs alone."""
 
     m: int
     kind: str
@@ -250,8 +253,13 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
                    * np.power(ph, ph_pow) * kernel_value(ph))
             return float(out[0]) if np.ndim(tau) == 0 and np.ndim(ln_a0) == 0 else out
 
+    # LSODA's corrector often asks again at the tau it just asked for: a
+    # float tau reuses the last float tau's linear term, an array never
+    last_linear = functools.lru_cache(maxsize=1)(linear_rhs)
+
     def rhs(tau, ln_a0):
-        return linear_rhs(tau) + nonlinear_rhs(tau, ln_a0)
+        linear = last_linear if isinstance(tau, float) else linear_rhs
+        return linear(tau) + nonlinear_rhs(tau, ln_a0)
 
     return CriterionODE(m=m, kind=kind, phi=phi, kappa=kappa,
                         radial_exponent=radial_exponent, m2_constants=m2c,
@@ -260,6 +268,66 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
 
 
 # -- integration and verdicts ---------------------------------------------------
+
+# the nodes of the 4-node Gauss-Legendre rule on [-1, 1]; _linear_path
+# weighs the outer pair by 0.3478548451374538, the inner by 0.6521451548625461
+_GAUSS_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
+                         0.3399810435848563, 0.8611363115940526])
+
+
+def _linear_path(ode, grid, init, tol):
+    """ln a0 on the sigma grid for a kappa = 0 system: init plus the running
+    sum of the Gauss rule on each interval. Returns _solvers.lsoda's four
+    values (no failure), cut at the first point at or past a level, whose
+    root is sought on that interval's rule. Before it, a non-finite term
+    raises ValueError, and an error estimate above tol (1 + |ln a0|), from
+    the rule on pairs of intervals (the last overlapping on an odd count)
+    against their halves, QuadratureError."""
+    def rule(lo, hi):  # nodes and tau linear(tau) by row, values elementwise
+        nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _GAUSS_NODES
+        tau = np.exp(nodes)
+        f = tau * np.reshape(ode.linear_rhs(tau.ravel()), tau.shape)
+        return nodes, f, 0.5 * (hi - lo) * ((f[:, 0] + f[:, 3]) * 0.3478548451374538
+                                            + (f[:, 1] + f[:, 2]) * 0.6521451548625461)
+
+    n = grid.size - 1
+    pairs = np.minimum(np.arange(0, n, 2), n - 2)
+    nodes, f, values = rule(np.concatenate((grid[:-1], grid[pairs])),
+                            np.concatenate((grid[1:], grid[pairs + 2])))
+    fine, finite = values[:n], np.isfinite(f).all(axis=1)
+    path = init + np.concatenate(([0.0], np.cumsum(fine)))
+    past = (np.logical_and.accumulate(finite[:n])
+            & ((path[1:] <= _LN_UNDERFLOW) | (path[1:] >= _LN_CEILING)))
+    k = int(np.argmax(past)) + 1 if past.any() else n
+    checked = grid[pairs + 2] <= grid[k]  # the pairs up to the stop
+    rows = np.concatenate((np.arange(k), n + np.flatnonzero(checked)))
+    if not finite[rows].all():
+        i = rows[np.argmin(finite[rows])]
+        j = np.argmin(np.isfinite(f[i]))
+        raise ValueError(f"the right side is {float(f[i, j])!r} "
+                         f"at t={float(nodes[i, j])!r}")
+    starts = pairs[checked]
+    # the halves' error: a rule exact to degree 7 errs 2^9 times more on a
+    # pair than on each half, so 255 times less than pair minus halves;
+    # weighed like a step of LSODA with rtol = atol = tol
+    est = (np.abs(values[n:][checked] - fine[starts] - fine[starts + 1])
+           / (255.0 * (1.0 + np.abs(path[starts]))))
+    if est.size and est.max() > tol:
+        i = starts[np.argmax(est)]
+        raise QuadratureError(f"the linear term's error estimate from tau "
+                              f"{math.exp(grid[i]):.4g} is {est.max():.2g} times "
+                              f"1 + |ln a0|, above tol {tol:g}")
+    if not past.any():
+        return grid, path, None, None
+    level = 0 if path[k] <= _LN_UNDERFLOW else 1
+
+    def partial(s):
+        return path[k - 1] + rule(grid[k - 1:k], np.array([s]))[2][0]
+
+    root = _solvers.brentq(lambda s: partial(s) - (_LN_UNDERFLOW, _LN_CEILING)[level],
+                           grid[k - 1], grid[k], 4 * _solvers.EPS)
+    return grid[:k], path[:k], (level, root, partial(root)), None
+
 
 def integrate(ode: CriterionODE, ln_a0_init: float, tau0: float,
               tau_max: float, tol: float = 1e-10) -> CriterionTrajectory:
@@ -270,6 +338,10 @@ def integrate(ode: CriterionODE, ln_a0_init: float, tau0: float,
     ends early where ln a0 falls to -745 (stop "underflow") or rises
     through 0, the amplitude ceiling (stop "ceiling"); the trajectory
     keeps the point where it stopped, and verdict decides either stop.
+
+    With kappa.linear, ln a0 is init plus the integral of the linear term
+    by a Gauss rule on the output grid, and tol bounds the rule's error
+    estimate (_linear_path); otherwise LSODA runs with rtol = atol = tol.
     """
     if not 1e-12 <= tol <= 1e-6:
         raise ConfigError(f"tol must lie in [1e-12, 1e-6], got {tol:g}")
@@ -287,10 +359,12 @@ def integrate(ode: CriterionODE, ln_a0_init: float, tau0: float,
         return [t * float(ode.rhs(t, y[0]))]
 
     n_points = max(300, int(150.0 * (s1 - s0) / math.log(10.0)))
+    grid = np.linspace(s0, s1, n_points)
     try:
-        sigmas, values, hit, failure = _solvers.lsoda(
-            rhs_sigma, np.linspace(s0, s1, n_points), float(ln_a0_init),
-            _LN_UNDERFLOW, _LN_CEILING, rtol=tol, atol=tol, max_step=0.25)
+        sigmas, values, hit, failure = (
+            _linear_path(ode, grid, float(ln_a0_init), tol) if ode.kappa.linear
+            else _solvers.lsoda(rhs_sigma, grid, float(ln_a0_init), _LN_UNDERFLOW,
+                                _LN_CEILING, rtol=tol, atol=tol, max_step=0.25))
     except ValueError as exc:  # a non-finite right side, or a level's root failed
         raise StiffnessError(f"integration stalled: {exc}") from exc
     if failure is not None:

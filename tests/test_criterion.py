@@ -264,20 +264,22 @@ def test_integrate_preconditions():
 
 def test_lsoda_failure_raises_stiffness_error(monkeypatch):
     # LSODA rejects zero tolerances with istate=-3; integrate reports the
-    # failed step instead of returning a partial trajectory
+    # failed step instead of returning a partial trajectory. A nonzero
+    # kappa keeps the run on LSODA (a zero one goes by quadrature)
     real_lsoda = _solvers.lsoda
 
     def untolerant_lsoda(*args, **kwargs):
         return real_lsoda(*args, **dict(kwargs, rtol=0.0, atol=0.0))
 
     monkeypatch.setattr("vertexreg._solvers.lsoda", untolerant_lsoda)
-    ode = criterion.build_criterion(1, "multiplicative", STAR, ZERO)
+    ode = criterion.build_criterion(1, "multiplicative", STAR, NEGLOG)
     with pytest.raises(StiffnessError, match=r"t=2\.30.* istate=-3"):
         criterion.integrate(ode, -1.0, 10.0, 1e6)
 
 
 # Each case runs in its own interpreter under a timeout, so that a driver
-# which steps on forever fails the test instead of hanging the suite.
+# which steps on forever fails the test instead of hanging the suite. The
+# integrate case builds on a nonzero kappa, so that LSODA runs.
 NON_FINITE_RUNS = {
     # y' = y^2 from y = 1 reaches inf at t = 1
     "blow-up": """
@@ -310,7 +312,7 @@ import dataclasses, math
 from vertexreg import criterion, funcs
 from vertexreg.errors import StiffnessError
 ode = criterion.build_criterion(1, "multiplicative", funcs.lookup("petrovskii-critical"),
-                                funcs.lookup("zero-kappa"))
+                                funcs.lookup("negative-log"))
 ode = dataclasses.replace(ode, rhs=lambda tau, x: math.nan if tau > 100.0 else -1e-3)
 try:
     criterion.integrate(ode, -1.0, 10.0, 1e6)
@@ -334,10 +336,120 @@ def test_failed_event_root_raises_stiffness_error(monkeypatch):
         raise ValueError("f(a) and f(b) must have different signs")
 
     monkeypatch.setattr("vertexreg._solvers.brentq", unbracketed)
-    ode = criterion.build_criterion(1, "multiplicative", STAR, ZERO)
+    ode = criterion.build_criterion(1, "multiplicative", STAR, NEGLOG)
     ode = dataclasses.replace(ode, rhs=lambda tau, x: -1.0)  # underflows at once
     with pytest.raises(StiffnessError, match="different signs"):
         criterion.integrate(ode, -1.0, 10.0, 1e6)
+
+
+# -- the kappa = 0 path: quadrature of the linear term on the output grid --------
+
+LINEAR_RUNS = ([pytest.param(1, w, 1e12, id=f"m1-{w.name}") for w in WIDTHS]
+               + [pytest.param(2, funcs.lookup("biharmonic-critical", c=c), 1e9,
+                               id=f"m2-c{c:.5g}")
+                  for c in (funcs.BIHARMONIC_CRITICAL_C, 3.6534, 5.6545, 7.3155)])
+
+
+@pytest.mark.parametrize("m, width, tau_max", LINEAR_RUNS)
+def test_linear_run_matches_the_closed_form(m, width, tau_max):
+    # LSODA missed the integral by up to 4e-9 here; the quadrature by 2e-13
+    ode = criterion.build_criterion(m, "multiplicative", width, ZERO)
+    traj = criterion.integrate(ode, -1.0, 10.0, tau_max)
+    assert traj.stop is None and traj.tau[-1] == pytest.approx(tau_max)
+    exact = criterion.linear_closed_form(m, width, traj.tau[-1], 10.0)
+    assert abs((traj.ln_a0[-1] + 1.0) - exact) < 1e-11
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from([1, 2]), width=st.sampled_from(WIDTHS),
+       inits=st.tuples(st.floats(-700.0, -1.0), st.floats(-700.0, -1.0)),
+       log_tau_max=st.floats(2.0, 12.0))
+def test_linear_run_does_not_depend_on_the_start(m, width, inits, log_tau_max):
+    # with kappa = 0, ln a0(tau) - init is one integral, whatever init is
+    ode = _ode(m, "multiplicative", width, ZERO, 1)
+    runs = [criterion.integrate(ode, x, 10.0, 10.0 ** log_tau_max) for x in inits]
+    # the grid points before either run's stop
+    n = min(len(r.tau) - (r.stop is not None) for r in runs)
+    assert runs[0].tau[:n].tobytes() == runs[1].tau[:n].tobytes()
+    drops = [r.ln_a0[:n] - x for r, x in zip(runs, inits)]
+    assert np.max(np.abs(drops[0] - drops[1])) <= 1e-12
+
+
+def test_linear_quadrature_error_above_tol_raises(monkeypatch):
+    # all four nodes on the left end make a rectangle rule, whose pairs of
+    # intervals disagree with the single intervals far beyond tol
+    monkeypatch.setattr(criterion, "_GAUSS_NODES", np.full(4, -1.0))
+    ode = criterion.build_criterion(1, "multiplicative", STAR, ZERO)
+    with pytest.raises(QuadratureError, match=r"error estimate .* above tol 1e-10"):
+        criterion.integrate(ode, -1.0, 10.0, 1e6)
+
+
+@pytest.mark.parametrize("p, n, tau0, tol", [
+    pytest.param(3.0, 3, 10.0, 1e-12, id="p3-N3-tol1e-12"),
+    pytest.param(5.0, 3, 2.0, 1e-10, id="p5-N3-from2"),
+])
+def test_fast_width_passes_the_error_check(p, n, tau0, tol):
+    # pairs against halves differ by up to 3.2e-10 here, about 255 times the
+    # halves' own error: an 8 times finer grid agrees to 1.5e-12. tol bounds
+    # that error, as it bounded LSODA's steps, which took these runs
+    width = funcs.lookup("log-power", p=p)
+    ode = criterion.build_criterion(2, "multiplicative", width, ZERO, n)
+    traj = criterion.integrate(ode, -1.0, tau0, 1e12, tol=tol)
+    assert traj.stop is None
+    fine = np.linspace(math.log(tau0), math.log(1e12), 8 * (traj.tau.size - 1) + 1)
+    _, refined, _, _ = criterion._linear_path(ode, fine, -1.0, 1.0)
+    assert np.max(np.abs(traj.ln_a0 - refined[::8])) < 1e-11
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_linear_term_raises_stiffness_error(bad):
+    ode = criterion.build_criterion(1, "multiplicative", STAR, ZERO)
+    ode = dataclasses.replace(
+        ode, linear_rhs=lambda tau: np.where(tau > 100.0, bad, -1e-3))
+    with pytest.raises(StiffnessError,
+                       match=rf"integration stalled: the right side is {bad!r} "
+                             r"at t=4\.6"):  # ln 100 = 4.605
+        criterion.integrate(ode, -1.0, 10.0, 1e6)
+
+
+def test_non_finite_linear_term_past_the_stop_is_never_reached():
+    # -1 per unit tau falls to -745 near tau = 754, before the poison at 1e4
+    ode = criterion.build_criterion(1, "multiplicative", STAR, ZERO)
+    ode = dataclasses.replace(
+        ode, linear_rhs=lambda tau: np.where(tau > 1e4, math.nan, -1.0))
+    traj = criterion.integrate(ode, -1.0, 10.0, 1e6)
+    assert traj.stop == "underflow"
+    assert traj.tau[-1] == pytest.approx(754.0, rel=1e-12)
+
+
+def test_linear_underflow_stop_is_the_integral_root():
+    # log-power p=0.69 from -1 falls to the floor before its integral
+    # converges; the stop is where the integral itself reaches -745 (LSODA's
+    # stop, at 1.2713177504088e8, was 3.6e-10 off in ln a0)
+    phi = funcs.lookup("log-power", p=0.69)
+    ode = criterion.build_criterion(1, "multiplicative", phi, ZERO)
+    traj = criterion.integrate(ode, -1.0, 10.0, 1e9)
+    assert traj.stop == "underflow"
+    assert traj.tau[-1] == pytest.approx(1.2713177504088e8, rel=1e-6)
+    assert traj.ln_a0[-1] == pytest.approx(-745.0, abs=1e-12)
+    exact = criterion.linear_closed_form(1, phi, traj.tau[-1], 10.0)
+    assert abs(-1.0 + exact + 745.0) < 1e-11
+
+
+@pytest.mark.parametrize("kind", ["multiplicative", "gradient"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_float_rhs_memo_stays_out_of_array_calls(m, kind):
+    # a float tau reuses the last float tau's linear term; an array call
+    # right after one must still give each point its own value
+    ode = criterion.build_criterion(m, kind, STAR, NEGLOG)
+    taus = np.geomspace(10.0, 1e9, 9)
+    x = np.array([-3.0])[0]
+    for t, t_next in zip(taus[:-1].tolist(), taus[1:].tolist()):
+        one = ode.rhs(t, x)
+        assert ode.rhs(t, x) == one
+        both = ode.rhs(np.array([t, t_next]), np.array([x, x]))
+        assert both.tolist() == [one, ode.rhs(t_next, x)]
+        assert ode.rhs(t, x - 1.0) == ode.linear_rhs(t) + ode.nonlinear_rhs(t, x - 1.0)
 
 def test_comparison_trajectories_never_cross():
     ode = criterion.build_criterion(1, "multiplicative", STAR, NEGLOG)

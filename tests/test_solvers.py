@@ -47,6 +47,12 @@ def test_lsoda_has_the_bits_of_solve_ivp(a, b, w, y0, t0, span, n_points, tol,
         return rhs
 
     t_eval = np.linspace(t0, t0 + span, n_points)
+    assert_as_solve_ivp(counted, t_eval, y0, lo, hi, tol, max_step, calls)
+
+
+def assert_as_solve_ivp(counted, t_eval, y0, lo, hi, tol, max_step, calls):
+    """lsoda gives solve_ivp's t, y, level hit and right-side count; counted(k)
+    is the right side that adds its calls to calls[k] (0: scipy, 1: ours)."""
     ours = lambda: _solvers.lsoda(counted(1), t_eval, y0, lo, hi, rtol=tol,
                                   atol=tol, max_step=max_step)
     try:
@@ -70,6 +76,80 @@ def test_lsoda_has_the_bits_of_solve_ivp(a, b, w, y0, t0, span, n_points, tol,
         assert fired == [hit[0]]
         assert bits(hit[1]) == bits(sol.t_events[hit[0]][0])
         assert bits(hit[2]) == bits(sol.y_events[hit[0]][0][0])
+
+
+def step_ends(rhs, t_span, y0, tol, max_step):
+    """The ends of solve_ivp's LSODA steps, which t_eval does not move."""
+    return solve_ivp(rhs, t_span, [y0], method="LSODA", rtol=tol, atol=tol,
+                     max_step=max_step).t
+
+
+def forced(t, y):
+    return [-0.7 * y[0] + 1.3 * math.sin(2.1 * t)]
+
+
+def counted_forced():
+    calls = [0, 0]
+
+    def counted(which):
+        def rhs(t, y):
+            calls[which] += 1
+            return forced(t, y)
+        return rhs
+    return counted, calls
+
+
+# the single dense-output pass meets each of these layouts of t_eval
+# against the steps, and must give solve_ivp's bits in every one
+
+def test_lsoda_bits_when_a_step_covers_no_output():
+    ends = step_ends(forced, (0.0, 12.0), 0.4, 1e-9, 0.25)
+    t_eval = np.array([0.0, 0.05, 5.0, 5.01, 12.0])
+    covered = np.searchsorted(ends, t_eval)  # the step reaching each point
+    assert len(set(covered.tolist())) < len(ends) - 1  # steps without points
+    counted, calls = counted_forced()
+    assert_as_solve_ivp(counted, t_eval, 0.4, -math.inf, math.inf, 1e-9, 0.25,
+                        calls)
+
+
+def test_lsoda_bits_when_outputs_fall_on_step_ends():
+    ends = step_ends(forced, (0.0, 8.0), 0.4, 1e-8, 0.5)
+    for t_eval in (ends, ends[::3], np.union1d(ends, np.linspace(0.0, 8.0, 37))):
+        if t_eval[-1] != ends[-1]:
+            t_eval = np.append(t_eval, ends[-1])
+        counted, calls = counted_forced()
+        assert_as_solve_ivp(counted, t_eval, 0.4, -math.inf, math.inf, 1e-8,
+                            0.5, calls)
+
+
+def test_lsoda_bits_when_a_level_is_hit_in_the_first_step():
+    # y' = -1000 from 0 falls through -1e-6 at t = 1e-9, inside LSODA's
+    # first step (about 1e-6 long); the points before the root are kept,
+    # the one between the root and the step's end is not
+    def fall(t, y):
+        return [-1.0e3]
+    ends = solve_ivp(fall, (0.0, 1.0), [0.0], method="LSODA", rtol=1e-6,
+                     atol=1e-6, max_step=0.25, events=[level(-1e-6, -1)]).t
+    assert len(ends) == 2  # the start, then the root in the first step
+    calls = [0, 0]
+
+    def counted(which):
+        def rhs(t, y):
+            calls[which] += 1
+            return fall(t, y)
+        return rhs
+    t_eval = np.array([0.0, 2.5e-10, 5e-10, 7.5e-10, 5e-9, 0.5, 1.0])
+    assert_as_solve_ivp(counted, t_eval, 0.0, -1e-6, math.inf, 1e-6, 0.25, calls)
+
+
+def test_lsoda_bits_with_a_one_point_tail():
+    # dense points early, then t_bound alone in the last step
+    t_eval = np.append(np.linspace(0.0, 1.0, 41), 9.0)
+    ends = step_ends(forced, (0.0, 9.0), 0.4, 1e-10, 0.25)
+    assert np.count_nonzero(t_eval > ends[-2]) == 1
+    counted, calls = counted_forced()
+    assert_as_solve_ivp(counted, t_eval, 0.4, -math.inf, math.inf, 1e-10, 0.25,
+                        calls)
 
 
 @pytest.mark.parametrize("hi, k, t_stop", [
