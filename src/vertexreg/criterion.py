@@ -96,11 +96,13 @@ class CriterionTrajectory:
 class RegularityVerdict:
     """tail_exponent is the decay rate's fitted power p (rate ~ tau^-p; inf
     when the rate sank below the floor), or None when a stop, a certificate
-    or the m=2 rule decided."""
+    or the m=2 rule decided. tail says which: "fit", "floor" or None, since
+    the report writes inf as null."""
 
     verdict: str
     ln_a0_final: float
     tail_exponent: Optional[float]
+    tail: Optional[str]
     certificate: Optional[str]
     trajectory_ref: str
 
@@ -110,6 +112,7 @@ class RegularityVerdict:
             "verdict": self.verdict,
             "ln_a0_final": self.ln_a0_final,
             "tail_exponent": self.tail_exponent,
+            "tail": self.tail,
             "certificate": self.certificate,
             "trajectory_ref": self.trajectory_ref,
         }
@@ -402,8 +405,9 @@ def verdict(trajectory: CriterionTrajectory,
     final = float(x[-1])
 
     def make(verdict_name, cert, p=None):
+        tail = None if p is None else "floor" if p == math.inf else "fit"
         return RegularityVerdict(verdict=verdict_name, ln_a0_final=final,
-                                 tail_exponent=p, certificate=cert,
+                                 tail_exponent=p, tail=tail, certificate=cert,
                                  trajectory_ref=trajectory.ref)
 
     if trajectory.stop == "ceiling":

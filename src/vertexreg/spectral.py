@@ -59,8 +59,20 @@ INTERP_REL_TOL = 1e-12
 
 # Panel width and degree of that interpolant. F is entire, so the error
 # falls geometrically with the degree; these reach round-off (measured).
+# It evaluates _CHEB_CHUNK points at a time, so its scratch does not grow
+# with the points.
 _CHEB_PANEL_WIDTH = 1.5
 _CHEB_DEGREE = 14
+_CHEB_CHUNK = 8192
+
+# Terms of the m=2 far field's two-saddle series (KernelModel._series),
+# and the points in (y_span, 300] where it must match the rule as the
+# interpolant must. At y = 60 the last term is below round-off; the series
+# misses 34-digit values by at most 7.3e-14 of F^(k)'s size on [60, 300],
+# the rounding of the phase b0 y^{4/3}, and by 1.2e-14 on [25, 60]
+# (measured)
+_SADDLE_TERMS = 14
+_SERIES_CHECK = (61.0, 80.0, 110.0, 160.0, 230.0, 300.0)
 
 # Composite 12-node Gauss-Legendre panels: the y window below takes one
 # panel per 3 radians of the frequency _CUT^{1/(2m)}, past which F's
@@ -147,15 +159,53 @@ def _gaussian_derivative(y, order):
     return (0.75 - 0.125 * y * y) * y * g
 
 
+def _check_miss(what, k, approx, exact, size, where):
+    """QuadratureError when approx misses exact by more than INTERP_TOL, or
+    by more than INTERP_REL_TOL of size, at any point."""
+    miss = np.abs(approx - exact)
+    worst, rel = float(np.max(miss)), float(np.max(miss / size))
+    if worst > INTERP_TOL or rel > INTERP_REL_TOL:
+        raise QuadratureError(
+            "%s of derivative %d misses quadrature by %.3g (bound %.1g), "
+            "%.3g of its size (bound %.1g), on %s"
+            % (what, k, worst, INTERP_TOL, rel, INTERP_REL_TOL, where))
+
+
+def _saddle_coefficients(k):
+    """The real coefficients r_j, j < _SADDLE_TERMS, of P_k in
+    KernelModel._series, each rounded once from its exact value.
+
+    r_j sums, over a + 2b + c = 2j with c <= k, the terms
+    (-1)^{a+b} C(k, c) (2n-1)!! 4^a / (a! b! 12^n), n = (3a + 4b + c)/2;
+    they are summed as integers over the denominator (2j)! j! 12^{3j}.
+    """
+    fac = [math.factorial(i) for i in range(2 * _SADDLE_TERMS)]
+    odd_fac = [1]  # (2n-1)!!
+    for n in range(1, 3 * _SADDLE_TERMS):
+        odd_fac.append(odd_fac[-1] * (2 * n - 1))
+    out = []
+    for j in range(_SADDLE_TERMS):
+        total = 0
+        for b in range(j + 1):
+            for c in range(min(k, 2 * j - 2 * b) + 1):
+                a = 2 * j - 2 * b - c
+                n = (3 * a + 4 * b + c) // 2
+                total += ((-1) ** (a + b) * math.comb(k, c) * odd_fac[n]
+                          * 4 ** a * 12 ** (3 * j - n)
+                          * (fac[2 * j] // fac[a]) * (fac[j] // fac[b]))
+        out.append(total / (fac[2 * j] * fac[j] * 12 ** (3 * j)))
+    return out
+
+
 class _PiecewiseChebyshev:
     """Interpolants of an even function and its derivatives up to order 3.
 
     sample(y, orders) supplies the values, one row per order, at the
     Chebyshev nodes of equal panels covering [0, span]; evaluation takes
-    |y| <= span and applies the parity (-1)^order for y < 0. Refuses to
-    build when the interpolant misses sample at the points between the
-    nodes by more than INTERP_TOL, or by more than INTERP_REL_TOL of
-    size(y, order).
+    |y| <= span and applies the parity (-1)^order for y < 0, _CHEB_CHUNK
+    points at a time. Refuses to build when the interpolant misses sample
+    at the points between the nodes by more than INTERP_TOL, or by more
+    than INTERP_REL_TOL of size(y, order).
     scalar() evaluates one float with the arithmetic of __call__, in the
     same order, so both return the same bits.
     """
@@ -186,15 +236,19 @@ class _PiecewiseChebyshev:
         # second-kind points, panel edges included, interlace the nodes
         check = on_panels(np.cos(np.pi * np.arange(n + 1) / n))
         for k, exact in zip(orders, sample(check, orders)):
-            miss = np.abs(self(check, k) - exact)
-            worst, rel = float(np.max(miss)), float(np.max(miss / size(check, k)))
-            if worst > INTERP_TOL or rel > INTERP_REL_TOL:
-                raise QuadratureError(
-                    "Chebyshev interpolant of derivative %d misses quadrature "
-                    "by %.3g (bound %.1g), %.3g of its size (bound %.1g), on "
-                    "[0, %g]" % (k, worst, INTERP_TOL, rel, INTERP_REL_TOL, span))
+            _check_miss("Chebyshev interpolant", k, self(check, k), exact,
+                        size(check, k), "[0, %g]" % span)
 
     def __call__(self, y, order):
+        if y.size <= _CHEB_CHUNK:
+            return self._clenshaw(y, order)
+        flat = y.reshape(-1)
+        out = np.empty(flat.shape)
+        for lo in range(0, flat.size, _CHEB_CHUNK):
+            out[lo:lo + _CHEB_CHUNK] = self._clenshaw(flat[lo:lo + _CHEB_CHUNK], order)
+        return out.reshape(y.shape)
+
+    def _clenshaw(self, y, order):
         x = np.abs(y) / self._width
         panel = np.minimum(x.astype(np.intp), self._last)
         t = 2.0 * (x - panel) - 1.0
@@ -239,13 +293,15 @@ class KernelModel:
     F(y) = (normalizer / 2) int e^{-s^{2m} + isy} ds over the real line;
     F^(k) takes a factor (is)^k. _raw moves that integral onto a line
     through the saddles of its integrand, so one rule serves every y with
-    accuracy relative to F's own size there: the normalizer, the samples
-    of the m=2 interpolant, the points beyond it and fourier_derivative
-    (orders 0-8), whose bi-orthonormality matrix takes all its orders from
-    one call. F and F_deriv (orders 0-3) are served without it: for m=1 by
-    the closed-form Gaussian G and G', G'', G'''; for m=2 by a piecewise
-    Chebyshev interpolant of the rule on |y| <= y_span, checked against it
-    at build, and beyond it by the rule.
+    accuracy relative to F's own size there. The rule builds the m=2
+    kernel (its normalizer and the samples of its interpolant) and checks
+    it; no evaluation goes through it. F and F_deriv (orders 0-3) come
+    from closed forms: for m=1 the Gaussian G and G', G'', G''' (the
+    normalizer is 1/pi, the bits of the rule's unit-mass integral); for
+    m=2 a piecewise Chebyshev interpolant of the rule on |y| <= y_span and
+    the two-saddle series (_series) beyond it, both checked against the
+    rule at build. fourier_derivative adds orders 4-8 from those by the
+    kernel's ODE (_by_ode).
     Immutable after construction; evaluation is pure and safe to share.
     """
 
@@ -262,15 +318,34 @@ class KernelModel:
                 % (worst, TAIL_TOL, _CUT))
 
         self._rule = _gauss_panels(0.0, 1.0, _PANELS)
+        self._interp = None
+        if m == 1:
+            self.normalizer = 1.0 / math.pi  # the bits of its mass integral
+            return
         # normalizer fixed once by requiring unit mass of F
         nodes, weights = self._y_rule(self._y_span)
-        raw_mass = 2.0 * (weights @ self._raw(nodes, (0,))[0])
-        self.normalizer = 1.0 / raw_mass
-        self._interp = None
-        if m == 2:
-            self._interp = _PiecewiseChebyshev(
-                lambda y, orders: self.normalizer * self._raw(y, orders),
-                self._y_span, self._size)
+        self.normalizer = 1.0 / (2.0 * (weights @ self._raw(nodes, (0,))[0]))
+
+        def rule(y, orders):
+            return self.normalizer * self._raw(y, orders)
+
+        self._interp = _PiecewiseChebyshev(rule, self._y_span, self._size)
+        # _series' powers of |y|^{1/3} and their coefficients, a row per
+        # order: i^k e^{i pi (k-1-4j)/6} = e^{i pi (4k-1-4j)/6}, and
+        # R^{k-1-4j} = |y|^{(k-1-4j)/3} 4^{(4j+1-k)/3}
+        orders = range(DERIV_ORDER_MAX + 1)
+        k, j = np.array(orders)[:, None], np.arange(_SADDLE_TERMS)
+        turn = np.exp(1j * np.pi / 6.0 * ((4 * k - 1 - 4 * j) % 12))
+        r = np.array([_saddle_coefficients(order) for order in orders])
+        self._saddle = (k - 1.0 - 4.0 * j,
+                        self.normalizer * math.sqrt(math.pi / 6.0) * turn
+                        * 4.0 ** ((4 * j + 1 - k) / 3.0) * r)
+        check = np.array(_SERIES_CHECK)
+        for order, exact, approx in zip(orders, rule(check, orders),
+                                        self._series(check, orders)):
+            _check_miss("saddle series", order, approx, exact,
+                        self._size(check, order),
+                        "(%g, %g]" % (self._y_span, check[-1]))
 
     # -- quadrature plumbing ------------------------------------------------
 
@@ -300,6 +375,9 @@ class KernelModel:
         Each point maps the same rule onto its own range, for |y|, and odd
         orders take the sign of y. Points go _BLOCK at a time and each sums
         its own row, so a value depends on its own y alone.
+        At about 17 us a point it is the reference, not an evaluator: it
+        gives the m=2 normalizer and interpolant samples and checks the
+        interpolant and the series at build, and the tests compare with it.
         """
         y = np.atleast_1d(np.asarray(y, dtype=float))
         m, u_cut = self._m, _CUT ** (1.0 / self._m)
@@ -336,63 +414,111 @@ class KernelModel:
             return (np.exp(-c.d0 * y ** c.alpha) * y ** -c.delta0
                     * np.maximum(1.0, radius) ** order)
 
-    def _eval(self, y, orders):
-        """The rule's F^(k) for each k in orders, a row per order; a list of
-        floats for a 0-d y."""
-        out = self.normalizer * self._raw(y, orders)
-        if np.isscalar(y) or np.ndim(y) == 0:
-            return [float(v) for v in out[:, 0]]
+    def _series(self, y, orders):
+        """F^(k) for each k in orders (0..3), a row per order, by the m=2
+        two-saddle series: the far field, |y| > y_span.
+
+        For y > 0, F^(k) = normalizer Re J_k, J_k the integral of
+        (is)^k e^{-s^4 + isy} through the saddle s+ = R e^{i pi/6},
+        R = (y/4)^{1/3}; the other saddle, -conj(s+), gives the conjugate.
+        With s = s+ + v the exponent is h+ - 6 s+^2 v^2 - 4 s+ v^3 - v^4,
+        h+ = (-d0 + i b0) t, t = y^{4/3}. Expanding e^{-4 s+ v^3 - v^4}
+        (s+ + v)^k in v and integrating term by term with the moments
+        int v^{2n} e^{-A v^2} dv = Gamma(n + 1/2) A^{-n-1/2}, A = 6 s+^2 on
+        the principal branch, gives J_k = i^k e^{h+} R^{k-1} P_k(R^{-4}),
+        P_k(x) = sqrt(pi/6) sum_j r_j e^{i pi (k-1-4j)/6} x^j with the
+        r_j of _saddle_coefficients (Olver, Asymptotics and Special
+        Functions, 1974, ch. 4). So F^(k) e^{d0 t} is the real part of
+        e^{i b0 t} times a sum of fixed multiples of the powers
+        y^{(k-1-4j)/3}, and e^{-d0 t} multiplies it last. Points go _BLOCK
+        at a time, so the scratch does not grow with them, and a value
+        depends on its own y alone; odd orders take the sign of y.
+        """
+        c = self.constants
+        powers, coef = (part.take(orders, axis=0) for part in self._saddle)
+        out = np.empty((len(orders), y.size))
+        for lo in range(0, y.size, _BLOCK):
+            ay = np.abs(y[lo:lo + _BLOCK])
+            root = np.cbrt(ay)
+            t = ay * root
+            terms = np.power(root[:, None, None], powers) * coef
+            scaled = (np.exp(1j * c.b0 * t)[:, None] * terms.sum(axis=2)).real
+            scaled *= np.exp(-c.d0 * t)[:, None]
+            out[:, lo:lo + _BLOCK] = scaled.T
+        for i, k in enumerate(orders):
+            if k % 2:
+                out[i] *= np.sign(y)  # odd: exact negation
         return out
 
-    def _eval_fast(self, y, orders):
-        """F^(k) for each k in orders (0..3) by the Gaussian or the
-        interpolant, and by one _eval call for all orders at the points
-        beyond its span."""
+    def _eval(self, y, orders):
+        """F^(k) for each k in orders (0..8), a row per order (a float each
+        for a 0-d y): orders 0-3 by the Gaussian, or for m=2 by the
+        interpolant on |y| <= y_span and the series beyond it; higher
+        orders from orders 0-3 by _by_ode."""
+        extend = max(orders) > DERIV_ORDER_MAX
+        base = range(DERIV_ORDER_MAX + 1) if extend else orders
         if self._interp is not None and isinstance(y, float):
             if abs(y) <= self._y_span:
-                return [self._interp.scalar(y, k) for k in orders]
-            return self._eval(y, orders)
+                rows = [self._interp.scalar(y, k) for k in base]
+            else:  # a 1-element array, for the bits of the array path
+                rows = [float(v) for v in self._series(np.array([y]), base)[:, 0]]
+            return self._by_ode(y, rows, orders) if extend else rows
         scalar = np.isscalar(y) or np.ndim(y) == 0
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if self._interp is None:
-            out = [_gaussian_derivative(y, k) for k in orders]
+            rows = [_gaussian_derivative(y, k) for k in base]
         elif np.max(np.abs(y)) <= self._y_span:  # False for NaN too
-            out = [self._interp(y, k) for k in orders]
+            rows = [self._interp(y, k) for k in base]
         else:
             far = ~(np.abs(y) <= self._y_span)
             near = np.where(far, 0.0, y)
-            out = [self._interp(near, k) for k in orders]
-            for row, rule in zip(out, self._eval(y[far], orders)):
-                row[far] = rule
-        return [float(row[0]) for row in out] if scalar else out
+            rows = [self._interp(near, k) for k in base]
+            for row, value in zip(rows, self._series(y[far], base)):
+                row[far] = value
+        if extend:
+            rows = self._by_ode(y, rows, orders)
+        return [float(row[0]) for row in rows] if scalar else rows
+
+    def _by_ode(self, y, rows, orders):
+        """The rows of orders, given the rows of orders 0..3.
+
+        F solves (-1)^{m+1} F^(2m) + (y F)'/(2m) = 0, so
+        F^(2m-1) = (-1)^m y F/(2m), and k more derivatives give
+        F^(k+2m-1) = (-1)^m (y F^(k) + k F^(k-1))/(2m): F^(k+3) =
+        (y F^(k) + k F^(k-1))/4 for m=2, F^(k+1) = -(y F^(k) + k F^(k-1))/2
+        for m=1. Floats and arrays go through the same operations.
+        """
+        s, c = 2 * self._m - 1, (-1) ** self._m / (2.0 * self._m)
+        for n in range(DERIV_ORDER_MAX + 1, max(orders) + 1):
+            rows.append(c * (y * rows[n - s] + (n - s) * rows[n - s - 1]))
+        return [rows[k] for k in orders]
+
+    def _derivatives(self, y, order, top):
+        orders = order if isinstance(order, tuple) else (order,)
+        if min(orders) < 0 or max(orders) > top:
+            raise ValueError("derivative orders must lie in 0..%d" % top)
+        out = self._eval(y, orders)
+        return out if orders is order else out[0]
 
     # -- public evaluators --------------------------------------------------
 
     def F(self, y):
         """Kernel value; the Gaussian (4 pi)^{-1/2} e^{-y^2/4} when m=1."""
-        return self._eval_fast(y, (0,))[0]
+        return self._eval(y, (0,))[0]
 
     def F_deriv(self, y, order):
         """Derivative of F up to the guaranteed order 3. A tuple of orders
         gives a list with a row per order (a float each for a float y),
         with the bits of one call per order; beyond the m=2 interpolant's
-        span one contour call serves them all."""
-        orders = order if isinstance(order, tuple) else (order,)
-        if min(orders) < 0 or max(orders) > DERIV_ORDER_MAX:
-            raise ValueError("F_deriv supports orders 0..%d" % DERIV_ORDER_MAX)
-        out = self._eval_fast(y, orders)
-        return out if orders is order else out[0]
+        span one series call serves them all."""
+        return self._derivatives(y, order, DERIV_ORDER_MAX)
 
     def fourier_derivative(self, y, order):
-        """Extended-order derivative used by the bi-orthonormality matrix.
-
-        Orders up to 8 share the same tail guarantee checked at build time;
-        accuracy degrades gracefully with order.
-        """
-        if not 0 <= order <= _EXTENDED_ORDER_MAX:
-            raise ValueError("extended derivatives support orders 0..%d"
-                             % _EXTENDED_ORDER_MAX)
-        return self._eval(y, (order,))[0]
+        """Derivatives of orders 0..8, for the bi-orthonormality matrix; an
+        order or a tuple of orders, as F_deriv takes them. Orders 4-8 come
+        from orders 0-3 by the kernel's ODE (_by_ode), so they carry the
+        error of orders 0-3, times factors up to |y| and the order."""
+        return self._derivatives(y, order, _EXTENDED_ORDER_MAX)
 
 
 def build_kernel(m):
@@ -588,8 +714,10 @@ def biorthonormality_matrix(m, k_max):
     """Cross inner products of the two eigenfunction families by quadrature.
 
     Entry (beta, gamma) is the integral of the kernel-derivative
-    eigenfunction beta against adjoint polynomial gamma over the line;
-    odd beta+gamma entries vanish by parity and are set exactly to zero.
+    eigenfunction beta against adjoint polynomial gamma over the line, on
+    the y_span window's Gauss-Legendre nodes; the derivatives come from
+    one fourier_derivative call (orders above 3 by the kernel's ODE).
+    Odd beta+gamma entries vanish by parity and are set exactly to zero.
     """
     if m not in (1, 2):
         raise UnsupportedOrder("bi-orthonormality needs kernel evaluators (m in {1,2})")
@@ -603,7 +731,7 @@ def biorthonormality_matrix(m, k_max):
 
     size = k_max + 1
     mat = np.zeros((size, size))
-    derivs = model.normalizer * model._raw(nodes, range(size))
+    derivs = model.fourier_derivative(nodes, tuple(range(size)))
     for beta, deriv in enumerate(derivs):
         scale = (-1.0) ** beta / math.sqrt(math.factorial(beta))
         for gamma in range(size):

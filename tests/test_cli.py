@@ -396,6 +396,7 @@ def test_amplitude_ceiling_reported_as_irregular(tmp_path, parameters):
                       delimiter=",", skiprows=1)
     assert payload["ln_a0_final"] == rows[-1, 1] == pytest.approx(0.0, abs=1e-8)
     assert payload["tail_exponent"] is None  # the stop decided, nothing was fitted
+    assert payload["tail"] is None
     assert payload["decades"] == pytest.approx(math.log10(rows[-1, 0] / 10.0))
     assert payload["trajectory_ref"].startswith(f"m{parameters['m']}-")
 

@@ -557,12 +557,27 @@ def test_verdict_record_and_certificate():
         criterion.build_criterion(1, "multiplicative", STAR, ZERO),
         -1.0, 10.0, 1e9)
     rec = criterion.verdict(traj).as_record()
-    assert set(rec) == {"verdict", "ln_a0_final", "tail_exponent",
+    assert set(rec) == {"verdict", "ln_a0_final", "tail_exponent", "tail",
                         "certificate", "trajectory_ref"}
     assert rec["tail_exponent"] == criterion.verdict(traj).tail_exponent
+    assert rec["tail"] == "fit"
     forced = criterion.verdict(traj, certificate="external evidence")
     assert forced.verdict == "Irregular"
-    assert (forced.certificate, forced.tail_exponent) == ("external evidence", None)
+    assert (forced.certificate, forced.tail_exponent, forced.tail) == \
+        ("external evidence", None, None)
+
+
+def test_floor_dominated_tail_is_named():
+    # log-power p=2: the decay rate sinks below the tail test's floor, so
+    # no power is fitted; tail_exponent is inf, which the report writes as
+    # null, and tail tells it from "nothing was fitted"
+    traj = criterion.integrate(
+        criterion.build_criterion(1, "multiplicative",
+                                  funcs.lookup("log-power", p=2.0), ZERO),
+        -1.0, 10.0, 1e12)
+    v = criterion.verdict(traj)
+    assert traj.stop is None and v.certificate is None
+    assert (v.verdict, v.tail_exponent, v.tail) == ("Irregular", math.inf, "floor")
 
 
 # -- bi-harmonic linear term ------------------------------------------------------

@@ -75,6 +75,14 @@ def test_kernel_unit_mass():
         assert mass == pytest.approx(1.0, abs=1e-10), m
 
 
+def test_m1_normalizer_has_the_bits_of_the_rule_mass():
+    # the m=1 kernel takes 1/pi, the value the m=2 build computes its way
+    model = spectral.default_kernel(1)
+    nodes, weights = model._y_rule(model._y_span)
+    mass = 2.0 * (weights @ model._raw(nodes, (0,))[0])
+    assert model.normalizer == 1.0 / mass == 1.0 / math.pi
+
+
 def test_m2_kernel_oscillates_in_window():
     model = spectral.build_kernel(2)
     ys = np.linspace(4.0, 12.0, 801)
@@ -82,17 +90,21 @@ def test_m2_kernel_oscillates_in_window():
     assert flips == 2
 
 
+def _rule(model, y, k):
+    """F^(k) by the contour rule, the reference the evaluators are checked
+    against."""
+    return model.normalizer * model._raw(y, (k,))[0]
+
+
 def test_generator_residual_of_kernel():
     # m=2 kernel solves -F'''' + (y F)'/4 = 0; m=1 solves F'' + (y F)'/2 = 0
     m2 = spectral.build_kernel(2)
     ys = np.linspace(0.0, 6.0, 61)
-    res2 = (-m2.fourier_derivative(ys, 4) + ys * m2.F_deriv(ys, 1) / 4.0
-            + m2.F(ys) / 4.0)
+    res2 = -_rule(m2, ys, 4) + ys * m2.F_deriv(ys, 1) / 4.0 + m2.F(ys) / 4.0
     assert np.max(np.abs(res2)) < 1e-6
 
     m1 = spectral.build_kernel(1)
-    res1 = (m1.fourier_derivative(ys, 2) + ys * m1.F_deriv(ys, 1) / 2.0
-            + m1.F(ys) / 2.0)
+    res1 = _rule(m1, ys, 2) + ys * m1.F_deriv(ys, 1) / 2.0 + m1.F(ys) / 2.0
     assert np.max(np.abs(res1)) < 1e-12
 
 
@@ -112,6 +124,8 @@ def test_derivative_order_guards():
         model.F_deriv(1.0, 4)
     with pytest.raises(ValueError):
         model.fourier_derivative(1.0, 9)
+    with pytest.raises(ValueError):
+        model.fourier_derivative(1.0, (0, 9))
     with pytest.raises(UnsupportedOrder):
         spectral.build_kernel(3)
 
@@ -126,19 +140,96 @@ def test_fast_evaluators_match_quadrature(ys):
         y = np.asarray(ys) * model._y_span
         for k in range(4):
             fast = model.F_deriv(y, k)
-            assert np.max(np.abs(fast - model.fourier_derivative(y, k))) < tol, (m, k)
+            assert np.max(np.abs(fast - _rule(model, y, k))) < tol, (m, k)
+
+
+def _assert_within_the_interpolant_bounds(model, y, k, value):
+    # the contract the m=2 interpolant meets at build: INTERP_TOL, and
+    # INTERP_REL_TOL of F^(k)'s size
+    miss = np.abs(value - _rule(model, y, k))
+    assert np.max(miss) <= spectral.INTERP_TOL, k
+    assert np.max(miss / model._size(y, k)) <= spectral.INTERP_REL_TOL, k
 
 
 def test_m2_kernel_beyond_span_uses_quadrature():
-    # point by point: each far y gets the quadrature it would get alone
+    # beyond the span the saddle series serves, within the interpolant's
+    # bounds of the rule
     model = spectral.default_kernel(2)
     far = np.array([-75.0, 60.5, 64.0, 90.0])
     for k in range(4):
-        assert np.array_equal(model.F_deriv(far, k),
-                              [model.fourier_derivative(y, k) for y in far])
+        _assert_within_the_interpolant_bounds(model, far, k, model.F_deriv(far, k))
     mixed = np.array([-70.0, -3.0, 0.0, 12.5, 61.0])
-    assert np.max(np.abs(model.F(mixed) - model.fourier_derivative(mixed, 0))) < 1e-13
-    assert model.F(61.0) == model.fourier_derivative(61.0, 0)
+    assert np.max(np.abs(model.F(mixed) - _rule(model, mixed, 0))) < 1e-13
+    _assert_within_the_interpolant_bounds(model, np.array([61.0]), 0, model.F(61.0))
+
+
+def test_m2_series_matches_the_rule_beyond_span():
+    model = spectral.default_kernel(2)
+    y = np.linspace(60.0, 300.0, 481)
+    y = np.concatenate([-y, y])
+    for k, row in enumerate(model._series(y, range(4))):
+        _assert_within_the_interpolant_bounds(model, y, k, row)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_ode_orders_match_the_rule(m):
+    # orders 4-8 come from orders 0-3 by the kernel's ODE; on the window of
+    # the bi-orthonormality matrix they stay, for m=2, within the
+    # interpolant's bounds and, for m=1, within 1e-14 of their size
+    model = spectral.default_kernel(m)
+    y = np.linspace(-model._y_span, model._y_span, 1201)
+    rows = model.fourier_derivative(y, (4, 5, 6, 7, 8))
+    for k, row in zip(range(4, 9), rows, strict=True):
+        assert row.tobytes() == model.fourier_derivative(y, k).tobytes(), k
+        if m == 2:
+            _assert_within_the_interpolant_bounds(model, y, k, row)
+        else:
+            miss = np.abs(row - _rule(model, y, k))
+            assert np.max(miss / model._size(y, k)) < 1e-14, k
+    for k in range(4):
+        assert model.fourier_derivative(y, k).tobytes() == model.F_deriv(y, k).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=st.one_of(st.floats(min_value=60.0, max_value=600.0, exclude_min=True),
+                   st.floats(min_value=-600.0, max_value=-60.0, exclude_max=True),
+                   st.sampled_from([math.nextafter(60.0, 61.0), 300.0, -61.5, 490.0])))
+def test_m2_far_field_float_has_the_bits_of_a_one_element_array(y):
+    # LSODA and quad ask for one float at a time, through the float path:
+    # beyond the span it must give the series' array bits, orders 4-8 too
+    model = spectral.default_kernel(2)
+    for k in range(9):
+        one = model.fourier_derivative(y, k)
+        assert type(one) is float
+        assert _same_bits(one, float(model.fourier_derivative(np.array([y]), k)[0])), (y, k)
+    for one, row in zip(model.F_deriv(y, (0, 1)), model.F_deriv(np.array([y]), (0, 1))):
+        assert _same_bits(one, float(row[0])), y
+
+
+def test_m2_far_field_underflows_to_zero():
+    # e^{-d0 y^{4/3}} is below the least double beyond y = 420
+    model = spectral.default_kernel(2)
+    assert tuple(model.F_deriv(490.0, (0, 1))) == (0.0, 0.0)
+    y = np.array([-1e6, 490.0, 1e4])
+    for k in range(9):
+        assert np.all(model.fourier_derivative(y, k) == 0.0), k
+
+
+def test_m2_build_refuses_a_perturbed_series_coefficient(monkeypatch):
+    # a relative change of 1e-8 in the first correction moves F by about
+    # 1e-11 of its size at y = 61, far below INTERP_TOL there: only the
+    # bound relative to the size refuses it
+    exact = spectral._saddle_coefficients
+
+    def perturbed(k):
+        r = exact(k)
+        r[1] *= 1.0 + 1e-8
+        return r
+
+    spectral.build_kernel(2)
+    monkeypatch.setattr(spectral, "_saddle_coefficients", perturbed)
+    with pytest.raises(QuadratureError, match="saddle series .* of its size"):
+        spectral.build_kernel(2)
 
 
 def test_m2_far_field_value_does_not_depend_on_the_call():
@@ -234,6 +325,27 @@ def test_raw_memory_does_not_grow_with_the_points():
 
     small = peak_above_output(2 * spectral._BLOCK)
     assert peak_above_output(32 * spectral._BLOCK) <= 1.01 * small
+
+
+def _peak_above_output(evaluate, y):
+    tracemalloc.start()
+    try:
+        out = evaluate(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - out.nbytes
+
+
+def test_m2_evaluator_memory_does_not_grow_with_the_points():
+    # the interpolant goes _CHEB_CHUNK points at a time and the series
+    # _BLOCK at a time: past two chunks, the peak above the output stays
+    model = spectral.default_kernel(2)
+    for evaluate, lo, hi, chunk in (
+            (lambda y: model._interp(y, 3), 0.0, 60.0, spectral._CHEB_CHUNK),
+            (lambda y: model._series(y, range(4)), 60.5, 90.0, spectral._BLOCK)):
+        small = _peak_above_output(evaluate, np.linspace(lo, hi, 2 * chunk))
+        assert _peak_above_output(evaluate, np.linspace(lo, hi, 32 * chunk)) <= 1.01 * small
 
 
 def test_m2_interpolant_refuses_low_degree(monkeypatch):
