@@ -1,5 +1,5 @@
 """scipy's compiled solver modules, loaded without the package inits that cost most of set-up,
-and thin drivers with the bits of scipy 1.17's LSODA solve_ivp, quad and brentq."""
+and thin drivers with the bits of scipy 1.17's LSODA solve_ivp and brentq."""
 
 import importlib.machinery
 import importlib.util
@@ -27,7 +27,6 @@ def compiled(name):
 
 
 _odepack = compiled("scipy.integrate._odepack")
-_quadpack = compiled("scipy.integrate._quadpack")
 _zeros = compiled("scipy.optimize._zeros")
 
 
@@ -40,28 +39,6 @@ def brentq(f, a, b, xtol):
                              "solver cannot continue.")
         return fx
     return _zeros._brentq(guarded, a, b, xtol, 4 * EPS, 100, (), False, True)
-
-
-def quad(f, a, b, args, epsabs, epsrel, limit):
-    """quad(f, a, b, args, epsabs=, epsrel=, limit=) over finite a < b:
-    (value, abserr, flag), flag the first line of quad's message when
-    QUADPACK flags the value, else None."""
-    value, abserr, ier = _quadpack._qagse(f, a, b, args, 0, epsabs, epsrel, limit)
-    if ier in (6, 80):
-        raise ValueError(f"QUADPACK rejected the call (ier={ier})")
-    flag = _QUAD_FLAGS.get(ier)
-    return value, abserr, flag and flag.format(limit=limit)
-
-
-# the first line of quad's message for each flag, spaces collapsed
-_QUAD_FLAGS = {
-    1: "The maximum number of subdivisions ({limit}) has been achieved.",
-    2: "The occurrence of roundoff error is detected, which prevents",
-    3: "Extremely bad integrand behavior occurs at some points of the",
-    4: "The algorithm does not converge. Roundoff error is detected",
-    5: "The integral is probably divergent, or slowly convergent.",
-    7: "Abnormal termination of the routine. The estimates for result",
-}
 
 
 def lsoda(fun, t_eval, y0, lo, hi, rtol, atol, max_step):

@@ -5,8 +5,8 @@ question onto one nonautonomous ODE for ln a0, the leading-mode
 amplitude at the vertex: the vertex is regular exactly when every
 solution decays to -infinity.  This module assembles those systems for
 the second-order (m=1) and bi-harmonic (m=2) problems, integrates them
-over many decades of tau, and provides the closed-form and iterated
-comparison solutions used as independent cross-checks. An m=1 verdict
+over many decades of tau, and provides the m=2 period sum and the
+iterated comparison solutions used as cross-checks. An m=1 verdict
 fits the tail of the decay rate with the integral criteria's own test
 (petrovskii._classify_decay), so both routes answer one question.
 """
@@ -25,7 +25,7 @@ from ._csvtable import write_csv
 from ._quadrature import cumulative_trapezoid
 from .blayer import bl_profile
 from .errors import ConfigError, DomainError, QuadratureError, StiffnessError
-from .funcs import Kappa, SlowGrowthFn, lookup
+from .funcs import Kappa, SlowGrowthFn
 
 _SQRT_PI = math.sqrt(math.pi)
 _LN_UNDERFLOW = -745.0  # exp() underflows to 0 just below this
@@ -215,7 +215,7 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
     n_extra = radial_exponent - 1
 
     def linear_rhs(tau):
-        # A float tau (LSODA and quad ask for one point at a time) takes a
+        # A float tau (LSODA asks for one point at a time) takes a
         # scalar branch with the bits of the array branch; phi and the
         # phi^(N-1) factor stay on a 1-element array, since a width may apply
         # `**` to np.float64 and the array `**` squares where pow need not.
@@ -272,10 +272,21 @@ def build_criterion(m: int, kind: str, phi: SlowGrowthFn, kappa: Kappa,
 
 # -- integration and verdicts ---------------------------------------------------
 
-# the nodes of the 4-node Gauss-Legendre rule on [-1, 1]; _linear_path
+# the nodes of the 4-node Gauss-Legendre rule on [-1, 1]; _gauss_rule
 # weighs the outer pair by 0.3478548451374538, the inner by 0.6521451548625461
 _GAUSS_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
                          0.3399810435848563, 0.8611363115940526])
+
+
+def _gauss_rule(ode, lo, hi):
+    """The Gauss rule of the linear term per unit sigma = ln tau on each
+    interval [lo, hi] of sigma, all nodes in one linear_rhs call: the nodes
+    and tau linear(tau) by row, and the values, each interval's on its own."""
+    nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _GAUSS_NODES
+    tau = np.exp(nodes)
+    f = tau * np.reshape(ode.linear_rhs(tau.ravel()), tau.shape)
+    return nodes, f, 0.5 * (hi - lo) * ((f[:, 0] + f[:, 3]) * 0.3478548451374538
+                                        + (f[:, 1] + f[:, 2]) * 0.6521451548625461)
 
 
 def _linear_path(ode, grid, init, tol):
@@ -286,17 +297,10 @@ def _linear_path(ode, grid, init, tol):
     raises ValueError, and an error estimate above tol (1 + |ln a0|), from
     the rule on pairs of intervals (the last overlapping on an odd count)
     against their halves, QuadratureError."""
-    def rule(lo, hi):  # nodes and tau linear(tau) by row, values elementwise
-        nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _GAUSS_NODES
-        tau = np.exp(nodes)
-        f = tau * np.reshape(ode.linear_rhs(tau.ravel()), tau.shape)
-        return nodes, f, 0.5 * (hi - lo) * ((f[:, 0] + f[:, 3]) * 0.3478548451374538
-                                            + (f[:, 1] + f[:, 2]) * 0.6521451548625461)
-
     n = grid.size - 1
     pairs = np.minimum(np.arange(0, n, 2), n - 2)
-    nodes, f, values = rule(np.concatenate((grid[:-1], grid[pairs])),
-                            np.concatenate((grid[1:], grid[pairs + 2])))
+    nodes, f, values = _gauss_rule(ode, np.concatenate((grid[:-1], grid[pairs])),
+                                   np.concatenate((grid[1:], grid[pairs + 2])))
     fine, finite = values[:n], np.isfinite(f).all(axis=1)
     path = init + np.concatenate(([0.0], np.cumsum(fine)))
     past = (np.logical_and.accumulate(finite[:n])
@@ -325,7 +329,7 @@ def _linear_path(ode, grid, init, tol):
     level = 0 if path[k] <= _LN_UNDERFLOW else 1
 
     def partial(s):
-        return path[k - 1] + rule(grid[k - 1:k], np.array([s]))[2][0]
+        return path[k - 1] + _gauss_rule(ode, grid[k - 1:k], np.array([s]))[2][0]
 
     root = _solvers.brentq(lambda s: partial(s) - (_LN_UNDERFLOW, _LN_CEILING)[level],
                            grid[k - 1], grid[k], 4 * _solvers.EPS)
@@ -435,21 +439,49 @@ def verdict(trajectory: CriterionTrajectory,
 
 # -- comparison solutions -------------------------------------------------------
 
-def _linear_in_ln_tau(s: float, ode: CriterionODE) -> float:
-    """The linear term per unit ln tau, at ln tau = s."""
-    t = math.exp(s)
-    return t * ode.linear_rhs(t)
+# a period-sum piece passes QUADPACK's test, an error estimate at most
+# max(_PIECE_EPSABS, _PIECE_EPSREL |piece|); it starts on 16 equal
+# sub-intervals and doubles them up to 256 while it fails; _PIECE_BLOCK
+# pieces go at a time, so no scratch grows with the number of half-periods
+_PIECE_EPSABS = 1e-13
+_PIECE_EPSREL = 1e-10
+_PIECE_SPLITS = (16, 256)
+_PIECE_BLOCK = 64
+
+
+def _pieces(ode: CriterionODE, a: np.ndarray, b: np.ndarray):
+    """The period sum's rule on the pieces [a, b]: (values, estimates,
+    passed). A piece is _gauss_rule on n equal sub-intervals; its estimate
+    is the rule on pairs of them against their halves, over 255, as in
+    _linear_path. A piece that fails the test goes again on 2n, whose pairs
+    are the n of the round before; a non-finite value fails at once."""
+    values, est = np.empty(a.size), np.empty(a.size)
+    todo, n, coarse = np.arange(a.size), _PIECE_SPLITS[0], None
+    while todo.size and n <= _PIECE_SPLITS[1]:
+        x = np.linspace(a[todo], b[todo], n + 1, axis=1)
+        lo, hi = x[:, :-1], x[:, 1:]
+        if coarse is None:
+            lo, hi = np.hstack((lo, x[:, :-2:2])), np.hstack((hi, x[:, 2::2]))
+        rule = _gauss_rule(ode, lo.ravel(), hi.ravel())[2].reshape(todo.size, -1)
+        fine, coarse = rule[:, :n], rule[:, n:] if coarse is None else coarse
+        values[todo] = fine.sum(axis=1)
+        est[todo] = np.abs(coarse - fine[:, 0::2] - fine[:, 1::2]).sum(axis=1) / 255.0
+        passed = est <= np.maximum(_PIECE_EPSABS, _PIECE_EPSREL * np.abs(values))
+        fail = ~passed[todo] & np.isfinite(est[todo])
+        todo, n, coarse = todo[fail], 2 * n, fine[fail]
+    return values, est, passed
 
 
 def _period_sum(ode: CriterionODE, s0: float, s1: float):
     """Integrate the m=2 linear term in ln tau, one carrier half-period at a time.
 
     The cuts are s0, every point where the carrier phase b0 phi^alpha + C4
-    crosses pi/2 + k pi, and s1; one quad value per piece between them.
-    Beyond the first few half-periods those are the sign changes of the
-    integrand, which is smooth. Returns (cuts, pieces, flags); flags names
-    each piece whose quad returned an error flag, with its error estimate
-    and quad's message.
+    crosses pi/2 + k pi, and s1. Beyond the first few half-periods those
+    are the sign changes of the integrand, which is smooth. Each piece
+    between them is the Gauss rule of _linear_path on equal sub-intervals,
+    refined until its error estimate passes QUADPACK's test (_pieces).
+    Returns (cuts, pieces, flags); flags names each piece that never
+    passed, with its estimate.
     """
     m2c = ode.m2_constants
 
@@ -472,41 +504,19 @@ def _period_sum(ode: CriterionODE, s0: float, s1: float):
         target += math.pi
     cuts.append(s1)
 
-    pieces, flags = [], []
-    for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-        val, abserr, flag = _solvers.quad(_linear_in_ln_tau, a, b, (ode,),
-                                          epsabs=1e-13, epsrel=1e-10, limit=200)
-        pieces.append(val)
-        if flag is not None:
-            flags.append(f"quad flagged half-period {i} of {len(cuts) - 1} "
-                         f"(tau {math.exp(a):.4g} to {math.exp(b):.4g}, "
-                         f"abserr {abserr:.2g}): {flag}")
+    n, pieces, flags = len(cuts) - 1, [], []
+    for i in range(0, n, _PIECE_BLOCK):
+        edges = np.array(cuts[i:i + _PIECE_BLOCK + 1])
+        values, est, passed = _pieces(ode, edges[:-1], edges[1:])
+        pieces.extend(values.tolist())
+        for k in np.flatnonzero(~passed).tolist():
+            why = ("a non-finite value" if not math.isfinite(est[k]) else
+                   f"above max({_PIECE_EPSABS:g}, {_PIECE_EPSREL:g} |piece|) "
+                   f"on {_PIECE_SPLITS[1]} sub-intervals")
+            flags.append(f"the Gauss rule flagged half-period {i + k} of {n} "
+                         f"(tau {math.exp(edges[k]):.4g} to "
+                         f"{math.exp(edges[k + 1]):.4g}, abserr {est[k]:.2g}): {why}")
     return cuts, pieces, flags
-
-
-def linear_closed_form(m: int, phi: SlowGrowthFn, tau: float,
-                       tau0: float) -> float:
-    """Quadrature value of ln a0(tau) - ln a0(tau0) for the kappa=0 system.
-
-    m=1 integrates the sign-definite linear term directly; m=2 splits
-    the oscillatory integrand at the zeros of its cosine carrier and
-    sums the pieces. Both raise QuadratureError when quad flags a piece.
-    """
-    if tau <= tau0:
-        raise ValueError("need tau > tau0")
-    ode = build_criterion(m, "multiplicative", phi, lookup("zero-kappa"))
-    s0, s1 = math.log(tau0), math.log(tau)
-    if m == 1:
-        val, abserr, flag = _solvers.quad(_linear_in_ln_tau, s0, s1, (ode,),
-                                          epsabs=1e-13, epsrel=1e-11, limit=500)
-        if flag is not None:
-            raise QuadratureError(f"quad flagged the m=1 integral (tau {tau0:.4g} "
-                                  f"to {tau:.4g}, abserr {abserr:.2g}): {flag}")
-        return val
-    _, pieces, flags = _period_sum(ode, s0, s1)
-    if flags:
-        raise QuadratureError("; ".join(flags))
-    return sum(pieces)
 
 
 # the iteration runs from ln a0 = -3 at tau = max(tau_min, 10) to 1e12, on

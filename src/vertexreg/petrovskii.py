@@ -209,7 +209,9 @@ def biharmonic_linear_criterion(phi: SlowGrowthFn, *, radial_exponent: int = 1,
     irregular side; marginal oscillation (non-decaying alternating period
     contributions) stays Undetermined because deciding it would need the
     oscillatory cut-off construction, which this module does not attempt.
-    Pieces whose quadrature came back flagged are named in the diagnostic.
+    The pieces are criterion._period_sum's Gauss rule, the one that sums
+    the zero-kappa ODE; a piece whose error estimate never passed is
+    named in the diagnostic.
     radial_exponent is the radial dimension N, as in build_criterion.
     """
     if tau0 < phi.tau_min:

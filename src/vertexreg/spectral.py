@@ -271,8 +271,8 @@ class _PiecewiseChebyshev:
 
     def scalar(self, y, order):
         """__call__ for one float |y| <= span, in float arithmetic: a
-        single point costs no numpy calls, which is what LSODA and quad
-        ask of the m=2 right side."""
+        single point costs no numpy calls, which is what LSODA asks of
+        the m=2 right side."""
         x = abs(y) / self._width
         panel = min(int(x), self._last)
         t = 2.0 * (x - panel) - 1.0

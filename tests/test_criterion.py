@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import quadrature_oracle as oracle  # the quadrature helper next to this file
 from vertexreg import _solvers, blayer, criterion, funcs, petrovskii, spectral
 from vertexreg.errors import (ConfigError, DomainError, QuadratureError,
                               StiffnessError)
@@ -97,7 +99,7 @@ def _assert_scalar_matches_array(ode, taus, ln_a0s):
                      max_size=12),
        ln_a0=st.floats(min_value=-745.0, max_value=0.0))
 def test_scalar_rhs_has_the_bits_of_the_array_rhs(width, m, n, taus, ln_a0):
-    # LSODA and quad ask for one float tau; the trajectory tables evaluate
+    # LSODA asks for one float tau; the trajectory tables evaluate
     # arrays: both branches must give the same bits, for every catalog kappa
     # and both kinds
     taus = np.asarray(taus)
@@ -176,12 +178,12 @@ def test_closed_form_decay_law():
     exact = -(1.0 / (3.0 * SQRT_PI)) * (math.log(1e6) ** 1.5 - math.log(10.0) ** 1.5)
     assert drop == pytest.approx(exact, rel=1e-6)
     # quadrature route agrees with the integrator (kappa = 0)
-    assert criterion.linear_closed_form(1, STAR, 1e6, 10.0) == pytest.approx(
+    assert oracle.linear_closed_form(1, STAR, 1e6, 10.0) == pytest.approx(
         drop, rel=1e-6)
     # and with the analytic antiderivative at a remote point
     huge = math.exp(100.0)
     analytic = -(1.0 / (3.0 * SQRT_PI)) * (100.0 ** 1.5 - math.log(10.0) ** 1.5)
-    assert criterion.linear_closed_form(1, STAR, huge, 10.0) == pytest.approx(
+    assert oracle.linear_closed_form(1, STAR, huge, 10.0) == pytest.approx(
         analytic, rel=1e-9)
 
 
@@ -356,7 +358,7 @@ def test_linear_run_matches_the_closed_form(m, width, tau_max):
     ode = criterion.build_criterion(m, "multiplicative", width, ZERO)
     traj = criterion.integrate(ode, -1.0, 10.0, tau_max)
     assert traj.stop is None and traj.tau[-1] == pytest.approx(tau_max)
-    exact = criterion.linear_closed_form(m, width, traj.tau[-1], 10.0)
+    exact = oracle.linear_closed_form(m, width, traj.tau[-1], 10.0)
     assert abs((traj.ln_a0[-1] + 1.0) - exact) < 1e-11
 
 
@@ -432,7 +434,7 @@ def test_linear_underflow_stop_is_the_integral_root():
     assert traj.stop == "underflow"
     assert traj.tau[-1] == pytest.approx(1.2713177504088e8, rel=1e-6)
     assert traj.ln_a0[-1] == pytest.approx(-745.0, abs=1e-12)
-    exact = criterion.linear_closed_form(1, phi, traj.tau[-1], 10.0)
+    exact = oracle.linear_closed_form(1, phi, traj.tau[-1], 10.0)
     assert abs(-1.0 + exact + 745.0) < 1e-11
 
 
@@ -647,44 +649,48 @@ def test_m2_linear_term_changes_sign_with_its_carrier():
 
 def test_m2_period_summed_quadrature():
     wide = funcs.lookup("biharmonic-critical", c=4.0)
-    v9 = criterion.linear_closed_form(2, wide, 1e9, 10.0)
-    v12 = criterion.linear_closed_form(2, wide, 1e12, 10.0)
+    v9 = oracle.linear_closed_form(2, wide, 1e9, 10.0)
+    v12 = oracle.linear_closed_form(2, wide, 1e12, 10.0)
     # envelope decays like tau^{-d0 c^{4/3}} with d0 c^{4/3} > 1: the tail is tiny
     assert abs(v12 - v9) < 1e-3
     fast = funcs.SlowGrowthFn("fast-power",
                               lambda t: np.sqrt(np.asarray(t, dtype=float)),
                               lambda t: 0.5 / np.sqrt(np.asarray(t, dtype=float)))
     with pytest.raises(QuadratureError):
-        criterion.linear_closed_form(2, fast, 1e9, 10.0)
+        oracle.linear_closed_form(2, fast, 1e9, 10.0)
 
 
 def test_m2_flagged_half_period_fails_the_sum(monkeypatch):
-    # a half-period whose quad is flagged fails the sum instead of warning;
-    # no catalog width flags any more, so quad reports a flag on every piece
-    real_quad = _solvers.quad
-
-    def flagging_quad(*args, **kwargs):
-        return real_quad(*args, **kwargs)[:2] + ("Roundoff error is detected",)
-
-    monkeypatch.setattr("vertexreg._solvers.quad", flagging_quad)
-    with pytest.raises(QuadratureError, match="half-period 0 of 14"):
-        criterion.linear_closed_form(
-            2, funcs.lookup("biharmonic-critical", c=3.5), 1e9, 10.0)
+    # a half-period whose error estimate stays above the bound is flagged
+    # with it, not returned quietly; no catalog width fails the bound, so
+    # a bound of 0 fails every piece
+    monkeypatch.setattr(criterion, "_PIECE_EPSABS", 0.0)
+    monkeypatch.setattr(criterion, "_PIECE_EPSREL", 0.0)
+    ode = criterion.build_criterion(
+        2, "multiplicative", funcs.lookup("biharmonic-critical", c=3.5), ZERO)
+    _, pieces, flags = criterion._period_sum(ode, math.log(10.0), math.log(1e9))
+    assert len(flags) == len(pieces) == 14
+    assert re.match(r"the Gauss rule flagged half-period 0 of 14 \(tau 10 to "
+                    r".*, abserr .*\): above max\(0, 0 \|piece\|\) on 256 "
+                    r"sub-intervals$", flags[0])
+    # the flagged values are still the rule's, on 256 sub-intervals
+    assert np.allclose(pieces, oracle.period_pieces(
+        ode, math.log(10.0), math.log(1e9))[1], rtol=1e-12, atol=0.0)
 
 
 def test_m1_flagged_quad_fails_like_m2(monkeypatch):
-    # one flag policy for both orders: a flagged m=1 value raises with
-    # quad's message instead of being returned
-    real_quad = _solvers.quad
+    # one flag policy for both orders: the oracle raises on a flagged m=1
+    # value with quad's message instead of returning it
+    real_quad = oracle.quad
 
     def flagging_quad(*args, **kwargs):
-        return real_quad(*args, **kwargs)[:2] + ("Roundoff error is detected",)
+        return real_quad(*args, **kwargs)[:3] + ("Roundoff error is detected",)
 
-    monkeypatch.setattr("vertexreg._solvers.quad", flagging_quad)
+    monkeypatch.setattr(oracle, "quad", flagging_quad)
     with pytest.raises(QuadratureError,
                        match="m=1 integral .*Roundoff error is detected"):
-        criterion.linear_closed_form(1, funcs.lookup("petrovskii-critical"),
-                                     1e9, 10.0)
+        oracle.linear_closed_form(1, funcs.lookup("petrovskii-critical"),
+                                  1e9, 10.0)
 
 
 @pytest.mark.parametrize("c", [3.5, 3.6036, 3.6534])
@@ -696,6 +702,100 @@ def test_m2_period_sum_is_unflagged(c):
     cuts, pieces, flags = criterion._period_sum(ode, math.log(10.0), math.log(1e9))
     assert flags == []
     assert len(pieces) == len(cuts) - 1
+
+
+# a scan over widths, horizons and N: the biharmonic-critical c either side
+# of c*, the root-log and the log-power widths
+PERIOD_SCAN = [
+    ("biharmonic-critical", {"c": 1.5}, 1, 1e9),
+    ("biharmonic-critical", {"c": 2.5}, 3, 1e12),
+    ("biharmonic-critical", {}, 2, 1e6),
+    ("biharmonic-critical", {"c": 3.6534}, 1, 1e9),
+    ("biharmonic-critical", {"c": 7.3155}, 1, 1e9),
+    ("biharmonic-critical", {"c": 10.0}, 2, 1e12),
+    ("petrovskii-critical", {}, 3, 1e12),
+    ("petrovskii-critical", {}, 1, 1e4),
+    ("petrovskii-super", {"eps": 0.5}, 2, 1e9),
+    ("log-power", {"p": 0.25}, 3, 1e12),
+    ("log-power", {"p": 0.5}, 1, 1e6),
+    ("log-power", {"p": 1.0}, 2, 1e9),
+    ("log-power", {"p": 2.0}, 3, 1e4),
+]
+
+
+@pytest.mark.parametrize("name, params, n, tau_max", PERIOD_SCAN)
+def test_period_sum_pieces_match_quadpack(name, params, n, tau_max):
+    # each piece of the Gauss rule meets QUADPACK's value within QUADPACK's
+    # own bound, and neither flags a piece
+    ode = criterion.build_criterion(2, "multiplicative",
+                                    funcs.lookup(name, **params), ZERO, n)
+    s0, s1 = math.log(10.0), math.log(tau_max)
+    cuts, pieces, flags = criterion._period_sum(ode, s0, s1)
+    oracle_cuts, exact, oracle_flags = oracle.period_pieces(ode, s0, s1)
+    assert flags == oracle_flags == []
+    assert cuts == oracle_cuts
+    for piece, value in zip(pieces, exact):
+        assert abs(piece - value) <= max(1e-13, 1e-10 * abs(value))
+
+
+def test_period_sum_refines_the_pieces_that_need_it(monkeypatch):
+    # at 1e12 the root-log width's third piece fails the bound on 16
+    # sub-intervals (estimate 1.4 times the bound at N = 3) and passes on 32
+    ode = criterion.build_criterion(2, "multiplicative", STAR, ZERO, 3)
+    s0, s1 = math.log(10.0), math.log(1e12)
+    assert criterion._period_sum(ode, s0, s1)[2] == []
+    monkeypatch.setattr(criterion, "_PIECE_SPLITS", (16, 16))
+    flags = criterion._period_sum(ode, s0, s1)[2]
+    assert len(flags) == 1 and "half-period 2 of 4" in flags[0]
+
+
+def test_period_sum_flags_a_non_finite_piece():
+    # a piece that meets a NaN is flagged at once, not refined
+    ode = criterion.build_criterion(
+        2, "multiplicative", funcs.lookup("biharmonic-critical", c=3.5), ZERO)
+    real = ode.linear_rhs
+    ode = dataclasses.replace(
+        ode, linear_rhs=lambda tau: np.where(tau > 1e7, np.nan, real(tau)))
+    cuts, pieces, flags = criterion._period_sum(ode, math.log(10.0), math.log(1e9))
+    holed = [i for i in range(len(pieces)) if math.exp(cuts[i + 1]) > 1e7]
+    assert holed and [math.isnan(p) for p in pieces] == [
+        i in holed for i in range(len(pieces))]
+    assert len(flags) == len(holed)
+    assert all(f.endswith("abserr nan): a non-finite value") for f in flags)
+
+
+@pytest.mark.parametrize("c", [2.5, funcs.BIHARMONIC_CRITICAL_C, 3.2, 3.6534, 7.3155])
+def test_zero_kappa_run_is_the_sum_of_the_period_pieces(c):
+    # one m=2 rule for both routes: the zero-kappa ODE's ln a0(tau_max) -
+    # init is the period sum of the same linear term
+    ode = criterion.build_criterion(
+        2, "multiplicative", funcs.lookup("biharmonic-critical", c=c), ZERO)
+    traj = criterion.integrate(ode, -300.0, 10.0, 1e9)
+    assert traj.stop is None
+    _, pieces, flags = criterion._period_sum(ode, math.log(10.0), math.log(1e9))
+    assert flags == []
+    assert abs((traj.ln_a0[-1] + 300.0) - math.fsum(pieces)) < 1e-11
+
+
+def test_period_sum_memory_does_not_grow_with_the_half_periods():
+    # pieces go through the rule a block at a time: the peak above what
+    # the call returns stays the same from 2 blocks to 14
+    ode = criterion.build_criterion(
+        2, "multiplicative", funcs.lookup("log-power", p=2.0), ZERO)
+
+    def scratch(tau_max):
+        tracemalloc.start()
+        try:
+            cuts, pieces, _ = criterion._period_sum(ode, math.log(10.0),
+                                                    math.log(tau_max))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return len(pieces), peak - current
+
+    (few, small), (many, large) = scratch(1e6), scratch(1e12)
+    assert few > 2 * criterion._PIECE_BLOCK and many > 12 * criterion._PIECE_BLOCK
+    assert large <= 1.05 * small
 
 
 # -- irregularity iteration --------------------------------------------------------

@@ -801,20 +801,19 @@ def test_step_failure_on_lapack_info(monkeypatch, m, routine):
 
 @pytest.mark.parametrize("vertexreg_first", [True, False])
 def test_vertexreg_and_scipy_share_one_copy_of_each_compiled_module(vertexreg_first):
-    # vertexreg loads four compiled modules without their package inits; a
+    # vertexreg loads three compiled modules without their package inits; a
     # later import of scipy.linalg, scipy.integrate or scipy.optimize must
     # reuse them, and vertexreg must reuse theirs when they came first
     src = os.path.dirname(os.path.dirname(pdesim.__file__))
     ours = "from vertexreg import _solvers, pdesim\n"
     theirs = ("import scipy.integrate, scipy.linalg.lapack, scipy.optimize\n"
-              "from scipy.integrate import _odepack, _quadpack\n"
+              "from scipy.integrate import _odepack\n"
               "from scipy.linalg import lapack\n"
               "from scipy.optimize import _zeros\n")
     code = ((ours + theirs if vertexreg_first else theirs + ours)
             + "assert pdesim.dgtsv is lapack.dgtsv\n"
             "assert pdesim.dgbsv is lapack.dgbsv\n"
             "assert _solvers._odepack is _odepack\n"
-            "assert _solvers._quadpack is _quadpack\n"
             "assert _solvers._zeros is _zeros\n"
             "assert scipy.integrate._ode.lsoda.runner is _odepack.lsoda\n")
     subprocess.run([sys.executable, "-c", code], check=True,

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from vertexreg import _solvers, criterion, funcs, petrovskii
+import quadrature_oracle as oracle  # the quadrature helper next to this file
+from vertexreg import criterion, funcs, petrovskii
 from vertexreg.errors import DomainError, QuadratureError
 from vertexreg.petrovskii import Classification
 
@@ -232,28 +233,25 @@ def test_biharmonic_supercritical_bounded():
     assert trace.fit.slope == pytest.approx(4.0 ** (4.0 / 3.0) * 3.0 * 2.0 ** (-11.0 / 3.0),
                                             rel=1e-12)
     # the accelerated limit agrees with brute quadrature to a long horizon
-    limit = criterion.linear_closed_form(2, wide, 1e12, 10.0)
+    limit = oracle.linear_closed_form(2, wide, 1e12, 10.0)
     assert trace.fit.extrapolation == pytest.approx(limit, abs=1e-4)
 
 
 def test_biharmonic_flagged_quadrature_is_reported(monkeypatch):
-    # a flag from quad must reach the trace instead of escaping as a
-    # warning; no catalog width flags any more, so quad flags every piece
+    # a flagged piece must reach the trace instead of escaping as a
+    # warning; no catalog width fails the bound, so a bound of 0 flags
+    # every piece
     width = funcs.lookup("biharmonic-critical", c=3.5)
-    real_quad = _solvers.quad
-
-    def flagging_quad(*args, **kwargs):
-        return real_quad(*args, **kwargs)[:2] + ("Roundoff error is detected",)
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         clean = petrovskii.biharmonic_linear_criterion(width)
-        monkeypatch.setattr("vertexreg._solvers.quad", flagging_quad)
+        monkeypatch.setattr(criterion, "_PIECE_EPSABS", 0.0)
+        monkeypatch.setattr(criterion, "_PIECE_EPSREL", 0.0)
         trace = petrovskii.biharmonic_linear_criterion(width)
     assert clean.classification is Classification.BOUNDED
     assert clean.diagnostic == ""
     assert trace.classification is Classification.BOUNDED
-    assert "quad flagged half-period 6 of 14" in trace.diagnostic
+    assert "Gauss rule flagged half-period 6 of 14" in trace.diagnostic
     assert "abserr" in trace.diagnostic
 
 

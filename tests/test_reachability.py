@@ -9,8 +9,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "vertexreg"
 # reached from outside src/ on purpose
 ALLOWED = {
     ("cli", "main"),  # the console entry point that pyproject.toml names
-    # the quadrature reference that tests hold the ODE's linear term to
-    ("criterion", "linear_closed_form"),
 }
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from vertexreg import _solvers
@@ -168,52 +168,6 @@ def test_lsoda_stops_at_the_floor_or_the_ceiling(hi, k, t_stop):
     assert hit[1] == pytest.approx(t_stop, abs=1e-8)
     assert hit[2] == pytest.approx((-0.5, hi)[k], abs=1e-12)
     assert list(t) == list(t_eval[t_eval <= hit[1]])
-
-
-# -- quad -------------------------------------------------------------------------
-
-def scipy_quad(f, a, b, args, epsabs, epsrel, limit):
-    value, abserr, _, *message = quad(f, a, b, args=args, epsabs=epsabs,
-                                      epsrel=epsrel, limit=limit, full_output=1)
-    flag = " ".join(message[0].splitlines()[0].split()) if message else None
-    return value, abserr, flag
-
-
-@settings(max_examples=80, deadline=None)
-@given(a=st.floats(-5.0, 5.0), width=st.floats(0.1, 30.0),
-       k=st.floats(0.0, 2.0), w=st.floats(0.0, 20.0),
-       epsabs=st.sampled_from([0.0, 1e-13, 1e-8]),
-       epsrel=st.sampled_from([1e-11, 1e-10, 1e-6]),
-       limit=st.integers(1, 500))
-def test_quad_has_the_bits_of_scipy(a, width, k, w, epsabs, epsrel, limit):
-    f = lambda x, k, w: math.exp(-k * x) * math.cos(w * x)
-    ours = _solvers.quad(f, a, a + width, (k, w), epsabs, epsrel, limit)
-    theirs = scipy_quad(f, a, a + width, (k, w), epsabs, epsrel, limit)
-    assert bits(ours[:2]) == bits(theirs[:2])
-    assert ours[2] == theirs[2]
-
-
-@pytest.mark.parametrize("f, a, b, epsabs, limit", [
-    (lambda x: math.cos(200.0 * x), 0.0, 10.0, 1e-13, 3),         # ier 1
-    (lambda x: 1.0 / x, 1e-300, 1.0, 1e-13, 200),                 # ier 1
-    (lambda x: math.sin(x) + 1e-9 * math.sin(1e7 * x), 0.0, 1.0,  # ier 2
-     0.0, 200),
-    (lambda x: abs(x - 0.5) ** -0.99 if x != 0.5 else 0.0, 0.0, 1.0,  # ier 4
-     1e-13, 200),
-    (lambda x: abs(x - 0.3) ** -0.9999 if x != 0.3 else 0.0, 0.0, 1.0,  # ier 5
-     1e-13, 200),
-])
-def test_quad_flags_as_scipy(f, a, b, epsabs, limit):
-    ours = _solvers.quad(f, a, b, (), epsabs, 1e-13, limit)
-    theirs = scipy_quad(f, a, b, (), epsabs, 1e-13, limit)
-    assert ours[2] is not None
-    assert bits(ours[:2]) == bits(theirs[:2])
-    assert ours[2] == theirs[2]
-
-
-def test_quad_rejects_invalid_input():
-    with pytest.raises(ValueError, match="ier=6"):
-        _solvers.quad(math.cos, 0.0, 1.0, (), 1e-13, 1e-10, 0)
 
 
 # -- brentq -----------------------------------------------------------------------

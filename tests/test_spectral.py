@@ -195,7 +195,7 @@ def test_ode_orders_match_the_rule(m):
                    st.floats(min_value=-600.0, max_value=-60.0, exclude_max=True),
                    st.sampled_from([math.nextafter(60.0, 61.0), 300.0, -61.5, 490.0])))
 def test_m2_far_field_float_has_the_bits_of_a_one_element_array(y):
-    # LSODA and quad ask for one float at a time, through the float path:
+    # LSODA asks for one float at a time, through the float path:
     # beyond the span it must give the series' array bits, orders 4-8 too
     model = spectral.default_kernel(2)
     for k in range(9):
@@ -401,7 +401,7 @@ M2_EDGES = [spectral.default_kernel(2)._interp._width * i for i in range(
                    st.sampled_from([0.0, -0.0, M2_SPAN, -M2_SPAN]
                                    + M2_EDGES + [-e for e in M2_EDGES])))
 def test_m2_scalar_kernel_has_the_bits_of_the_array_path(y):
-    # LSODA and quad evaluate one float at a time, through the scalar path;
+    # LSODA evaluates one float at a time, through the scalar path;
     # projections and exports go through the array path: they must agree
     model = spectral.default_kernel(2)
     for k in range(4):
