@@ -9,7 +9,15 @@ simulation of the rescaled problem on a fixed domain.
 
 __version__ = "0.1.0"
 
-from . import funcs, spectral, blayer, criterion, petrovskii, pdesim
+from . import funcs, spectral, blayer, criterion, petrovskii
 
 __all__ = ["blayer", "criterion", "funcs", "pdesim", "petrovskii",
            "spectral", "__version__"]
+
+
+def __getattr__(name):
+    # the simulation loads LAPACK, so it is imported on first use
+    if name == "pdesim":
+        import importlib
+        return importlib.import_module(".pdesim", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

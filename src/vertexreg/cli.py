@@ -18,7 +18,6 @@ independently; one failure never blocks the others. Identical configs
 produce byte-identical outputs apart from the report timestamp.
 """
 
-import argparse
 import datetime
 import json
 import math
@@ -30,7 +29,8 @@ from enum import Enum
 import numpy as np
 import yaml
 
-from . import __version__, blayer, criterion, funcs, pdesim, petrovskii, spectral
+# pdesim loads LAPACK, so only the tasks that simulate import it
+from . import __version__, blayer, criterion, funcs, petrovskii, spectral
 from ._csvtable import write_csv
 from ._quadrature import simpson
 from .errors import ConfigError
@@ -271,6 +271,8 @@ _SIM_FIELDS = {
 
 
 def _sim_config(params):
+    from . import pdesim
+
     phi = _resolve(params["phi"]) if params["phi"] is not None else None
     return pdesim.SimConfig(
         m=params["m"], phi=phi, kappa=_resolve(params["kappa"]),
@@ -492,7 +494,8 @@ def _run_petrovskii(params, outdir):
     elif variant == "dini":
         def rho(h):
             # h underflows to 0 past ell of about 745: tau = -log(0) = inf
-            # gives the exact zero density there
+            # gives a zero density there, which the density form's tail
+            # test leaves out
             with np.errstate(divide="ignore"):
                 tau = -np.log(h)
             width = np.asarray(phi.phi(tau), dtype=float)
@@ -557,6 +560,8 @@ def _run_kernel(params, outdir):
 
 
 def _run_simulate(params, outdir):
+    from . import pdesim
+
     traj = pdesim.run(_sim_config(params))
     artifacts = ["series.csv", "metadata.json"]
     pdesim.export_series_csv(traj, os.path.join(outdir, "series.csv"))
@@ -580,6 +585,8 @@ def _run_simulate(params, outdir):
 
 
 def _run_compare(params, outdir):
+    from . import pdesim
+
     traj = pdesim.run(_sim_config(params))
     ode = criterion.build_criterion(params["m"], params["kind"],
                                     _resolve(params["phi"]),
@@ -903,6 +910,8 @@ def emit_reproduction_suite(out_dir):
 
 
 def main(argv=None):
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="vertexreg",
         description="Batch runner for vertex-regularity experiments.")

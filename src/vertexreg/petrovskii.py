@@ -98,17 +98,25 @@ class IntegralTrace:
         return float(self.partial_values[-1, 1])
 
 
-def _classify_decay(x, ln_f, total):
+def _classify_decay(x, ln_f, total, known=None):
     """Tail fit of a nonnegative integrand given pointwise ln values.
 
     Fits ln f against ln x over the last two decades of x; points at the
     underflow floor are excluded from the fit (a floor-dominated tail is
-    decisive convergence on its own).
+    decisive convergence on its own). known, if given, marks the points
+    whose values say anything about the integrand; the others take no part.
+    A window with fewer than 8 points above the floor and none at it is
+    Undetermined.
     """
     window = x >= x[-1] / 100.0
-    live = window & (ln_f > _LN_TINY)
     lo = float(x[window][0])
+    if known is not None:
+        window &= known
+    live = window & (ln_f > _LN_TINY)
     if np.count_nonzero(live) < 8:
+        if np.array_equal(live, window):
+            return Classification.UNDETERMINED, TailFit(
+                math.nan, None, (lo, float(x[-1])), math.nan)
         return Classification.CONVERGENT, TailFit(
             math.inf, None, (lo, float(x[-1])), total)
     lx = np.log(x[live])
@@ -181,7 +189,8 @@ def dini_osgood_form(rho, *, h_max: float = 0.1, ell_max: float = 690.0,
         raise ConfigError("ell_max=%g leaves no room below h_max=%g" % (ell_max, h_max))
     ell = np.geomspace(ell0, ell_max, n_points)  # tau's log-uniform grid
     with np.errstate(under="ignore"):
-        r = np.asarray(rho(np.exp(-ell)), dtype=float)
+        h = np.exp(-ell)
+        r = np.asarray(rho(h), dtype=float)
     if not np.all(np.isfinite(r)):
         raise DomainError("density returned a non-finite value")
     if np.any(r >= 1.0) or np.any(r < 0.0):
@@ -195,8 +204,19 @@ def dini_osgood_form(rho, *, h_max: float = 0.1, ell_max: float = 690.0,
     with np.errstate(under="ignore"):
         per_ell = np.exp(ln_f)
     partial = cumulative_trapezoid(per_ell, ell, initial=0.0)
-    cls, fit = _classify_decay(ell, ln_f, float(partial[-1]))
-    return IntegralTrace("h", np.column_stack([np.exp(-ell), partial]), cls, fit)
+    # past ell of about 745, h underflows to 0, and rho(0) says nothing of
+    # the density at ell: those points take no part in the tail test
+    known = h > 0.0
+    cls, fit = _classify_decay(ell, ln_f, float(partial[-1]), known)
+    diagnostic = ""
+    if math.isnan(fit.slope):
+        diagnostic = ("only %d points of the tail window [%.6g, %.6g] have "
+                      "h > 0, too few to classify" % (np.count_nonzero(
+                          known & (ell >= fit.window[0])), *fit.window))
+        if not known[-1]:
+            diagnostic = ("h = e^-ell underflows to 0 after ell = %.6g: %s"
+                          % (ell[known][-1], diagnostic))
+    return IntegralTrace("h", np.column_stack([h, partial]), cls, fit, diagnostic)
 
 
 def biharmonic_linear_criterion(phi: SlowGrowthFn, *, radial_exponent: int = 1,

@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
 
 from ._csvtable import write_csv
 from .errors import ConfigError, FitError, QuadratureError, UnsupportedOrder
@@ -49,30 +48,38 @@ _CUT = 50.0
 DERIV_ORDER_MAX = 3
 _EXTENDED_ORDER_MAX = 8
 
-# The m=2 interpolant of F and its first three derivatives may differ from
-# quadrature at off-node points by at most INTERP_TOL, and by at most
-# INTERP_REL_TOL of F^(k)'s size (KernelModel._size), or the kernel refuses to
-# build. Beyond y = 36.6 that size is below INTERP_TOL; the interpolant
-# misses by at most 3.2e-13 of it on [0, 60] (measured)
+# The m=2 interpolant of F and its first three derivatives, and the series
+# beyond it, may differ from quadrature at off-node points by at most
+# INTERP_TOL, and by at most INTERP_REL_TOL of F^(k)'s size
+# (KernelModel._size), or the kernel refuses to build. The interpolant
+# misses the rule by at most 3.5e-15 of that size on [0, 21] (measured)
 INTERP_TOL = 1e-13
 INTERP_REL_TOL = 1e-12
 
-# Panel width and degree of that interpolant. F is entire, so the error
-# falls geometrically with the degree; these reach round-off (measured).
-# It evaluates _CHEB_CHUNK points at a time, so its scratch does not grow
-# with the points.
+# The m=2 interpolant covers |y| <= _INTERP_SPAN, in panels of width
+# _CHEB_PANEL_WIDTH and degree _CHEB_DEGREE: 14 panels, the first 14 of the
+# 40 an interpolant on [0, 60] would have, with their bits. F is entire, so
+# the error falls geometrically with the degree; these reach round-off
+# (measured). The evaluators take _EVAL_CHUNK points at a time, so their
+# scratch does not grow with the points.
+_INTERP_SPAN = 21.0
 _CHEB_PANEL_WIDTH = 1.5
 _CHEB_DEGREE = 14
-_CHEB_CHUNK = 8192
+_EVAL_CHUNK = 8192
 
 # Terms of the m=2 far field's two-saddle series (KernelModel._series),
-# and the points in (y_span, 300] where it must match the rule as the
-# interpolant must. At y = 60 the last term is below round-off; the series
-# misses 34-digit values by at most 7.3e-14 of F^(k)'s size on [60, 300],
-# the rounding of the phase b0 y^{4/3}, and by 1.2e-14 on [25, 60]
-# (measured)
+# which serves |y| > _INTERP_SPAN, and the points in (_INTERP_SPAN, 300]
+# where it must match the rule as the interpolant must. At y = 60 the last
+# term is below round-off; the series misses the rule by at most 1.2e-14
+# of F^(k)'s size on [21, 60] and by 9.8e-14 on [60, 300], the rounding of
+# the phase b0 y^{4/3} (measured)
 _SADDLE_TERMS = 14
-_SERIES_CHECK = (61.0, 80.0, 110.0, 160.0, 230.0, 300.0)
+_SERIES_CHECK = (21.5, 25.0, 35.0, 60.0, 130.0, 300.0)
+
+# The normalizer 1/pi gives F unit mass, since its transform e^{-s^{2m}} is
+# 1 at s = 0. The m=2 build checks it: the built evaluators' mass on the
+# y_span window's rule must lie within MASS_TOL of 1
+MASS_TOL = 1e-13
 
 # Composite 12-node Gauss-Legendre panels: the y window below takes one
 # panel per 3 radians of the frequency _CUT^{1/(2m)}, past which F's
@@ -82,12 +89,22 @@ _SERIES_CHECK = (61.0, 80.0, 110.0, 160.0, 230.0, 300.0)
 # within 1.2e-14 of its size e^{-d0 |y|^alpha} max(1, |s*|)^k |y|^{-delta0}
 # for |y| <= 300 (measured against 34-digit quadrature)
 _RAD_PER_PANEL = 3.0
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# numpy.polynomial.legendre.leggauss(12), with its bits
+_GL_NODES = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
+    -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GL_WEIGHTS = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
+    0.20316742672306573, 0.2334925365383546, 0.2491470458134027,
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
 _PANELS = 16
 _BLOCK = 128
 
-# Per order m: the y window for unit-mass normalization, bi-orthonormality
-# and the m=2 interpolant. The kernel's weight beyond it is what limits the
+# Per order m: the y window of the unit-mass check and the
+# bi-orthonormality matrix. The kernel's weight beyond it is what limits the
 # bi-orthonormality matrix: for m=2 its error is 3e-11 on [0, 50] and 3e-13
 # on [0, 60], the round-off of its degree-6 moments (measured)
 _Y_SPAN = {1: 30.0, 2: 60.0}
@@ -197,12 +214,25 @@ def _saddle_coefficients(k):
     return out
 
 
+def _chebvander(x, degree):
+    """T_0(x), ..., T_degree(x), a column per degree, by the recurrence
+    T_i = 2x T_{i-1} - T_{i-2}: numpy.polynomial.chebyshev.chebvander's
+    operations, so its bits, for degree >= 1."""
+    v = np.empty((degree + 1,) + x.shape)
+    v[0] = x * 0 + 1
+    x2 = 2 * x
+    v[1] = x
+    for i in range(2, degree + 1):
+        v[i] = v[i - 1] * x2 - v[i - 2]
+    return np.moveaxis(v, 0, -1)
+
+
 class _PiecewiseChebyshev:
     """Interpolants of an even function and its derivatives up to order 3.
 
     sample(y, orders) supplies the values, one row per order, at the
     Chebyshev nodes of equal panels covering [0, span]; evaluation takes
-    |y| <= span and applies the parity (-1)^order for y < 0, _CHEB_CHUNK
+    |y| <= span and applies the parity (-1)^order for y < 0, _EVAL_CHUNK
     points at a time. Refuses to build when the interpolant misses sample
     at the points between the nodes by more than INTERP_TOL, or by more
     than INTERP_REL_TOL of size(y, order).
@@ -222,7 +252,7 @@ class _PiecewiseChebyshev:
 
         # first-kind nodes: discrete orthogonality of T_k gives the coefficients
         nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-        to_coef = chebvander(nodes, _CHEB_DEGREE) * (2.0 / n)
+        to_coef = _chebvander(nodes, _CHEB_DEGREE) * (2.0 / n)
         to_coef[:, 0] *= 0.5
         # stored (degree + 1, panels), so one gather gives a row per degree
         orders = range(DERIV_ORDER_MAX + 1)
@@ -240,12 +270,12 @@ class _PiecewiseChebyshev:
                         size(check, k), "[0, %g]" % span)
 
     def __call__(self, y, order):
-        if y.size <= _CHEB_CHUNK:
+        if y.size <= _EVAL_CHUNK:
             return self._clenshaw(y, order)
         flat = y.reshape(-1)
         out = np.empty(flat.shape)
-        for lo in range(0, flat.size, _CHEB_CHUNK):
-            out[lo:lo + _CHEB_CHUNK] = self._clenshaw(flat[lo:lo + _CHEB_CHUNK], order)
+        for lo in range(0, flat.size, _EVAL_CHUNK):
+            out[lo:lo + _EVAL_CHUNK] = self._clenshaw(flat[lo:lo + _EVAL_CHUNK], order)
         return out.reshape(y.shape)
 
     def _clenshaw(self, y, order):
@@ -290,18 +320,18 @@ class _PiecewiseChebyshev:
 class KernelModel:
     """Rescaled kernel F of order m.
 
-    F(y) = (normalizer / 2) int e^{-s^{2m} + isy} ds over the real line;
-    F^(k) takes a factor (is)^k. _raw moves that integral onto a line
-    through the saddles of its integrand, so one rule serves every y with
-    accuracy relative to F's own size there. The rule builds the m=2
-    kernel (its normalizer and the samples of its interpolant) and checks
-    it; no evaluation goes through it. F and F_deriv (orders 0-3) come
-    from closed forms: for m=1 the Gaussian G and G', G'', G''' (the
-    normalizer is 1/pi, the bits of the rule's unit-mass integral); for
-    m=2 a piecewise Chebyshev interpolant of the rule on |y| <= y_span and
-    the two-saddle series (_series) beyond it, both checked against the
-    rule at build. fourier_derivative adds orders 4-8 from those by the
-    kernel's ODE (_by_ode).
+    F(y) = (normalizer / 2) int e^{-s^{2m} + isy} ds over the real line,
+    with the normalizer 1/pi of unit mass (MASS_TOL); F^(k) takes a factor
+    (is)^k. _raw moves that integral onto a line through the saddles of
+    its integrand, so one rule serves every y with accuracy relative to
+    F's own size there. The rule samples the m=2 interpolant and checks
+    it and the series at build; no evaluation goes through it. F and
+    F_deriv (orders 0-3) come from closed forms: for m=1 the Gaussian G
+    and G', G'', G'''; for m=2 a piecewise Chebyshev interpolant of the
+    rule on |y| <= _INTERP_SPAN and the two-saddle series (_series)
+    beyond it. The m=2 build also checks that these evaluators give unit
+    mass on the y_span window. fourier_derivative adds orders 4-8 from
+    those by the kernel's ODE (_by_ode).
     Immutable after construction; evaluation is pure and safe to share.
     """
 
@@ -319,33 +349,37 @@ class KernelModel:
 
         self._rule = _gauss_panels(0.0, 1.0, _PANELS)
         self._interp = None
+        self.normalizer = 1.0 / math.pi
         if m == 1:
-            self.normalizer = 1.0 / math.pi  # the bits of its mass integral
             return
-        # normalizer fixed once by requiring unit mass of F
-        nodes, weights = self._y_rule(self._y_span)
-        self.normalizer = 1.0 / (2.0 * (weights @ self._raw(nodes, (0,))[0]))
 
         def rule(y, orders):
             return self.normalizer * self._raw(y, orders)
 
-        self._interp = _PiecewiseChebyshev(rule, self._y_span, self._size)
-        # _series' powers of |y|^{1/3} and their coefficients, a row per
-        # order: i^k e^{i pi (k-1-4j)/6} = e^{i pi (4k-1-4j)/6}, and
-        # R^{k-1-4j} = |y|^{(k-1-4j)/3} 4^{(4j+1-k)/3}
+        self._interp = _PiecewiseChebyshev(rule, _INTERP_SPAN, self._size)
+        # _series' coefficients of x^j, x = 1/t: a row per order, the real
+        # parts in rows 0-3 and the imaginary parts in rows 4-7, highest j
+        # first. i^k e^{i pi (k-1-4j)/6} = e^{i pi (4k-1-4j)/6}, and
+        # R^{k-1-4j} = |y|^{(k-1)/3} t^{-j} 4^{(4j+1-k)/3}
         orders = range(DERIV_ORDER_MAX + 1)
         k, j = np.array(orders)[:, None], np.arange(_SADDLE_TERMS)
         turn = np.exp(1j * np.pi / 6.0 * ((4 * k - 1 - 4 * j) % 12))
         r = np.array([_saddle_coefficients(order) for order in orders])
-        self._saddle = (k - 1.0 - 4.0 * j,
-                        self.normalizer * math.sqrt(math.pi / 6.0) * turn
-                        * 4.0 ** ((4 * j + 1 - k) / 3.0) * r)
+        coef = (self.normalizer * math.sqrt(math.pi / 6.0) * turn
+                * 4.0 ** ((4 * j + 1 - k) / 3.0) * r)
+        self._horner = np.concatenate([coef.real, coef.imag])[:, ::-1]
         check = np.array(_SERIES_CHECK)
         for order, exact, approx in zip(orders, rule(check, orders),
                                         self._series(check, orders)):
             _check_miss("saddle series", order, approx, exact,
                         self._size(check, order),
-                        "(%g, %g]" % (self._y_span, check[-1]))
+                        "(%g, %g]" % (_INTERP_SPAN, check[-1]))
+        nodes, weights = self._y_rule(self._y_span)
+        mass = 2.0 * float(weights @ self.F(nodes))
+        if not abs(mass - 1.0) <= MASS_TOL:
+            raise QuadratureError(
+                "kernel mass on [-%g, %g] is %.17g, not 1 within %.1g"
+                % (self._y_span, self._y_span, mass, MASS_TOL))
 
     # -- quadrature plumbing ------------------------------------------------
 
@@ -376,8 +410,8 @@ class KernelModel:
         orders take the sign of y. Points go _BLOCK at a time and each sums
         its own row, so a value depends on its own y alone.
         At about 17 us a point it is the reference, not an evaluator: it
-        gives the m=2 normalizer and interpolant samples and checks the
-        interpolant and the series at build, and the tests compare with it.
+        gives the m=2 interpolant samples and checks the interpolant and
+        the series at build, and the tests compare with it.
         """
         y = np.atleast_1d(np.asarray(y, dtype=float))
         m, u_cut = self._m, _CUT ** (1.0 / self._m)
@@ -416,7 +450,7 @@ class KernelModel:
 
     def _series(self, y, orders):
         """F^(k) for each k in orders (0..3), a row per order, by the m=2
-        two-saddle series: the far field, |y| > y_span.
+        two-saddle series: the far field, |y| > _INTERP_SPAN.
 
         For y > 0, F^(k) = normalizer Re J_k, J_k the integral of
         (is)^k e^{-s^4 + isy} through the saddle s+ = R e^{i pi/6},
@@ -428,37 +462,51 @@ class KernelModel:
         the principal branch, gives J_k = i^k e^{h+} R^{k-1} P_k(R^{-4}),
         P_k(x) = sqrt(pi/6) sum_j r_j e^{i pi (k-1-4j)/6} x^j with the
         r_j of _saddle_coefficients (Olver, Asymptotics and Special
-        Functions, 1974, ch. 4). So F^(k) e^{d0 t} is the real part of
-        e^{i b0 t} times a sum of fixed multiples of the powers
-        y^{(k-1-4j)/3}, and e^{-d0 t} multiplies it last. Points go _BLOCK
-        at a time, so the scratch does not grow with them, and a value
-        depends on its own y alone; odd orders take the sign of y.
+        Functions, 1974, ch. 4). So F^(k) e^{d0 t} y^{(1-k)/3} is the real
+        part of e^{i b0 t} times a polynomial in 1/t with fixed complex
+        coefficients. Horner sums its real and imaginary parts, cos and sin
+        of b0 t combine them, and y^{(k-1)/3} e^{-d0 t} multiplies last.
+        Points go _EVAL_CHUNK at a time, so the scratch does not grow with
+        them, and every operation is elementwise, so a value depends on its
+        own y alone; odd orders take the sign of y.
         """
         c = self.constants
-        powers, coef = (part.take(orders, axis=0) for part in self._saddle)
-        out = np.empty((len(orders), y.size))
-        for lo in range(0, y.size, _BLOCK):
-            ay = np.abs(y[lo:lo + _BLOCK])
+        n = len(orders)
+        coef = self._horner[list(orders) + [4 + k for k in orders]]
+        out = np.empty((n, y.size))
+        for lo in range(0, y.size, _EVAL_CHUNK):
+            yc = y[lo:lo + _EVAL_CHUNK]
+            ay = np.abs(yc)
             root = np.cbrt(ay)
             t = ay * root
-            terms = np.power(root[:, None, None], powers) * coef
-            scaled = (np.exp(1j * c.b0 * t)[:, None] * terms.sum(axis=2)).real
-            scaled *= np.exp(-c.d0 * t)[:, None]
-            out[:, lo:lo + _BLOCK] = scaled.T
-        for i, k in enumerate(orders):
-            if k % 2:
-                out[i] *= np.sign(y)  # odd: exact negation
+            x = 1.0 / t
+            acc = np.empty((2 * n, ay.size))
+            acc[:] = coef[:, :1]
+            for column in coef.T[1:, :, None]:
+                acc *= x
+                acc += column
+            phase = c.b0 * t
+            value = acc[:n] * np.cos(phase)
+            value -= acc[n:] * np.sin(phase)
+            lead = [np.exp(-c.d0 * t) / root]  # y^{(k-1)/3} e^{-d0 t}, k = 0
+            for _ in range(max(orders)):
+                lead.append(lead[-1] * root)
+            for i, k in enumerate(orders):
+                value[i] *= lead[k]
+                if k % 2:
+                    value[i] *= np.sign(yc)  # odd: exact negation
+            out[:, lo:lo + _EVAL_CHUNK] = value
         return out
 
     def _eval(self, y, orders):
         """F^(k) for each k in orders (0..8), a row per order (a float each
         for a 0-d y): orders 0-3 by the Gaussian, or for m=2 by the
-        interpolant on |y| <= y_span and the series beyond it; higher
+        interpolant on |y| <= _INTERP_SPAN and the series beyond it; higher
         orders from orders 0-3 by _by_ode."""
         extend = max(orders) > DERIV_ORDER_MAX
         base = range(DERIV_ORDER_MAX + 1) if extend else orders
         if self._interp is not None and isinstance(y, float):
-            if abs(y) <= self._y_span:
+            if abs(y) <= _INTERP_SPAN:
                 rows = [self._interp.scalar(y, k) for k in base]
             else:  # a 1-element array, for the bits of the array path
                 rows = [float(v) for v in self._series(np.array([y]), base)[:, 0]]
@@ -467,12 +515,14 @@ class KernelModel:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if self._interp is None:
             rows = [_gaussian_derivative(y, k) for k in base]
-        elif np.max(np.abs(y)) <= self._y_span:  # False for NaN too
+        elif np.max(np.abs(y)) <= _INTERP_SPAN:  # False for NaN too
             rows = [self._interp(y, k) for k in base]
         else:
-            far = ~(np.abs(y) <= self._y_span)
-            near = np.where(far, 0.0, y)
-            rows = [self._interp(near, k) for k in base]
+            near = np.abs(y) <= _INTERP_SPAN
+            far = ~near
+            rows = [np.empty(y.shape) for _ in base]
+            for row, k in zip(rows, base):
+                row[near] = self._interp(y[near], k)
             for row, value in zip(rows, self._series(y[far], base)):
                 row[far] = value
         if extend:

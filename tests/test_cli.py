@@ -340,6 +340,30 @@ def test_dini_density_past_underflow_runs_without_warning(tmp_path):
     assert report["reports"][0]["payload"]["classification"] == "Divergent"
 
 
+
+@pytest.mark.parametrize("phi", [STAR, {"name": "petrovskii-super",
+                                        "params": {"eps": -0.05}}])
+def test_dini_density_is_undetermined_where_h_underflows(tmp_path, phi):
+    # both integrals diverge. Past ell of about 745 h = e^-ell is 0, and the
+    # density of h = 0 says nothing of the density at ell (1/ell on the
+    # critical width): a tail window of such points is not a floor-only,
+    # Convergent tail. At 7e4 the window still holds 36 points with h > 0
+    doc = {"version": 1, "scenarios": [
+        {"id": f"far-{i}", "task": "petrovskii",
+         "parameters": {"phi": phi, "variant": "dini", "ell_max": ell_max}}
+        for i, ell_max in enumerate((7.0e4, 7.4e4, 1.0e5))]}
+    code, report = cli.run_scenarios(write_config(tmp_path, doc),
+                                     str(tmp_path / "out"))
+    assert code == 0
+    payloads = [r["payload"] for r in report["reports"]]
+    assert [p["classification"] for p in payloads] == [
+        "Divergent", "Undetermined", "Undetermined"]
+    assert payloads[0]["diagnostic"] == ""
+    assert "only 4 points of the tail window" in payloads[1]["diagnostic"]
+    assert re.match(r"h = e\^-ell underflows to 0 after ell = 744\.\d+: only 0 "
+                    r"points of the tail window \[1000\.\d+, 100000\] have h > 0",
+                    payloads[2]["diagnostic"])
+
 def test_epsilon_sweep_flips_verdict(tmp_path):
     doc = one_scenario("eps", "sweep", {
         "task": "criterion",
@@ -602,7 +626,46 @@ def test_every_task_loads_only_the_compiled_modules(tmp_path):
             "assert status == 0, doc['failed_scenarios']")
     # the prefix "scipy" takes in the root and scipy._lib as well
     assert loaded_modules_after(code, ("scipy",) + SCIPY_PACKAGES) == repr(COMPILED)
-    assert loaded_modules_after("import vertexreg.cli") == repr(COMPILED)
+    # the import alone loads what the ODE route drives; LAPACK comes with
+    # the stepper, on first use
+    assert loaded_modules_after("import vertexreg.cli") == repr(
+        [name for name in COMPILED if name != "scipy.linalg._flapack"])
+
+
+def test_only_a_batch_that_simulates_loads_the_stepper(tmp_path):
+    # neither the import of cli nor a batch of the ODE and integral routes
+    # loads pdesim or LAPACK; a batch that simulates loads both, as soon as
+    # load_config validates its SimConfig
+    stepper = ("vertexreg.pdesim", "scipy.linalg._flapack")
+    star, bih = "petrovskii-critical", "biharmonic-critical"
+    calls = {
+        "ode1": ("criterion", {"m": 1, "phi": star, "tau_max": 1.0e6}),
+        "ode2": ("criterion", {"m": 2, "phi": bih, "tau_max": 1.0e6}),
+        "tau": ("petrovskii", {"phi": star, "tau_max": 1.0e6}),
+        "dini": ("petrovskii", {"phi": star, "variant": "dini", "n_points": 2000}),
+        "biharm": ("petrovskii", {"phi": bih, "variant": "biharmonic"}),
+        "fit": ("kernel", {"m": 2}),
+        "checks": ("validate", {"checks": list(cli.VALIDATION_CHECKS),
+                                "consistency_tau_max": 1.0e6}),
+    }
+    routes = write_config(tmp_path, {"version": 1, "scenarios": [
+        {"id": sid, "task": task, "parameters": params}
+        for sid, (task, params) in calls.items()]}, "routes.yaml")
+    sim = write_config(tmp_path, one_scenario("sim", "simulate", {
+        "m": 1, "phi": star, "grid_points": 201, "tau_span": [10.0, 14.0],
+        "n_checkpoints": 20}), "sim.yaml")
+
+    def batch(path):
+        return ("from vertexreg import cli\n"
+                f"status, doc = cli.run_scenarios({path!r}, {str(tmp_path / 'out')!r})\n"
+                "assert status == 0, doc['failed_scenarios']")
+
+    assert loaded_modules_after("import vertexreg.cli", stepper) == "[]"
+    assert loaded_modules_after(batch(routes), stepper) == "[]"
+    both = repr(sorted(stepper))
+    assert loaded_modules_after(f"from vertexreg import cli\ncli.load_config({sim!r})",
+                                stepper) == both
+    assert loaded_modules_after(batch(sim), stepper) == both
 
 
 # -- canonical configs ----------------------------------------------------------

@@ -76,7 +76,7 @@ def test_kernel_unit_mass():
 
 
 def test_m1_normalizer_has_the_bits_of_the_rule_mass():
-    # the m=1 kernel takes 1/pi, the value the m=2 build computes its way
+    # both kernels take 1/pi; for m=1 the rule's mass has its bits
     model = spectral.default_kernel(1)
     nodes, weights = model._y_rule(model._y_span)
     mass = 2.0 * (weights @ model._raw(nodes, (0,))[0])
@@ -152,20 +152,20 @@ def _assert_within_the_interpolant_bounds(model, y, k, value):
 
 
 def test_m2_kernel_beyond_span_uses_quadrature():
-    # beyond the span the saddle series serves, within the interpolant's
-    # bounds of the rule
+    # beyond the interpolant's span the saddle series serves, within the
+    # interpolant's bounds of the rule
     model = spectral.default_kernel(2)
-    far = np.array([-75.0, 60.5, 64.0, 90.0])
+    far = np.array([-75.0, -30.0, 21.5, 40.0, 60.5, 64.0, 90.0])
     for k in range(4):
         _assert_within_the_interpolant_bounds(model, far, k, model.F_deriv(far, k))
-    mixed = np.array([-70.0, -3.0, 0.0, 12.5, 61.0])
+    mixed = np.array([-70.0, -22.0, -3.0, 0.0, 12.5, 20.9, 61.0])
     assert np.max(np.abs(model.F(mixed) - _rule(model, mixed, 0))) < 1e-13
-    _assert_within_the_interpolant_bounds(model, np.array([61.0]), 0, model.F(61.0))
+    _assert_within_the_interpolant_bounds(model, np.array([21.5]), 0, model.F(21.5))
 
 
 def test_m2_series_matches_the_rule_beyond_span():
     model = spectral.default_kernel(2)
-    y = np.linspace(60.0, 300.0, 481)
+    y = np.linspace(spectral._INTERP_SPAN, 300.0, 559)
     y = np.concatenate([-y, y])
     for k, row in enumerate(model._series(y, range(4))):
         _assert_within_the_interpolant_bounds(model, y, k, row)
@@ -191,12 +191,13 @@ def test_ode_orders_match_the_rule(m):
 
 
 @settings(max_examples=200, deadline=None)
-@given(y=st.one_of(st.floats(min_value=60.0, max_value=600.0, exclude_min=True),
-                   st.floats(min_value=-600.0, max_value=-60.0, exclude_max=True),
-                   st.sampled_from([math.nextafter(60.0, 61.0), 300.0, -61.5, 490.0])))
+@given(y=st.one_of(st.floats(min_value=21.0, max_value=600.0, exclude_min=True),
+                   st.floats(min_value=-600.0, max_value=-21.0, exclude_max=True),
+                   st.sampled_from([math.nextafter(21.0, 22.0), -21.5, 30.0, 60.0,
+                                    -61.5, 300.0, 490.0, 1.0e6])))
 def test_m2_far_field_float_has_the_bits_of_a_one_element_array(y):
-    # LSODA asks for one float at a time, through the float path:
-    # beyond the span it must give the series' array bits, orders 4-8 too
+    # LSODA asks for one float at a time, through the float path: beyond
+    # the interpolant it must give the series' array bits, orders 4-8 too
     model = spectral.default_kernel(2)
     for k in range(9):
         one = model.fourier_derivative(y, k)
@@ -216,9 +217,9 @@ def test_m2_far_field_underflows_to_zero():
 
 
 def test_m2_build_refuses_a_perturbed_series_coefficient(monkeypatch):
-    # a relative change of 1e-8 in the first correction moves F by about
-    # 1e-11 of its size at y = 61, far below INTERP_TOL there: only the
-    # bound relative to the size refuses it
+    # a relative change of 1e-8 in the first correction moves F^(k) by up
+    # to 2e-11 of its size at y = 21.5, about 2e-17 and so far below
+    # INTERP_TOL: only the bound relative to the size refuses it
     exact = spectral._saddle_coefficients
 
     def perturbed(k):
@@ -228,38 +229,106 @@ def test_m2_build_refuses_a_perturbed_series_coefficient(monkeypatch):
 
     spectral.build_kernel(2)
     monkeypatch.setattr(spectral, "_saddle_coefficients", perturbed)
-    with pytest.raises(QuadratureError, match="saddle series .* of its size"):
+    with pytest.raises(QuadratureError, match=r"saddle series .* of its size.*\(21, 300\]"):
         spectral.build_kernel(2)
+
+
+def test_kernel_normalizer_is_one_over_pi():
+    # F's transform e^{-s^{2m}} is 1 at s = 0, so 1/pi gives unit mass
+    for m in (1, 2):
+        assert spectral.build_kernel(m).normalizer == 1.0 / math.pi
+
+
+def test_m2_build_calls_the_rule_on_at_most_450_points(monkeypatch):
+    # 14 panels of 15 samples and 16 checks each, and the 6 series checks:
+    # 440 points. Normalizing by the rule's mass on [0, 60] took 744 more,
+    # and an interpolant over all of [0, 60] 1,240 instead of 434
+    raw = spectral.KernelModel._raw
+    points = []
+
+    def counting(self, y, orders):
+        points.append(np.size(y))
+        return raw(self, y, orders)
+
+    monkeypatch.setattr(spectral.KernelModel, "_raw", counting)
+    spectral.build_kernel(2)
+    assert sum(points) <= 450
+
+
+def test_m2_build_refuses_a_kernel_without_unit_mass(monkeypatch):
+    # interpolant samples scaled by 1 + 1e-11 pass the interpolant's own
+    # check, which compares with the same scaled samples, and leave the
+    # series alone: only the unit-mass check refuses them
+    build = spectral._PiecewiseChebyshev.__init__
+
+    def scaled(self, sample, span, size):
+        build(self, lambda y, orders: sample(y, orders) * (1.0 + 1e-11), span, size)
+
+    spectral.build_kernel(2)
+    monkeypatch.setattr(spectral._PiecewiseChebyshev, "__init__", scaled)
+    with pytest.raises(QuadratureError, match=r"kernel mass on \[-60, 60\]"):
+        spectral.build_kernel(2)
+
+
+def test_m2_interpolant_has_the_bits_of_the_first_panels_over_60():
+    # panels are span / ceil(span / 1.5) wide, so the 14 on [0, 21] are the
+    # first 14 of the 40 on [0, 60], coefficient for coefficient
+    model = spectral.default_kernel(2)
+
+    def sample(y, orders):
+        return model.normalizer * model._raw(y, orders)
+
+    wide = spectral._PiecewiseChebyshev(sample, 60.0, model._size)
+    assert model._interp._width == wide._width == 1.5
+    assert model._interp._last == 13
+    for near, far in zip(model._interp._coef, wide._coef, strict=True):
+        assert near.tobytes() == np.ascontiguousarray(far[:, :14]).tobytes()
+
+
+def test_numpy_polynomial_stand_ins_have_its_bits():
+    # the build does not import numpy.polynomial: the Gauss-Legendre rule
+    # is a literal, and chebvander is its recurrence
+    from numpy.polynomial.chebyshev import chebvander
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(12)
+    assert spectral._GL_NODES.tobytes() == nodes.tobytes()
+    assert spectral._GL_WEIGHTS.tobytes() == weights.tobytes()
+    degree = spectral._CHEB_DEGREE
+    first_kind = np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
+    for x in (first_kind, np.linspace(-1.0, 1.0, 37)):
+        assert spectral._chebvander(x, degree).tobytes() == chebvander(x, degree).tobytes()
+        assert spectral._chebvander(x, 1).tobytes() == chebvander(x, 1).tobytes()
 
 
 def test_m2_far_field_value_does_not_depend_on_the_call():
     # neither the rule nor the summation order may follow the other far
     # points of the call, nor where in its blocks the point falls
     model = spectral.default_kernel(2)
-    wide = np.array([-90.0, -3.0, 60.5, 61.5, 61.6, 64.0, 75.0, 90.0])
-    crowd = np.linspace(60.5, 120.0, 3 * spectral._BLOCK)
-    crowd[spectral._BLOCK + 7] = 61.5
+    chunk = spectral._EVAL_CHUNK
+    wide = np.array([-90.0, -3.0, 21.5, 30.5, 30.6, 64.0, 75.0, 90.0])
+    crowd = np.linspace(21.5, 120.0, 3 * chunk)
+    crowd[chunk + 7] = 30.5
     for k in range(4):
-        alone = model.F_deriv(61.5, k)
+        alone = model.F_deriv(30.5, k)
         assert type(alone) is float
         assert _same_bits(alone, float(model.F_deriv(wide, k)[3])), k
-        assert _same_bits(alone, float(model.F_deriv(crowd, k)[spectral._BLOCK + 7])), k
+        assert _same_bits(alone, float(model.F_deriv(crowd, k)[chunk + 7])), k
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_F_deriv_of_several_orders_has_the_bits_of_each(m):
-    # beyond the m=2 span one contour call serves every order; the 300 far
-    # points of the array fill that call's first block and reach its second
+    # beyond the m=2 interpolant one series call serves every order
     model = spectral.default_kernel(m)
-    far = np.linspace(60.5, 300.0, 300)
-    y = np.concatenate([np.linspace(-59.0, 59.0, 41), far, -far[:7], [np.nan]])
+    far = np.linspace(21.5, 300.0, 300)
+    y = np.concatenate([np.linspace(-20.0, 20.0, 41), far, -far[:7], [np.nan]])
     for orders in ((0, 1), (0, 1, 2, 3), (3, 1)):
         for arg in (y, y[:41]):
             rows = model.F_deriv(arg, orders)
             for k, row in zip(orders, rows, strict=True):
                 assert row.tobytes() == model.F_deriv(arg, k).tobytes(), k
     assert model.F_deriv(y, (0,))[0].tobytes() == model.F(y).tobytes()
-    for v in (70.3, -61.5, 250.0, 60.0, 30.0, -0.0):
+    for v in (70.3, -61.5, 250.0, 60.0, 30.0, 21.0, -21.5, -0.0):
         values = model.F_deriv(v, (0, 1, 2, 3))
         assert all(type(x) is float for x in values)
         assert _same_bits(values[0], model.F(v)), v
@@ -338,12 +407,13 @@ def _peak_above_output(evaluate, y):
 
 
 def test_m2_evaluator_memory_does_not_grow_with_the_points():
-    # the interpolant goes _CHEB_CHUNK points at a time and the series
-    # _BLOCK at a time: past two chunks, the peak above the output stays
+    # the interpolant and the series go _EVAL_CHUNK points at a time: past
+    # two chunks, the peak above the output stays
     model = spectral.default_kernel(2)
-    for evaluate, lo, hi, chunk in (
-            (lambda y: model._interp(y, 3), 0.0, 60.0, spectral._CHEB_CHUNK),
-            (lambda y: model._series(y, range(4)), 60.5, 90.0, spectral._BLOCK)):
+    chunk = spectral._EVAL_CHUNK
+    for evaluate, lo, hi in (
+            (lambda y: model._interp(y, 3), 0.0, spectral._INTERP_SPAN),
+            (lambda y: model._series(y, range(4)), 21.5, 90.0)):
         small = _peak_above_output(evaluate, np.linspace(lo, hi, 2 * chunk))
         assert _peak_above_output(evaluate, np.linspace(lo, hi, 32 * chunk)) <= 1.01 * small
 
@@ -355,9 +425,9 @@ def test_m2_interpolant_refuses_low_degree(monkeypatch):
 
 
 def test_m2_interpolant_miss_is_bounded_by_the_kernel_size():
-    # 1e-15 added to the node samples of the panels beyond y = 45 is below
-    # INTERP_TOL, but F's size there is about 1e-17: only the bound
-    # relative to that size refuses it
+    # 1e-15 added to the node samples of the panels beyond y = 18 is below
+    # INTERP_TOL, but 1e-12 of F's size there is below 1e-17: only the
+    # bound relative to that size refuses it
     model = spectral.default_kernel(2)
 
     def sample(y, orders):
@@ -368,15 +438,16 @@ def test_m2_interpolant_miss_is_bounded_by_the_kernel_size():
     def perturbed(y, orders):
         out = sample(y, orders)
         if not nodes_seen:  # the first call takes the nodes; the check
-            out[:, y > 45.0] += 1e-15  # points keep the rule's values
+            out[:, y > 18.0] += 1e-15  # points keep the rule's values
         nodes_seen.append(True)
         return out
 
+    span = spectral._INTERP_SPAN
     assert 1e-15 < spectral.INTERP_TOL
-    assert model._size(45.0, 0) < 1e-16
-    spectral._PiecewiseChebyshev(sample, model._y_span, model._size)
+    assert spectral.INTERP_REL_TOL * model._size(18.0, 0) < 1e-17
+    spectral._PiecewiseChebyshev(sample, span, model._size)
     with pytest.raises(QuadratureError, match="of its size"):
-        spectral._PiecewiseChebyshev(perturbed, model._y_span, model._size)
+        spectral._PiecewiseChebyshev(perturbed, span, model._size)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -391,7 +462,7 @@ def _same_bits(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-M2_SPAN = spectral.default_kernel(2)._y_span
+M2_SPAN = spectral._INTERP_SPAN
 M2_EDGES = [spectral.default_kernel(2)._interp._width * i for i in range(
     spectral.default_kernel(2)._interp._last + 2)]
 
