@@ -9,10 +9,10 @@ simulation of the rescaled problem on a fixed domain.
 
 __version__ = "0.1.0"
 
-from . import funcs, spectral, blayer, criterion, petrovskii
+from . import funcs, spectral, blayer, criterion, petrovskii, tails
 
 __all__ = ["blayer", "criterion", "funcs", "pdesim", "petrovskii",
-           "spectral", "__version__"]
+           "spectral", "tails", "__version__"]
 
 
 def __getattr__(name):

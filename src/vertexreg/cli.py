@@ -30,7 +30,7 @@ import numpy as np
 import yaml
 
 # pdesim loads LAPACK, so only the tasks that simulate import it
-from . import __version__, blayer, criterion, funcs, petrovskii, spectral
+from . import __version__, blayer, criterion, funcs, petrovskii, spectral, tails
 from ._csvtable import write_csv
 from ._quadrature import simpson
 from .errors import ConfigError
@@ -132,22 +132,36 @@ def _as_map(sid, field, value):
     return dict(value)
 
 
-def _as_fn(sid, field, value):
-    """Catalog reference: a bare name or {name, params}; must resolve."""
-    if isinstance(value, str):
-        spec = {"name": value, "params": {}}
-    elif isinstance(value, dict) and set(value) <= {"name", "params"} \
-            and "name" in value:
-        spec = {"name": _as_str(sid, field, value["name"]),
-                "params": _as_map(sid, field, value.get("params", {}))}
-    else:
-        _fail(sid, f"parameters.{field} must be a catalog name or "
-                   "{name, params}")
-    try:
-        funcs.lookup(spec["name"], **spec["params"])
-    except (KeyError, TypeError) as exc:
-        _fail(sid, f"parameters.{field}: {exc}")
-    return spec
+def _as_fn(kind):
+    """Checker of a catalog reference, a bare name or {name, params}, that
+    must resolve to a kind. A width must be positive at its tau_min: every
+    route takes its logarithm or a power of it."""
+    def check(sid, field, value):
+        if isinstance(value, str):
+            spec = {"name": value, "params": {}}
+        elif isinstance(value, dict) and set(value) <= {"name", "params"} \
+                and "name" in value:
+            spec = {"name": _as_str(sid, field, value["name"]),
+                    "params": _as_map(sid, field, value.get("params", {}))}
+        else:
+            _fail(sid, f"parameters.{field} must be a catalog name or "
+                       "{name, params}")
+        try:
+            fn = funcs.lookup(spec["name"], **spec["params"])
+        except (KeyError, TypeError) as exc:
+            _fail(sid, f"parameters.{field}: {exc}")
+        if not isinstance(fn, kind):
+            _fail(sid, f"parameters.{field}: {fn.name!r} is not a {kind.__name__}")
+        with np.errstate(all="ignore"):
+            if kind is funcs.SlowGrowthFn and not fn.phi(fn.tau_min) > 0.0:
+                _fail(sid, f"parameters.{field}: {fn.name!r} is not positive "
+                           f"at its tau_min {fn.tau_min:g}")
+        return spec
+
+    return check
+
+
+_as_width, _as_kappa = _as_fn(funcs.SlowGrowthFn), _as_fn(funcs.Kappa)
 
 
 def _resolve(spec):
@@ -190,8 +204,8 @@ def _validate_criterion(sid, params):
     out = _take(sid, params, {
         "m": (_check_m, _REQUIRED),
         "kind": (_as_enum(("multiplicative", "gradient")), "multiplicative"),
-        "phi": (_as_fn, _REQUIRED),
-        "kappa": (_as_fn, {"name": "zero-kappa", "params": {}}),
+        "phi": (_as_width, _REQUIRED),
+        "kappa": (_as_kappa, {"name": "zero-kappa", "params": {}}),
         "tau0": (_as_number, 10.0),
         "tau_max": (_as_number, 1.0e8),
         "tol": (_as_number, 1.0e-10),
@@ -230,7 +244,7 @@ _as_variant = _as_enum(tuple(_PETROVSKII_FIELDS))
 def _validate_petrovskii(sid, params):
     variant = params.get("variant") if isinstance(params, dict) else None
     variant = "tau" if variant is None else _as_variant(sid, "variant", variant)
-    return _take(sid, params, {"phi": (_as_fn, _REQUIRED),
+    return _take(sid, params, {"phi": (_as_width, _REQUIRED),
                                "variant": (_as_variant, "tau"),
                                **_PETROVSKII_FIELDS[variant]},
                  scope=f"the {variant} variant")
@@ -258,8 +272,8 @@ def _validate_kernel(sid, params):
 
 _SIM_FIELDS = {
     "m": (_check_m, _REQUIRED),
-    "phi": (_as_fn, None),
-    "kappa": (_as_fn, {"name": "zero-kappa", "params": {}}),
+    "phi": (_as_width, None),
+    "kappa": (_as_kappa, {"name": "zero-kappa", "params": {}}),
     "kind": (_as_enum(("multiplicative", "gradient")), "multiplicative"),
     "grid_points": (_as_int, 801),
     "tau_span": (_as_pair, [10.0, 25.0]),
@@ -364,7 +378,7 @@ _VALIDATORS = {
     # both sides of a comparison run the same growing width, so it takes
     # no freeze_phi; it writes no snapshots
     "compare": lambda sid, params: _validate_sim(sid, params, {
-        "phi": (_as_fn, _REQUIRED), "window": (_as_pair, _REQUIRED)}),
+        "phi": (_as_width, _REQUIRED), "window": (_as_pair, _REQUIRED)}),
     "sweep": _validate_sweep,
 }
 
@@ -476,9 +490,9 @@ def _run_criterion(params, outdir):
                                     "tau_at_max": neg.tau_at_max,
                                     "threshold": 1.0e-3}
     if params["osgood"]:
-        osg = criterion.osgood_dini_check(kappa)
-        payload["osgood"] = {"diverges": osg.diverges,
-                             "tail_slope": osg.tail_slope}
+        cls, fit = criterion.osgood_dini_check(kappa)
+        payload["osgood"] = {"diverges": cls is tails.Classification.DIVERGENT,
+                             "tail_slope": fit.slope}
     return payload, ["trajectory.csv"]
 
 
@@ -519,8 +533,8 @@ def _run_petrovskii(params, outdir):
                "fit": {"slope": fit.slope, "refinement": fit.refinement,
                        "window": list(fit.window),
                        "extrapolation": fit.extrapolation},
-               "classifier_margins": {"power": petrovskii._P_MARGIN,
-                                      "log_refinement": petrovskii._Q_MARGIN}}
+               "classifier_margins": {"power": tails._P_MARGIN,
+                                      "log_refinement": tails._Q_MARGIN}}
     return payload, ["trace.csv"]
 
 
@@ -647,8 +661,7 @@ def _check_rows_consistency(params):
         traj = criterion.integrate(
             criterion.build_criterion(1, "multiplicative", phi, zero),
             -1.0, 10.0, tau_max)
-        implied = petrovskii.IMPLIED_REGULARITY.get(cls.value)
-        if implied == criterion.verdict(traj).verdict:
+        if tails.consistent(cls.value, criterion.verdict(traj).verdict):
             agree += 1
     yield ("petrovskii-criterion-agreement", float(agree), float(len(widths)),
            agree == len(widths))
@@ -735,40 +748,29 @@ def _execute(scenario, out_dir):
 def _consistency_checks(reports):
     """Pair integral classifications with ODE verdicts on the same problem.
 
-    A pair shares the width phi, the order m and the radial exponent N, so
+    Each ok report takes part, and each point of an ok sweep as id[i]. A
+    pair shares the width phi, the order m and the radial exponent N, so
     the tau and density forms meet only m=1 verdicts and the biharmonic
     integral only m=2 ones. Only linear-reaction criterion runs are
-    comparable to the bare integral test. Undetermined classifications
-    and Inconclusive verdicts leave the pair flag null.
+    comparable to the bare integral test. tails.consistent decides each
+    pair; Undetermined classes and Inconclusive verdicts leave it null.
     """
-    def problem(report):
-        p = report.payload
-        return p["phi"], p["m"], p["radial_exponent"]
-
-    pairs = []
-    integral = [r for r in reports
-                if r.task == "petrovskii" and r.status == "ok"]
-    odes = [r for r in reports
-            if r.task == "criterion" and r.status == "ok"
-            and r.payload.get("kappa_linear")]
-    for left in integral:
-        for right in odes:
-            if problem(left) != problem(right):
-                continue
-            implied = petrovskii.IMPLIED_REGULARITY.get(left.payload["classification"])
-            verdict = right.payload["verdict"]
-            consistent = None
-            if implied is not None and verdict in ("Regular", "Irregular"):
-                consistent = implied == verdict
-            pairs.append({
-                "petrovskii": left.scenario,
-                "criterion": right.scenario,
-                "phi": left.payload["phi"],
-                "implied_regularity": implied,
-                "criterion_verdict": verdict,
-                "consistent": consistent,
-            })
-    return pairs
+    runs = []
+    for r in reports:
+        if r.status == "ok" and r.task == "sweep":
+            runs += [(f"{r.scenario}[{i}]", r.payload["task"], point["payload"])
+                     for i, point in enumerate(r.payload["points"])]
+        elif r.status == "ok":
+            runs.append((r.scenario, r.task, r.payload))
+    integral = [(sid, p) for sid, task, p in runs if task == "petrovskii"]
+    odes = [(sid, p) for sid, task, p in runs
+            if task == "criterion" and p["kappa_linear"]]
+    return [{"petrovskii": left, "criterion": right, "phi": lp["phi"],
+             "implied_regularity": tails.IMPLIED_REGULARITY.get(lp["classification"]),
+             "criterion_verdict": rp["verdict"],
+             "consistent": tails.consistent(lp["classification"], rp["verdict"])}
+            for left, lp in integral for right, rp in odes
+            if all(lp[k] == rp[k] for k in ("phi", "m", "radial_exponent"))]
 
 
 def run_scenarios(config_path, out_dir, workers=1):

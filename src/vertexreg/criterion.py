@@ -8,7 +8,7 @@ the second-order (m=1) and bi-harmonic (m=2) problems, integrates them
 over many decades of tau, and provides the m=2 period sum and the
 iterated comparison solutions used as cross-checks. An m=1 verdict
 fits the tail of the decay rate with the integral criteria's own test
-(petrovskii._classify_decay), so both routes answer one question.
+(tails.classify_decay), so both routes answer one question.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _solvers, petrovskii, spectral
+from . import _solvers, spectral, tails
 from ._csvtable import write_csv
 from ._quadrature import cumulative_trapezoid
 from .blayer import bl_profile
@@ -128,12 +128,6 @@ class IterationResult:
     trend: float
     certificate: Optional[str]
     converged: bool
-
-
-@dataclass(frozen=True)
-class OsgoodDiniResult:
-    diverges: bool
-    tail_slope: float
 
 
 @dataclass(frozen=True)
@@ -432,8 +426,8 @@ def verdict(trajectory: CriterionTrajectory,
     if np.any(rate < 0.0):
         return make("Inconclusive", None)
     with np.errstate(divide="ignore"):  # a rate of 0 is at the floor
-        cls, fit = petrovskii._classify_decay(tau[tail], np.log(rate), 0.0)
-    return make(petrovskii.IMPLIED_REGULARITY.get(cls.value, "Inconclusive"),
+        cls, fit = tails.classify_decay(tau[tail], np.log(rate), 0.0)
+    return make(tails.IMPLIED_REGULARITY.get(cls.value, "Inconclusive"),
                 None, fit.slope)
 
 
@@ -588,21 +582,20 @@ _OSGOOD_ELL_MAX = 690.0
 _OSGOOD_POINTS = 6000
 
 
-def osgood_dini_check(kappa: Kappa) -> OsgoodDiniResult:
-    """Divergence test for the small-amplitude integral of 1/(z |kappa(z)|).
+def osgood_dini_check(kappa: Kappa):
+    """Tail test (class, fit) of the small-amplitude integral of
+    1/(z |kappa(z)|).
 
     Works in ell = -ln z, where the integral becomes int d(ell)/|kappa|;
     its integrand goes through the integral criteria's tail test, on the
-    log-uniform grid of the density form. tail_slope is the fitted p.
+    log-uniform grid of the density form.
     """
     ell0 = max(-math.log(kappa.u_max), 1.0)
     ell = np.geomspace(ell0, _OSGOOD_ELL_MAX, _OSGOOD_POINTS)
     with np.errstate(over="ignore", divide="ignore"):
         mag = np.abs(np.asarray(kappa.kappa(np.exp(-ell)), dtype=float))
     ln_f = -np.log(np.clip(mag, 1e-290, None))  # ln of the integrand 1/|kappa|
-    cls, fit = petrovskii._classify_decay(ell, ln_f, 0.0)
-    return OsgoodDiniResult(diverges=cls is petrovskii.Classification.DIVERGENT,
-                            tail_slope=fit.slope)
+    return tails.classify_decay(ell, ln_f, 0.0)
 
 
 # the linear comparison solution starts from ln a0 = -1 at tau = 10 and runs

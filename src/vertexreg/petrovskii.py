@@ -9,8 +9,6 @@ Undetermined by design.
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -19,11 +17,9 @@ from ._csvtable import write_csv
 from ._quadrature import cumulative_trapezoid
 from .errors import ConfigError, DomainError
 from .funcs import SlowGrowthFn
+from .tails import Classification, TailFit, classify_decay
 
 __all__ = [
-    "Classification",
-    "IMPLIED_REGULARITY",
-    "TailFit",
     "IntegralTrace",
     "petrovskii_integral",
     "dini_osgood_form",
@@ -31,52 +27,6 @@ __all__ = [
     "envelope_exponent",
     "export_trace_csv",
 ]
-
-# Declared fit margins: |p-1| below _P_MARGIN falls through to the slow-log
-# refinement; |q+1| below _Q_MARGIN stays Undetermined. Finite-horizon
-# quadrature cannot decide cases closer to marginal than this.
-_P_MARGIN = 0.02
-_Q_MARGIN = 0.05
-
-# ln of the smallest positive subnormal float; density values at or below
-# the clip are treated as quadrature-exact zero tail.
-_LN_TINY = -700.0
-
-
-class Classification(str, Enum):
-    """Tail classes. The first three belong to sign-definite integrands,
-    the last two to the oscillatory fourth-order criterion."""
-
-    DIVERGENT = "Divergent"
-    CONVERGENT = "Convergent"
-    UNDETERMINED = "Undetermined"
-    DIVERGENT_TO_MINUS_INFINITY = "DivergentToMinusInfinity"
-    BOUNDED = "Bounded"
-
-
-# the vertex each tail class implies; Undetermined implies nothing
-IMPLIED_REGULARITY = {
-    Classification.DIVERGENT.value: "Regular",
-    Classification.DIVERGENT_TO_MINUS_INFINITY.value: "Regular",
-    Classification.CONVERGENT.value: "Irregular",
-    Classification.BOUNDED.value: "Irregular",
-}
-
-
-@dataclass(frozen=True)
-class TailFit:
-    """Power-law tail model of the integrand.
-
-    slope is the fitted decay exponent p (integrand ~ x^-p); refinement is
-    the slow-log exponent q fitted only when p is marginal. extrapolation
-    is the predicted limit of the integral: +-inf for divergent traces,
-    nan when undetermined.
-    """
-
-    slope: float
-    refinement: Optional[float]
-    window: tuple
-    extrapolation: float
 
 
 @dataclass(frozen=True)
@@ -96,52 +46,6 @@ class IntegralTrace:
     @property
     def total(self) -> float:
         return float(self.partial_values[-1, 1])
-
-
-def _classify_decay(x, ln_f, total, known=None):
-    """Tail fit of a nonnegative integrand given pointwise ln values.
-
-    Fits ln f against ln x over the last two decades of x; points at the
-    underflow floor are excluded from the fit (a floor-dominated tail is
-    decisive convergence on its own). known, if given, marks the points
-    whose values say anything about the integrand; the others take no part.
-    A window with fewer than 8 points above the floor and none at it is
-    Undetermined.
-    """
-    window = x >= x[-1] / 100.0
-    lo = float(x[window][0])
-    if known is not None:
-        window &= known
-    live = window & (ln_f > _LN_TINY)
-    if np.count_nonzero(live) < 8:
-        if np.array_equal(live, window):
-            return Classification.UNDETERMINED, TailFit(
-                math.nan, None, (lo, float(x[-1])), math.nan)
-        return Classification.CONVERGENT, TailFit(
-            math.inf, None, (lo, float(x[-1])), total)
-    lx = np.log(x[live])
-    lf = ln_f[live]
-    p = -float(np.polyfit(lx, lf, 1)[0])
-    q = None
-    if p > 1.0 + _P_MARGIN:
-        cls = Classification.CONVERGENT
-    elif p < 1.0 - _P_MARGIN:
-        cls = Classification.DIVERGENT
-    else:
-        q = float(np.polyfit(np.log(lx), lf + lx, 1)[0])
-        if q > -1.0 + _Q_MARGIN:
-            cls = Classification.DIVERGENT
-        elif q < -1.0 - _Q_MARGIN:
-            cls = Classification.CONVERGENT
-        else:
-            cls = Classification.UNDETERMINED
-    if cls is Classification.CONVERGENT:
-        extrapolation = total + math.exp(lf[-1]) * float(x[live][-1]) / (p - 1.0)
-    elif cls is Classification.DIVERGENT:
-        extrapolation = math.inf
-    else:
-        extrapolation = math.nan
-    return cls, TailFit(p, q, (lo, float(x[-1])), extrapolation)
 
 
 def petrovskii_integral(phi: SlowGrowthFn, N: int = 1, tau0: float = 10.0,
@@ -169,7 +73,7 @@ def petrovskii_integral(phi: SlowGrowthFn, N: int = 1, tau0: float = 10.0,
     with np.errstate(under="ignore"):
         per_sigma = np.exp(ln_f + sigma)
     partial = cumulative_trapezoid(per_sigma, sigma, initial=0.0)
-    cls, fit = _classify_decay(tau, ln_f, float(partial[-1]))
+    cls, fit = classify_decay(tau, ln_f, float(partial[-1]))
     return IntegralTrace("tau", np.column_stack([tau, partial]), cls, fit)
 
 
@@ -205,17 +109,20 @@ def dini_osgood_form(rho, *, h_max: float = 0.1, ell_max: float = 690.0,
         per_ell = np.exp(ln_f)
     partial = cumulative_trapezoid(per_ell, ell, initial=0.0)
     # past ell of about 745, h underflows to 0, and rho(0) says nothing of
-    # the density at ell: those points take no part in the tail test
+    # the density at ell: those points take no part in the tail test, and
+    # the partial values from the first of them on are unknown
     known = h > 0.0
-    cls, fit = _classify_decay(ell, ln_f, float(partial[-1]), known)
+    cls, fit = classify_decay(ell, ln_f, float(partial[-1]), known)
     diagnostic = ""
     if math.isnan(fit.slope):
         diagnostic = ("only %d points of the tail window [%.6g, %.6g] have "
                       "h > 0, too few to classify" % (np.count_nonzero(
                           known & (ell >= fit.window[0])), *fit.window))
-        if not known[-1]:
-            diagnostic = ("h = e^-ell underflows to 0 after ell = %.6g: %s"
-                          % (ell[known][-1], diagnostic))
+    if not known[-1]:
+        partial[np.argmin(known):] = math.nan
+        diagnostic = ("h = e^-ell underflows to 0 after ell = %.6g: %s"
+                      % (ell[known][-1], diagnostic
+                         or "the partial values past it are NaN"))
     return IntegralTrace("h", np.column_stack([h, partial]), cls, fit, diagnostic)
 
 

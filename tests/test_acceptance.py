@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from vertexreg import blayer, criterion, funcs, pdesim, petrovskii, spectral
+from vertexreg import blayer, criterion, funcs, pdesim, petrovskii, spectral, tails
 
 import limit_equation  # the solver helper next to this file
 
@@ -111,12 +111,12 @@ def test_04_negative_reaction_universality():
         traj = criterion.integrate(ode, -1.0, 10.0, 1.0e8)
         verdicts[phi.name] = criterion.verdict(traj).verdict
     wide_without = linear_verdict(funcs.lookup("log-power", p=2.0)).verdict
-    osgood = criterion.osgood_dini_check(NEGLOG)
+    osgood = criterion.osgood_dini_check(NEGLOG)[0] is tails.Classification.DIVERGENT
     ok = (all(v == "Regular" for v in verdicts.values())
-          and wide_without == "Irregular" and osgood.diverges)
+          and wide_without == "Irregular" and osgood)
     outcome(4, "negative reaction universality", ok,
             f"{len(verdicts)}/6 Regular with reaction; (ln tau)^2 alone: "
-            f"{wide_without}; reciprocal integral diverges: {osgood.diverges}")
+            f"{wide_without}; reciprocal integral diverges: {osgood}")
 
 
 def test_05_critical_reaction_flip():

@@ -146,6 +146,7 @@ def test_sweep_vary_shape_checked(tmp_path):
 
 STAR = "petrovskii-critical"
 BIH = "biharmonic-critical"
+SUPER = {"name": "petrovskii-super", "params": {"eps": 0.1}}
 CMP = {"m": 1, "phi": STAR, "window": [15.0, 25.0]}
 
 
@@ -217,6 +218,23 @@ CMP = {"m": 1, "phi": STAR, "window": [15.0, 25.0]}
      "iteration"),
     ("load", "validate", {"checks": ["bl-residual"],
                           "consistency_tau_max": 1.0e9}, "consistency_tau_max"),
+    # a width must be positive at its tau_min, in every task that takes one,
+    # and phi names a width, kappa a reaction coefficient
+    ("load", "criterion", {"m": 1, "phi": dict(SUPER, params={"eps": -1.5})},
+     "phi"),
+    ("load", "petrovskii", {"phi": {"name": BIH, "params": {"c": -1.0}},
+                            "variant": "biharmonic"}, "phi"),
+    ("load", "petrovskii", {"phi": dict(SUPER, params={"eps": -1.0}),
+                            "variant": "dini"}, "phi"),
+    ("load", "simulate", {"m": 1, "phi": dict(SUPER, params={"eps": -1.0})},
+     "phi"),
+    ("load", "compare", dict(CMP, phi={"name": BIH, "params": {"c": 0.0}}),
+     "phi"),
+    ("load", "sweep", {"task": "criterion", "base": {"m": 1, "phi": SUPER},
+                       "vary": {"field": "phi.params.eps",
+                                "values": [0.1, -1.5]}}, "phi"),
+    ("load", "criterion", {"m": 1, "phi": "negative-log"}, "phi"),
+    ("load", "criterion", {"m": 1, "phi": STAR, "kappa": STAR}, "kappa"),
     # the m=2 fit window, ordered, inside spectral.FIT_WINDOW_RANGE and at
     # least spectral.FIT_WINDOW_MIN_WIDTH wide
     ("load", "kernel", {"m": 2, "window": [1.0, 2.0]}, "window"),
@@ -358,7 +376,10 @@ def test_dini_density_is_undetermined_where_h_underflows(tmp_path, phi):
     payloads = [r["payload"] for r in report["reports"]]
     assert [p["classification"] for p in payloads] == [
         "Divergent", "Undetermined", "Undetermined"]
-    assert payloads[0]["diagnostic"] == ""
+    assert re.fullmatch(r"h = e\^-ell underflows to 0 after ell = 744\.\d+: "
+                        r"the partial values past it are NaN",
+                        payloads[0]["diagnostic"])
+    assert [p["total"] for p in payloads] == [None, None, None]
     assert "only 4 points of the tail window" in payloads[1]["diagnostic"]
     assert re.match(r"h = e\^-ell underflows to 0 after ell = 744\.\d+: only 0 "
                     r"points of the tail window \[1000\.\d+, 100000\] have h > 0",
@@ -377,6 +398,66 @@ def test_epsilon_sweep_flips_verdict(tmp_path):
     assert [p["verdict"] for p in points] == ["Regular", "Irregular", "Irregular"]
     sweep_csv = tmp_path / "out" / "eps" / "sweep.csv"
     assert sweep_csv.read_text().splitlines()[0] == "value,outcome"
+
+
+def test_sweep_points_pair_like_top_level_runs(tmp_path):
+    base = {"phi": SUPER, "tau_max": 1.0e9}
+    vary = {"field": "phi.params.eps", "values": [-0.05, 0.1]}
+    doc = {"version": 1, "scenarios": [
+        {"id": "ode", "task": "sweep", "parameters": {
+            "task": "criterion", "base": dict(base, m=1), "vary": vary}},
+        {"id": "integral", "task": "sweep", "parameters": {
+            "task": "petrovskii", "base": base, "vary": vary}}]}
+    code, report = cli.run_scenarios(write_config(tmp_path, doc),
+                                     str(tmp_path / "out"))
+    assert code == 0
+    assert report["consistency_checks"] == [{
+        "petrovskii": f"integral[{i}]", "criterion": f"ode[{i}]",
+        "phi": f"petrovskii-super-eps{eps:g}", "implied_regularity": verdict,
+        "criterion_verdict": verdict, "consistent": True}
+        for i, (eps, verdict) in enumerate([(-0.05, "Regular"),
+                                            (0.1, "Irregular")])]
+
+
+@st.composite
+def paired_batches(draw):
+    """The same runs twice: as criterion and petrovskii sweeps over eps, and
+    as top-level scenarios; the labels of the second are the first's, so
+    both batches must form one list of pairs."""
+    sweeps, flat = [], []
+    n = draw(st.sampled_from([1, 3]))  # N, one time in four not the same
+    for sid, task, extra in draw(st.permutations([
+            ("ode", "criterion", {"m": 1}), ("integral", "petrovskii", {})])):
+        eps = draw(st.lists(st.sampled_from([-0.05, 0.1]),
+                            min_size=1, max_size=3))
+        base = dict(extra, phi=SUPER, tau_max=1.0e4, radial_exponent=n)
+        n = draw(st.sampled_from([n, n, n, 4 - n]))
+        sweeps.append({"id": sid, "task": "sweep", "parameters": {
+            "task": task, "base": base,
+            "vary": {"field": "phi.params.eps", "values": eps}}})
+        flat += [{"id": f"{sid}.{i}", "task": task,
+                  "parameters": dict(base, phi=dict(SUPER, params={"eps": e}))}
+                 for i, e in enumerate(eps)]
+    return sweeps, flat
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(paired_batches())
+def test_a_sweep_pairs_as_its_points_would(batches):
+    pairs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, scenarios in enumerate(batches):
+            path = os.path.join(tmp, f"config-{i}.yaml")
+            with open(path, "w") as fh:
+                yaml.safe_dump({"version": 1, "scenarios": scenarios}, fh)
+            code, report = cli.run_scenarios(path, os.path.join(tmp, str(i)))
+            assert code == 0
+            pairs.append(report["consistency_checks"])
+    relabel = re.compile(r"\[(\d+)\]$")
+    for pair in pairs[0]:
+        for key in ("petrovskii", "criterion"):
+            pair[key] = relabel.sub(r".\1", pair[key])
+    assert pairs[0] == pairs[1]
 
 
 def test_scenario_errors_are_isolated(tmp_path):
@@ -765,8 +846,9 @@ def values(ok, bad=()):
 VALUES = {
     "m": values([1, 2]),
     "kind": values(["multiplicative", "gradient"]),
-    "phi": values([STAR, BIH, "log-power",
-                   {"name": "petrovskii-super", "params": {"eps": 0.1}}]),
+    "phi": values([STAR, BIH, "log-power", SUPER],
+                  [dict(SUPER, params={"eps": -1.5}),
+                   {"name": BIH, "params": {"c": -1.0}}]),
     "kappa": values(["zero-kappa", "negative-log", "positive-log",
                      "critical-kappa"]),
     "tau0": values([10.0, 30.0], [-1.0, 1.0]),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import quadrature_oracle as oracle  # the quadrature helper next to this file
-from vertexreg import _solvers, blayer, criterion, funcs, petrovskii, spectral
+from vertexreg import _solvers, blayer, criterion, funcs, petrovskii, spectral, tails
 from vertexreg.errors import (ConfigError, DomainError, QuadratureError,
                               StiffnessError)
 
@@ -540,7 +540,7 @@ def test_ode_verdict_is_the_tau_form_class(phi, log_tau_max):
     cls = petrovskii.petrovskii_integral(phi, tau_max=tau_max).classification
     if traj.stop is None:
         assert criterion.verdict(traj).verdict == \
-            petrovskii.IMPLIED_REGULARITY.get(cls.value, "Inconclusive")
+            tails.IMPLIED_REGULARITY.get(cls.value, "Inconclusive")
 
 
 def test_verdict_stability_under_tolerance_and_horizon():
@@ -837,20 +837,23 @@ def test_iteration_preconditions():
 
 # -- Osgood-Dini and gradient negligibility ----------------------------------------
 
+DIVERGES = tails.Classification.DIVERGENT
+
+
 def test_osgood_dini_examples():
     # the tail test's p of 1/|kappa(e^-ell)| in ell: -1 for 1/|kappa| = ell
-    assert criterion.osgood_dini_check(NEGLOG).diverges
-    assert criterion.osgood_dini_check(NEGLOG).tail_slope == pytest.approx(-1.0, abs=1e-9)
-    assert criterion.osgood_dini_check(funcs.lookup("negative-power")).diverges
+    assert criterion.osgood_dini_check(NEGLOG)[0] is DIVERGES
+    assert criterion.osgood_dini_check(NEGLOG)[1].slope == pytest.approx(-1.0, abs=1e-9)
+    assert criterion.osgood_dini_check(funcs.lookup("negative-power"))[0] is DIVERGES
     const = funcs.Kappa("const-neg-one",
                         lambda u: -np.ones_like(np.asarray(u, dtype=float)))
-    assert criterion.osgood_dini_check(const).diverges
+    assert criterion.osgood_dini_check(const)[0] is DIVERGES
     # unbounded test coefficient whose reciprocal integral converges
     steep = funcs.Kappa("neg-log-squared",
                         lambda u: -(np.log(np.asarray(u, dtype=float)) ** 2),
                         u_max=math.exp(-1.0))
-    assert not criterion.osgood_dini_check(steep).diverges
-    assert criterion.osgood_dini_check(steep).tail_slope == pytest.approx(2.0, abs=1e-9)
+    assert criterion.osgood_dini_check(steep)[0] is not DIVERGES
+    assert criterion.osgood_dini_check(steep)[1].slope == pytest.approx(2.0, abs=1e-9)
 
 
 def test_gradient_negligibility_decays():

@@ -2,6 +2,7 @@
 form equivalence, and the oscillatory fourth-order partial sums."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy.integrate import quad
 import quadrature_oracle as oracle  # the quadrature helper next to this file
 from vertexreg import criterion, funcs, petrovskii
 from vertexreg.errors import DomainError, QuadratureError
-from vertexreg.petrovskii import Classification
+from vertexreg.tails import Classification
 
 STAR = funcs.lookup("petrovskii-critical")
 SUPER = funcs.lookup("petrovskii-super")
@@ -132,6 +133,22 @@ def test_h_column_decreasing_partial_nondecreasing():
     trace = petrovskii.dini_osgood_form(lambda h: 1.0 / np.abs(np.log(h)))
     assert np.all(np.diff(trace.partial_values[:, 0]) < 0.0)
     assert np.all(np.diff(trace.partial_values[:, 1]) >= 0.0)
+
+
+def test_partial_values_past_h_underflow_are_unknown():
+    # from the first ell where h = e^-ell is 0, the density says nothing, so
+    # neither does the integral: NaN there, and the diagnostic names the point
+    def rho(h):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.abs(np.log(h))
+
+    trace = petrovskii.dini_osgood_form(rho, ell_max=800.0)
+    h, partial = trace.partial_values.T
+    assert np.all(np.isfinite(partial[h > 0.0]))
+    assert h[-1] == 0.0 and np.all(np.isnan(partial[h == 0.0]))
+    assert math.isnan(trace.total)
+    assert re.fullmatch(r"h = e\^-ell underflows to 0 after ell = 74\d\.\d+: "
+                        r"the partial values past it are NaN", trace.diagnostic)
 
 
 # -- equivalence of the two sign-definite forms ------------------------------------

@@ -2,7 +2,10 @@
 class of vertexreg is referenced from some other place in src/."""
 
 import ast
+import graphlib
 import pathlib
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "vertexreg"
 
@@ -41,3 +44,32 @@ def test_every_public_definition_is_reached_from_src():
     assert ALLOWED <= defined
     unreached = sorted(f"{m}.{n}" for m, n in defined - reached - ALLOWED)
     assert unreached == []
+
+
+def _imports():
+    """module -> the vertexreg modules it imports, at the top or inside a
+    function; from . import __version__ is an import of the package."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    graph = {}
+    for path in sorted(SRC.glob("*.py")):
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is not None:
+                    targets.add(node.module)
+                else:
+                    targets.update(a.name if a.name in modules else "__init__"
+                                   for a in node.names)
+        graph[path.stem] = targets
+    return graph
+
+
+def test_no_module_imports_one_that_imports_it_back():
+    graph = _imports()
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+    # the tail test and the agreement rule sit below both routes
+    assert graph["tails"] == set()
+    assert "petrovskii" not in graph["criterion"]
