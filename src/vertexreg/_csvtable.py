@@ -4,7 +4,9 @@ comma-separated line per row, LF line ends. Numbers are written exactly as
 true/false; any other cell with str().
 
 Numeric tables do not go through Python's per-value float formatting.
-`_Cells` writes the text of a block of float64 values at once:
+One function, `_layout`, writes the text of a block of float64 values at
+once, in plain array expressions; blocks of 4,096 values bound its
+temporaries to about 1 MB, whatever the table's length:
 
 - The 17 significant digits. k = floor(log10|x|) comes from np.log10 and
   is corrected by one where it rounds across a power of ten. Then
@@ -31,7 +33,7 @@ import functools
 
 import numpy as np
 
-# values per formatting call: the text and the scratch arrays of one block
+# values per formatting call: the text and the temporaries of one block
 # take about 1 MB, whatever the table's length; 2,048 was 30% slower on the
 # snapshot table, larger blocks no faster
 _BLOCK = 4096
@@ -55,7 +57,7 @@ def _cell(value):
 
 
 def _fallback(value):
-    """Python's own text of one value whose rounding `_Cells` cannot
+    """Python's own text of one value whose rounding `_layout` cannot
     certify."""
     return b"%.17g" % value
 
@@ -125,146 +127,84 @@ def _tables():
     return power, lo != 0.0, words, ndig, shape_of_k, masks, special
 
 
-def _digits(ax, k, power, f, i):
+def _digits(ax, k):
     """The 17-digit integer D of each |x| at table index k, and frac(t)
-    in [-1/2, 1/2]. power (5, n), f (4, n) and i (2, n) are scratch."""
-    _tables()[0].take(k, axis=1, out=power, mode="clip")
-    x, p, hh, hl, lo = power
-    x *= ax
-    p *= x
-    split, xh, prod, t = f
+    in [-1/2, 1/2]."""
+    # row by row: fresh 160 KB (5, n) takes page-faulted in every block of
+    # the snapshot table, where the allocator had handed them back
+    scale, hi, hh, hl, lo = (row.take(k, mode="clip") for row in _tables()[0])
+    x = scale * ax
+    p = hi * x
     # x = xh + xl exactly; Dekker's sequence then gives x * hi - p exactly,
     # and only x * lo and the sum that adds it to t round
-    np.multiply(x, _SPLIT, out=split)
-    np.subtract(split, x, out=xh)
-    np.subtract(split, xh, out=xh)
-    xl = np.subtract(x, xh, out=split)
-    np.multiply(xh, hh, out=t)
-    t -= p
+    split = x * _SPLIT
+    xh = split - (split - x)
+    xl = x - xh
+    t = xh * hh - p
     for a, b in ((xh, hl), (xl, hh), (xl, hl), (x, lo)):
-        np.multiply(a, b, out=prod)
-        t += prod
-    np.rint(t, out=prod)
-    d, r = i
-    np.copyto(d, p, casting="unsafe")
-    np.copyto(r, prod, casting="unsafe")
-    d += r
-    t -= prod
-    return d, t
+        t += a * b
+    r = np.rint(t)
+    return p.astype(np.int64) + r.astype(np.int64), t - r
 
 
-class _Cells:
-    """Scratch arrays, and the bytes of up to `size` laid-out cells."""
+def _layout(x):
+    """The '%.17g' text of each value of the float64 array x, as rows of
+    six uint64 words: one NUL-padded 48-byte cell per value, whose last
+    byte is left 0 for the separator."""
+    _, inexact, table, ndig, shape_of_k, masks, special = _tables()
+    ax = np.abs(x)
+    regular = (ax > 0.0) & (ax < np.inf)
+    special_cells = not regular.all()
+    if special_cells:  # zero, nan and inf, laid out from their own table
+        ax[~regular] = 1.0
+    k = np.floor(np.log10(ax)).astype(np.int64) + _K0
+    d, frac = _digits(ax, k)
+    # log10 rounded across a power of ten: redo those with k -+ 1
+    bad = (d < _E16) | (d > _E17) | ((d == _E16) & (frac < 0.0))
+    if bad.any():
+        j = np.flatnonzero(bad)
+        k[j] += np.where(d[j] > _E17, 1, -1)
+        d[j], frac[j] = _digits(ax[j], k[j])
+    carry = d == _E17
+    if carry.any():
+        d[carry] = _E16
+        k[carry] += 1
+    near_tie = np.abs(frac) > _TIE
 
-    def __init__(self, size):
-        self.buf = bytearray(size * _CELL)
-        self._words = np.frombuffer(self.buf, np.uint64).reshape(size, 6)
-        # the word-table rows of each cell, then its mask; the float rows
-        # serve the digits, then the chunk arithmetic as int64
-        self._index = np.empty((size, 6), np.int64)
-        self._f = np.empty((5, size))
-        self._power = np.empty((5, size))
-        self._i = np.empty((4, size), np.int64)
-        self._nd = np.empty((4, size), np.int8)
-        self._shape = np.empty(size, np.int16)
-        self._b = np.empty((2, size), bool)
+    # D = a | c1 c2 | c3 c4: the leading digit and four 4-digit chunks,
+    # which are the chunks' rows of the word table; // and a product, not
+    # np.divmod, which is twice as slow on int64
+    high = d // 10 ** 8
+    a = high // 10 ** 8
+    halves = np.stack([high - a * 10 ** 8, d - high * 10 ** 8])
+    upper = halves // 10 ** 4
+    (c1, c3), (c2, c4) = upper, halves - upper * 10 ** 4
+    chunks = c1, c2, c3, c4
+    index = np.stack([a + _LEAD + 10 * np.signbit(x), *chunks, k + _EXPO], axis=1)
+    words = table.take(index, mode="clip")
+    nd = np.maximum.reduce([row.take(c, mode="clip")
+                            for row, c in zip(ndig, chunks)])
+    shape = shape_of_k.take(k, mode="clip") + nd
+    words &= masks.take(shape, axis=0, mode="clip")
 
-    def fill(self, x):
-        """Lay out the '%.17g' text of each value of the contiguous float64
-        array x in the first len(x) cells of buf, NUL-padded, each one row
-        of six uint64 words whose last byte is left 0 for the separator.
-        Returns those rows."""
-        _, inexact, table, ndig, shape_of_k, masks, special = _tables()
-        n = len(x)
-        f, i, nd, b = (a[:, :n] for a in (self._f, self._i, self._nd, self._b))
-        index, words = self._index[:n], self._words[:n]
-        ax = np.abs(x, out=f[0])
-        regular = np.greater(ax, 0.0, out=b[0])
-        regular &= np.less(ax, np.inf, out=b[1])
-        special_cells = not regular.all()
-        if special_cells:  # zero, nan and inf, laid out from their own table
-            np.copyto(ax, 1.0, where=~regular)
-        k = i[0]
-        np.copyto(k, np.floor(np.log10(ax, out=f[1]), out=f[1]), casting="unsafe")
-        k += _K0
-        d, frac = _digits(ax, k, self._power[:, :n], f[1:], i[1:3])
-        # log10 rounded across a power of ten: redo those with k -+ 1
-        bad = (d < _E16) | (d > _E17) | ((d == _E16) & (frac < 0.0))
-        if bad.any():
-            j = np.flatnonzero(bad)
-            k[j] += np.where(d[j] > _E17, 1, -1)
-            m = len(j)
-            d[j], frac[j] = _digits(ax[j], k[j], np.empty((5, m)),
-                                    np.empty((4, m)), np.empty((2, m), np.int64))
-        carry = d == _E17
-        if carry.any():
-            d[carry] = _E16
-            k[carry] += 1
-        near_tie = np.abs(frac) > _TIE
-
-        # D = a | c1 c2 | c3 c4: the leading digit and four 4-digit chunks,
-        # which are the chunks' rows of the word table
-        chunks = self._power[:4, :n].view(np.int64)
-        pair = f[:2].view(np.int64)
-        high = np.floor_divide(d, 10 ** 8, out=i[2])
-        a = np.floor_divide(high, 10 ** 8, out=i[3])
-        np.multiply(a, 10 ** 8, out=pair[0])
-        np.subtract(high, pair[0], out=chunks[1])
-        np.multiply(high, 10 ** 8, out=pair[1])
-        np.subtract(d, pair[1], out=chunks[3])
-        np.floor_divide(chunks[1::2], 10 ** 4, out=chunks[0::2])
-        chunks[1::2] -= np.multiply(chunks[0::2], 10 ** 4, out=pair)
-        for col in range(4):
-            ndig[col].take(chunks[col], out=nd[col], mode="clip")
-        index[:, 1:5] = chunks.T
-        np.add(a, _LEAD, out=index[:, 0])
-        np.add(index[:, 0], 10, out=index[:, 0], where=np.signbit(x, out=b[1]))
-        np.add(k, _EXPO, out=index[:, 5])
-        table.take(index, out=words, mode="clip")
-
-        np.maximum(nd[0], nd[1], out=nd[0])
-        np.maximum(nd[2], nd[3], out=nd[2])
-        shape = shape_of_k.take(k, out=self._shape[:n], mode="clip")
-        shape += np.maximum(nd[0], nd[2], out=nd[0])
-        words &= masks.take(shape, axis=0, out=index.view(np.uint64), mode="clip")
-
-        if special_cells:
-            j = np.flatnonzero(~regular)
-            v = x[j]
-            code = np.where(np.isnan(v), 2, np.signbit(v) + np.where(v == 0.0, 0, 3))
-            words[j] = special[code]
-        if near_tie.any():
-            text = words.view(np.uint8)
-            near = np.flatnonzero(near_tie)
-            for j in near[inexact[k[near]]].tolist():
-                value = _fallback(float(x[j]))
-                text[j] = 0
-                text[j, :len(value)] = np.frombuffer(value, np.uint8)
-        return words
-
-
-def _text(buf, nbytes):
-    """The first nbytes of buf without their NUL padding."""
-    if nbytes < len(buf):
-        buf = buf[:nbytes]
-    return buf.translate(None, b"\0")
-
-
-def _cell_texts(values):
-    """The text of each value of a 1-D float array, followed by a comma."""
-    values = np.ascontiguousarray(values, dtype=float)
-    texts = []
-    for start in range(0, values.size, _BLOCK):
-        block = values[start:start + _BLOCK]
-        cells = _Cells(len(block))
-        cells.fill(block).view(np.uint8)[:, -1] = ord(",")
-        texts += bytes(_text(cells.buf, len(cells.buf))).split(b",")[:-1]
-    return [t + b"," for t in texts]
+    if special_cells:
+        j = np.flatnonzero(~regular)
+        v = x[j]
+        code = np.where(np.isnan(v), 2, np.signbit(v) + np.where(v == 0.0, 0, 3))
+        words[j] = special[code]
+    if near_tie.any():
+        text = words.view(np.uint8)
+        near = np.flatnonzero(near_tie)
+        for j in near[inexact[k[near]]].tolist():
+            value = _fallback(float(x[j]))
+            text[j] = 0
+            text[j, :len(value)] = np.frombuffer(value, np.uint8)
+    return words
 
 
 def write_csv(path, header, rows):
     """Write header and rows to path. A numeric table comes as a 2-D
-    ndarray and goes through `_Cells` a block of rows at a time; any other
+    ndarray and goes through `_layout` a block of rows at a time; any other
     rows (the check and sweep tables, which carry text) are written cell
     by cell."""
     with open(path, "wb") as fh:
@@ -277,22 +217,23 @@ def write_csv(path, header, rows):
         per = max(1, _BLOCK // n_cols)
         seps = np.full(n_cols, ord(","), np.uint8)
         seps[-1] = ord("\n")
-        cells = _Cells(min(per, n_rows) * n_cols)
         for start in range(0, n_rows, per):
             block = np.ascontiguousarray(rows[start:start + per], dtype=float).ravel()
-            words = cells.fill(block)
+            words = _layout(block)
             words.view(np.uint8).reshape(-1, n_cols, _CELL)[:, :, -1] = seps
-            fh.write(_text(cells.buf, block.size * _CELL))
+            fh.write(words.tobytes().translate(None, b"\0"))
 
 
 def write_long_csv(path, header, outer, inner, columns):
     """Write the rows (outer[c], inner[r], columns[c][r]) for every c and
     r, c-major: the long form of a table of len(inner)-sized columns.
-    The outer and inner cells are formatted once and sit at the front of
-    each byte row; the values of several columns at a time are laid out
-    by `_Cells` and copied into the rest of the rows."""
-    outer_text = np.array(_cell_texts(outer))
-    inner_text = np.array(_cell_texts(inner))
+    The outer and inner cells are formatted once, by Python's '%.17g', and
+    sit at the front of each byte row of one reused buffer; the values of
+    several columns at a time are laid out by `_layout` and copied into the
+    rest of the rows."""
+    outer_text, inner_text = (
+        np.array([b"%.17g," % v for v in np.asarray(a, float).tolist()])
+        for a in (outer, inner))
     row = np.dtype([("outer", outer_text.dtype), ("inner", inner_text.dtype),
                     ("cell", f"V{_CELL}")])
     n = len(inner_text)
@@ -300,14 +241,14 @@ def write_long_csv(path, header, outer, inner, columns):
     buf = bytearray(min(per, len(columns)) * n * row.itemsize)
     rows = np.frombuffer(buf, row).reshape(-1, n)
     rows["inner"] = inner_text
-    cells = _Cells(rows.size)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(columns), per):
             block = np.concatenate(columns[start:start + per]).astype(float, copy=False)
             m = len(block) // n
-            words = cells.fill(block)
+            words = _layout(block)
             words.view(np.uint8)[:, -1] = ord("\n")
             rows["outer"][:m] = outer_text[start:start + m, None]
             rows["cell"][:m] = words.view(f"V{_CELL}").reshape(m, n)
-            fh.write(_text(buf, m * n * row.itemsize))
+            size = m * n * row.itemsize  # a bytearray's slice is a copy
+            fh.write((buf[:size] if size < len(buf) else buf).translate(None, b"\0"))

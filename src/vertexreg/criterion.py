@@ -526,10 +526,11 @@ def irregularity_iteration(ode: CriterionODE) -> IterationResult:
 
     Starts from the linear comparison solution (amplitude capped at 1),
     then re-integrates with kappa evaluated on the previous iterate.
-    The certificate tests whether the full right-hand side, evaluated
-    along the linear comparison solution, trends positive over the last
-    decade: if so the decay cannot continue and the vertex is flagged
-    irregular. Without that evidence the result carries certificate None.
+    The certificate holds when the full right-hand side, evaluated along
+    the linear comparison solution, has a positive mean (`margin`) over
+    the last decade: then the decay cannot continue and the vertex is
+    flagged irregular. `trend`, the fitted slope, is reported only.
+    Without that evidence the result carries certificate None.
     Raises ConfigError unless kappa is positive and increasing on
     (0, u_max].
     """

@@ -598,11 +598,11 @@ def export_series_csv(trajectory: PdeTrajectory, path: str) -> None:
 
 def export_snapshots_csv(trajectory: PdeTrajectory, path: str) -> None:
     """Long-format (tau, z, w) rows for every checkpoint, in write_csv's
-    format. The tau and z cells are formatted once; the w cells of about
-    4,096 values' worth of checkpoints at a time are laid out by the array
-    formatter of _csvtable, which falls back to Python's '%.17g' only for
-    a value its rounding cannot certify (an exact or near tie below
-    1e-6 or from 1e17 up). No copy of the whole table is ever held."""
+    format. The tau and z cells are Python's '%.17g', formatted once; the
+    w cells of about 4,096 values' worth of checkpoints at a time are laid
+    out by the array formatter of _csvtable, which falls back to '%.17g'
+    only for a value its rounding cannot certify (an exact or near tie
+    below 1e-6 or from 1e17 up). No copy of the whole table is ever held."""
     write_long_csv(path, ["tau", "z", "w"],
                    [t for t, _ in trajectory.snapshots], trajectory.z,
                    [w for _, w in trajectory.snapshots])

@@ -15,8 +15,8 @@ import numpy as np
 _P_MARGIN = 0.02
 _Q_MARGIN = 0.05
 
-# ln of the smallest positive subnormal float; density values at or below
-# the clip are treated as quadrature-exact zero tail.
+# the level at or below which a tail value counts as underflowed (e^-700
+# is about 1e-304) and takes no part in the fit
 _LN_TINY = -700.0
 
 

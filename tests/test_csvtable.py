@@ -19,7 +19,9 @@ def _row_by_row(header, table):
 
 def _formatted(values):
     """The formatter's text of each value, split back into cells."""
-    return [t[:-1].decode() for t in _csvtable._cell_texts(np.asarray(values, float))]
+    words = _csvtable._layout(np.asarray(values, float))
+    words.view(np.uint8)[:, -1] = ord(",")
+    return words.tobytes().translate(None, b"\0").decode().split(",")[:-1]
 
 
 def _expected(values):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.special import erf
 
-from vertexreg import blayer, criterion, funcs, pdesim, spectral
+from vertexreg import _csvtable, blayer, criterion, funcs, pdesim, spectral
 from vertexreg.errors import (
     BlowupError,
     ConfigError,
@@ -888,6 +889,20 @@ def test_snapshot_csv_matches_row_by_row_rendering(tmp_path):
     odd = dataclasses.replace(traj, snapshots=tuple(snaps))
     pdesim.export_snapshots_csv(odd, str(path))
     assert path.read_bytes() == ("tau,z,w\n" + _snapshot_rows(odd)).encode()
+
+
+def test_snapshot_csv_with_a_short_last_block(tmp_path):
+    # 20 snapshots of 201 nodes fill a block; 61 leave the last block one
+    # snapshot long, written from the front of the reused row buffer
+    z = np.linspace(0.0, 10.0, 201)
+    rng = np.random.default_rng(11)
+    snaps = tuple((float(t), rng.standard_normal(z.size) * 10.0 ** rng.integers(-8, 3, z.size))
+                  for t in np.geomspace(10.0, 1e7, 61))
+    assert len(snaps) % (_csvtable._BLOCK // z.size) == 1
+    traj = SimpleNamespace(z=z, snapshots=snaps)
+    path = tmp_path / "snaps.csv"
+    pdesim.export_snapshots_csv(traj, str(path))
+    assert path.read_bytes() == ("tau,z,w\n" + _snapshot_rows(traj)).encode()
 
 
 def test_metadata_json_roundtrip(tmp_path, star_run):

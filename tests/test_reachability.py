@@ -1,5 +1,6 @@
 """src/ holds only what a run reaches: every public top-level function and
-class of vertexreg is referenced from some other place in src/."""
+class of vertexreg is referenced from some other place in src/, and every
+field of the simulation's config is set by src/ but the named test hooks."""
 
 import ast
 import graphlib
@@ -44,6 +45,30 @@ def test_every_public_definition_is_reached_from_src():
     assert ALLOWED <= defined
     unreached = sorted(f"{m}.{n}" for m, n in defined - reached - ALLOWED)
     assert unreached == []
+
+
+# fields that no call in src/ sets: the hooks through which the
+# manufactured-solution, blow-up and StepFailure tests drive a simulation,
+# kept for the manufactured solutions that checks of the stepper need
+TEST_HOOKS = {("SimConfig", "source"), ("InitialData", "profile")}
+
+
+def test_fields_no_src_call_sets_are_the_test_hooks():
+    nodes = [node for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))]
+    fields = {node.name: [s.target.id for s in node.body
+                          if isinstance(s, ast.AnnAssign)]
+              for node in nodes if isinstance(node, ast.ClassDef)
+              and node.name in {c for c, _ in TEST_HOOKS}}
+    passed = set()
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in fields:
+                passed.update((name, f) for f in fields[name][:len(node.args)])
+                passed.update((name, k.arg) for k in node.keywords)
+    unset = {(c, f) for c, names in fields.items() for f in names} - passed
+    assert unset == TEST_HOOKS
 
 
 def _imports():
