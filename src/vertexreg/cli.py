@@ -18,12 +18,13 @@ independently; one failure never blocks the others. Identical configs
 produce byte-identical outputs apart from the report timestamp.
 """
 
+import copy
 import datetime
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -229,7 +230,7 @@ def _validate_criterion(sid, params):
 
 
 # the fields of each petrovskii variant besides phi and variant, with
-# defaults; the dini variant runs h from e^-tau0 down to e^-ell_max
+# defaults; the dini variant runs over ell = -ln h from tau0 to ell_max
 _PETROVSKII_FIELDS = {
     "tau": {"radial_exponent": (_as_int, 1), "tau0": (_as_number, 10.0),
             "tau_max": (_as_number, 1.0e8), "n_points": (_as_int, 4000)},
@@ -359,7 +360,7 @@ def _validate_sweep(sid, params):
     validator = _VALIDATORS[out["task"]]
     points = []
     for i, value in enumerate(values):
-        point = json.loads(json.dumps(out["base"]))  # deep copy of plain data
+        point = copy.deepcopy(out["base"])
         try:
             _set_path(point, field, value)
         except TypeError as exc:
@@ -481,7 +482,7 @@ def _run_criterion(params, outdir):
                                 "converged": it.converged}
     traj = criterion.integrate(ode, params["init"], params["tau0"],
                                params["tau_max"], tol=params["tol"])
-    payload.update(criterion.verdict(traj, certificate=cert).as_record())
+    payload.update(asdict(criterion.verdict(traj, certificate=cert)))
     payload["decades"] = traj.decades
     criterion.export_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"))
     if params["negligibility"]:
@@ -506,17 +507,7 @@ def _run_petrovskii(params, outdir):
             phi, radial_exponent, params["tau0"], params["tau_max"],
             n_points=params["n_points"])
     elif variant == "dini":
-        def rho(h):
-            # h underflows to 0 past ell of about 745: tau = -log(0) = inf
-            # gives a zero density there, which the density form's tail
-            # test leaves out
-            with np.errstate(divide="ignore"):
-                tau = -np.log(h)
-            width = np.asarray(phi.phi(tau), dtype=float)
-            return np.exp(-width * width / 4.0)
-
-        trace = petrovskii.dini_osgood_form(rho,
-                                            h_max=math.exp(-params["tau0"]),
+        trace = petrovskii.dini_osgood_form(phi, tau0=params["tau0"],
                                             ell_max=params["ell_max"],
                                             n_points=params["n_points"])
     else:
@@ -525,26 +516,24 @@ def _run_petrovskii(params, outdir):
             phi, radial_exponent=radial_exponent, tau0=params["tau0"],
             tau_max=params["tau_max"])
     petrovskii.export_trace_csv(trace, os.path.join(outdir, "trace.csv"))
-    fit = trace.fit
     payload = {"phi": phi.name, "variant": variant, "m": m,
                "radial_exponent": radial_exponent,
                "classification": str(trace.classification.value),
                "total": trace.total, "diagnostic": trace.diagnostic,
-               "fit": {"slope": fit.slope, "refinement": fit.refinement,
-                       "window": list(fit.window),
-                       "extrapolation": fit.extrapolation},
+               "fit": asdict(trace.fit),
                "classifier_margins": {"power": tails._P_MARGIN,
                                       "log_refinement": tails._Q_MARGIN}}
     return payload, ["trace.csv"]
 
 
-def _kernel_mass(model, n=8001):
-    # over the window the kernel was normalized on
-    ys = np.linspace(0.0, model._y_span, n)
-    return 2.0 * float(simpson(model.F(ys), x=ys))
-
-
+_MASS_POINTS = 8001
 _MASS_TOL = 1.0e-10
+
+
+def _kernel_mass(model):
+    # over the window the kernel was normalized on
+    ys = np.linspace(0.0, model._y_span, _MASS_POINTS)
+    return 2.0 * float(simpson(model.F(ys), x=ys))
 
 
 def _run_kernel(params, outdir):
@@ -609,7 +598,7 @@ def _run_compare(params, outdir):
     pdesim.export_series_csv(traj, os.path.join(outdir, "series.csv"))
     payload = {"phi": ode.phi.name, "kappa": ode.kappa.name, "m": params["m"],
                "kind": params["kind"], "transient_excluded": pdesim._TRANSIENT}
-    payload.update(report.as_record())
+    payload.update(asdict(report))
     return payload, ["series.csv"]
 
 
@@ -745,32 +734,41 @@ def _execute(scenario, out_dir):
                   artifacts=[f"{scenario.id}/{a}" for a in artifacts])
 
 
-def _consistency_checks(reports):
+def _consistency_checks(scenarios, reports):
     """Pair integral classifications with ODE verdicts on the same problem.
 
     Each ok report takes part, and each point of an ok sweep as id[i]. A
-    pair shares the width phi, the order m and the radial exponent N, so
-    the tau and density forms meet only m=1 verdicts and the biharmonic
-    integral only m=2 ones. Only linear-reaction criterion runs are
-    comparable to the bare integral test. tails.consistent decides each
-    pair; Undetermined classes and Inconclusive verdicts leave it null.
+    pair shares the width phi, the order m, the radial exponent N and the
+    horizon, read from the run's parameters: tau_max, or the density
+    form's ell_max (ell = tau). So the tau and density forms meet only m=1
+    verdicts and the biharmonic integral only m=2 ones. Only
+    linear-reaction criterion runs are comparable to the bare integral
+    test. tails.consistent decides each pair; Undetermined classes and
+    Inconclusive verdicts leave it null.
     """
     runs = []
-    for r in reports:
+    for s, r in zip(scenarios, reports):
         if r.status == "ok" and r.task == "sweep":
-            runs += [(f"{r.scenario}[{i}]", r.payload["task"], point["payload"])
-                     for i, point in enumerate(r.payload["points"])]
+            runs += [(f"{r.scenario}[{i}]", r.payload["task"], point["payload"],
+                      params["params"])
+                     for i, (point, params) in enumerate(
+                         zip(r.payload["points"], s.parameters["points"]))]
         elif r.status == "ok":
-            runs.append((r.scenario, r.task, r.payload))
-    integral = [(sid, p) for sid, task, p in runs if task == "petrovskii"]
-    odes = [(sid, p) for sid, task, p in runs
+            runs.append((r.scenario, r.task, r.payload, s.parameters))
+
+    def key(payload, params):
+        return (payload["phi"], payload["m"], payload["radial_exponent"],
+                params.get("tau_max", params.get("ell_max")))
+
+    integral = [(sid, p, key(p, q)) for sid, task, p, q in runs
+                if task == "petrovskii"]
+    odes = [(sid, p, key(p, q)) for sid, task, p, q in runs
             if task == "criterion" and p["kappa_linear"]]
     return [{"petrovskii": left, "criterion": right, "phi": lp["phi"],
              "implied_regularity": tails.IMPLIED_REGULARITY.get(lp["classification"]),
              "criterion_verdict": rp["verdict"],
              "consistent": tails.consistent(lp["classification"], rp["verdict"])}
-            for left, lp in integral for right, rp in odes
-            if all(lp[k] == rp[k] for k in ("phi", "m", "radial_exponent"))]
+            for left, lp, lk in integral for right, rp, rk in odes if lk == rk]
 
 
 def run_scenarios(config_path, out_dir, workers=1):
@@ -795,7 +793,7 @@ def run_scenarios(config_path, out_dir, workers=1):
         "failed_scenarios": failed,
         "config": _jsonable(doc),
         "reports": [r.as_record() for r in reports],
-        "consistency_checks": _consistency_checks(reports),
+        "consistency_checks": _consistency_checks(scenarios, reports),
     }
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report_doc, fh, indent=2, sort_keys=True)

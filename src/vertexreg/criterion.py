@@ -106,17 +106,6 @@ class RegularityVerdict:
     certificate: Optional[str]
     trajectory_ref: str
 
-    def as_record(self) -> dict:
-        """The verdict fields, as the report stores them."""
-        return {
-            "verdict": self.verdict,
-            "ln_a0_final": self.ln_a0_final,
-            "tail_exponent": self.tail_exponent,
-            "tail": self.tail,
-            "certificate": self.certificate,
-            "trajectory_ref": self.trajectory_ref,
-        }
-
 
 @dataclass(frozen=True)
 class IterationResult:

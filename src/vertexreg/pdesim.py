@@ -204,19 +204,6 @@ class ComparisonReport:
     matched_max: float
     boundary_multiplicity: int = 2
 
-    def as_record(self):
-        return {
-            "window": list(self.window),
-            "n_points": self.n_points,
-            "valid": self.valid,
-            "reason": self.reason,
-            "raw_mean": self.raw_mean,
-            "raw_max": self.raw_max,
-            "matched_mean": self.matched_mean,
-            "matched_max": self.matched_max,
-            "boundary_multiplicity": self.boundary_multiplicity,
-        }
-
 
 # -- pieces of the step ----------------------------------------------------------
 

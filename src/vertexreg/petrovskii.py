@@ -1,8 +1,10 @@
 """Integral regularity criteria and the transforms between their forms.
 
 Three accumulation routines share one trace type: the heat-kernel integral
-in tau, the Dini-Osgood density integral in h, and the oscillatory
-fourth-order analogue summed between carrier zeros. Classification is a
+in tau, the Dini-Osgood density integral in ell = -ln h (ell = tau), and
+the oscillatory fourth-order analogue summed between carrier zeros. The
+two sign-definite forms take the ln of their integrands from the width, so
+their tail tests see no underflow at any horizon. Classification is a
 finite-horizon tail fit, never a theorem: marginal cases come back
 Undetermined by design.
 """
@@ -77,53 +79,35 @@ def petrovskii_integral(phi: SlowGrowthFn, N: int = 1, tau0: float = 10.0,
     return IntegralTrace("tau", np.column_stack([tau, partial]), cls, fit)
 
 
-def dini_osgood_form(rho, *, h_max: float = 0.1, ell_max: float = 690.0,
+def dini_osgood_form(phi: SlowGrowthFn, *, tau0: float = 10.0,
+                     ell_max: float = 690.0,
                      n_points: int = 6000) -> IntegralTrace:
     """Accumulate the density form: integral of rho(h) sqrt|ln rho| dh/h.
 
-    rho is a vectorized evaluator of the modulus density on (0, h_max],
-    valued in (0,1). Convergent here means irregular, divergent regular,
-    mirroring petrovskii_integral through h = e^{-tau}; for the density
-    rho = e^{-phi^2/4} the two accumulations agree up to a factor 2.
+    The density is rho = e^{-phi^2/4}, and the integral runs over ell =
+    -ln h = tau from tau0 to ell_max, on tau's log-uniform grid, with ln rho
+    = -phi(ell)^2/4 formed directly, so nothing underflows at any ell_max.
+    Convergent here means irregular, divergent regular, mirroring
+    petrovskii_integral through h = e^{-tau}: the two accumulations agree up
+    to a factor 2. The trace's x column is h, which reads 0 past ell of
+    about 745.
     """
-    if not 0.0 < h_max < 1.0:
-        raise ConfigError("h_max must lie in (0, 1)")
-    ell0 = -math.log(h_max)
-    if ell_max <= ell0:
-        raise ConfigError("ell_max=%g leaves no room below h_max=%g" % (ell_max, h_max))
-    ell = np.geomspace(ell0, ell_max, n_points)  # tau's log-uniform grid
-    with np.errstate(under="ignore"):
-        h = np.exp(-ell)
-        r = np.asarray(rho(h), dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise DomainError("density returned a non-finite value")
-    if np.any(r >= 1.0) or np.any(r < 0.0):
-        raise DomainError("density must take values in (0, 1)")
-    # exact zeros far out are float underflow of a legitimate density; the
-    # same value at moderate h is a genuine domain violation
-    if np.any(r[ell <= 300.0] <= 0.0):
-        raise DomainError("density must stay positive for moderate h")
-    ln_r = np.log(np.clip(r, 5e-324, None))
+    if tau0 < phi.tau_min:
+        raise ConfigError("tau0=%g is below tau_min=%g" % (tau0, phi.tau_min))
+    if ell_max <= tau0:
+        raise ConfigError("need ell_max > tau0")
+    ell = np.geomspace(tau0, ell_max, n_points)
+    ph = np.asarray(phi.phi(ell), dtype=float)
+    if not np.all(ph > 0.0):
+        raise DomainError("phi must stay positive on [tau0, ell_max]")
+    ln_r = -ph * ph / 4.0
     ln_f = ln_r + 0.5 * np.log(-ln_r)
     with np.errstate(under="ignore"):
         per_ell = np.exp(ln_f)
+        h = np.exp(-ell)
     partial = cumulative_trapezoid(per_ell, ell, initial=0.0)
-    # past ell of about 745, h underflows to 0, and rho(0) says nothing of
-    # the density at ell: those points take no part in the tail test, and
-    # the partial values from the first of them on are unknown
-    known = h > 0.0
-    cls, fit = classify_decay(ell, ln_f, float(partial[-1]), known)
-    diagnostic = ""
-    if math.isnan(fit.slope):
-        diagnostic = ("only %d points of the tail window [%.6g, %.6g] have "
-                      "h > 0, too few to classify" % (np.count_nonzero(
-                          known & (ell >= fit.window[0])), *fit.window))
-    if not known[-1]:
-        partial[np.argmin(known):] = math.nan
-        diagnostic = ("h = e^-ell underflows to 0 after ell = %.6g: %s"
-                      % (ell[known][-1], diagnostic
-                         or "the partial values past it are NaN"))
-    return IntegralTrace("h", np.column_stack([h, partial]), cls, fit, diagnostic)
+    cls, fit = classify_decay(ell, ln_f, float(partial[-1]))
+    return IntegralTrace("h", np.column_stack([h, partial]), cls, fit)
 
 
 def biharmonic_linear_criterion(phi: SlowGrowthFn, *, radial_exponent: int = 1,

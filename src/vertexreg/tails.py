@@ -66,20 +66,17 @@ class TailFit:
     extrapolation: float
 
 
-def classify_decay(x, ln_f, total, known=None):
+def classify_decay(x, ln_f, total):
     """Tail fit of a nonnegative integrand given pointwise ln values.
 
     Fits ln f against ln x over the last two decades of x; points at the
     underflow floor are excluded from the fit (a floor-dominated tail is
-    decisive convergence on its own). known, if given, marks the points
-    whose values say anything about the integrand; the others take no part.
-    A window with fewer than 8 points above the floor and none at it is
-    Undetermined.
+    decisive convergence on its own). Every ln value counts, so the caller
+    forms ln f without taking the ln of an underflowed f. A window with
+    fewer than 8 points above the floor and none at it is Undetermined.
     """
     window = x >= x[-1] / 100.0
     lo = float(x[window][0])
-    if known is not None:
-        window &= known
     live = window & (ln_f > _LN_TINY)
     if np.count_nonzero(live) < 8:
         if np.array_equal(live, window):

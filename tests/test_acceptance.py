@@ -90,12 +90,7 @@ def test_03_integral_form_equivalence():
     for phi in WIDTHS:
         via_tau = petrovskii.petrovskii_integral(phi, 1, 10.0, 690.0,
                                                  n_points=6000).classification
-
-        def rho(h, p=phi):
-            w = np.asarray(p.phi(-np.log(h)), dtype=float)
-            return np.exp(-w * w / 4.0)
-
-        via_h = petrovskii.dini_osgood_form(rho, h_max=math.exp(-10.0),
+        via_h = petrovskii.dini_osgood_form(phi, tau0=10.0,
                                             ell_max=690.0).classification
         rows.append((phi.name, via_tau.value, via_tau is via_h))
     outcome(3, "integral form equivalence",

@@ -1,6 +1,7 @@
 """Scenario runner: config validation, task dispatch, report shape,
 determinism across reruns, and the canonical configs."""
 
+import datetime
 import json
 import math
 import os
@@ -186,6 +187,17 @@ CMP = {"m": 1, "phi": STAR, "window": [15.0, 25.0]}
     ("load", "sweep", {"task": "criterion", "base": {"m": 1, "phi": STAR},
                        "vary": {"field": "opts.radial_exponent", "values": [3]}},
      "opts"),
+    # a sweep's base need not be JSON: a YAML date or !!binary value reaches
+    # the point's validator, which names the field
+    ("load", "sweep", {"task": "criterion",
+                       "base": {"m": 1, "phi": STAR,
+                                "note": datetime.date(2020, 1, 1)},
+                       "vary": {"field": "tau_max", "values": [1.0e9]}},
+     "note"),
+    ("load", "sweep", {"task": "petrovskii",
+                       "base": {"phi": dict(SUPER, params={"eps": b"\x00"})},
+                       "vary": {"field": "tau_max", "values": [1.0e9]}},
+     "phi"),
     # a comparison writes no snapshots, and runs the ODE's growing width
     ("load", "compare", dict(CMP, write_snapshots=True), "write_snapshots"),
     ("load", "compare", {"m": 1, "window": [15.0, 25.0]}, "phi is required"),
@@ -317,7 +329,9 @@ def test_biharmonic_integral_pairs_only_with_m2_verdict(tmp_path):
          "parameters": {"m": 1, "phi": "biharmonic-critical"}},
         {"id": "bih-ode-m2", "task": "criterion",
          "parameters": {"m": 2, "phi": "biharmonic-critical",
-                        "tau_max": 1.0e9}}]}
+                        "tau_max": 1.0e9}},
+        {"id": "bih-ode-m2-1e8", "task": "criterion",
+         "parameters": {"m": 2, "phi": "biharmonic-critical"}}]}
     code, report = cli.run_scenarios(write_config(tmp_path, doc),
                                      str(tmp_path / "out"))
     assert code == 0
@@ -326,6 +340,22 @@ def test_biharmonic_integral_pairs_only_with_m2_verdict(tmp_path):
     assert (n3["m"], n3["radial_exponent"]) == (2, 3)
     assert n3["total"] != n1["total"]  # N reaches the integral
     assert _paired(report) == [("bih-integral", "bih-ode-m2")]
+
+
+def test_runs_pair_only_at_one_horizon(tmp_path):
+    # the horizon is tau_max, or the density form's ell_max (ell = tau),
+    # read from each run's parameters, a sweep point's included
+    doc = {"version": 1, "scenarios": [
+        {"id": "tau", "task": "petrovskii", "parameters": {"phi": STAR}},
+        {"id": "dini", "task": "petrovskii",
+         "parameters": {"phi": STAR, "variant": "dini", "ell_max": 690.0}},
+        {"id": "ode", "task": "sweep", "parameters": {
+            "task": "criterion", "base": {"m": 1, "phi": STAR},
+            "vary": {"field": "tau_max", "values": [690.0, 1.0e8, 1.0e9]}}}]}
+    code, report = cli.run_scenarios(write_config(tmp_path, doc),
+                                     str(tmp_path / "out"))
+    assert code == 0
+    assert _paired(report) == [("tau", "ode[1]"), ("dini", "ode[0]")]
 
 
 def test_radial_exponent_pairs_like_with_like(tmp_path):
@@ -361,11 +391,10 @@ def test_dini_density_past_underflow_runs_without_warning(tmp_path):
 
 @pytest.mark.parametrize("phi", [STAR, {"name": "petrovskii-super",
                                         "params": {"eps": -0.05}}])
-def test_dini_density_is_undetermined_where_h_underflows(tmp_path, phi):
-    # both integrals diverge. Past ell of about 745 h = e^-ell is 0, and the
-    # density of h = 0 says nothing of the density at ell (1/ell on the
-    # critical width): a tail window of such points is not a floor-only,
-    # Convergent tail. At 7e4 the window still holds 36 points with h > 0
+def test_dini_density_decides_where_h_underflows(tmp_path, phi):
+    # both integrals diverge, and the tau form says so at these horizons; the
+    # density form works in ell, so h = e^-ell reading 0 past ell of about
+    # 745 takes nothing from its tail test or its total
     doc = {"version": 1, "scenarios": [
         {"id": f"far-{i}", "task": "petrovskii",
          "parameters": {"phi": phi, "variant": "dini", "ell_max": ell_max}}
@@ -374,16 +403,10 @@ def test_dini_density_is_undetermined_where_h_underflows(tmp_path, phi):
                                      str(tmp_path / "out"))
     assert code == 0
     payloads = [r["payload"] for r in report["reports"]]
-    assert [p["classification"] for p in payloads] == [
-        "Divergent", "Undetermined", "Undetermined"]
-    assert re.fullmatch(r"h = e\^-ell underflows to 0 after ell = 744\.\d+: "
-                        r"the partial values past it are NaN",
-                        payloads[0]["diagnostic"])
-    assert [p["total"] for p in payloads] == [None, None, None]
-    assert "only 4 points of the tail window" in payloads[1]["diagnostic"]
-    assert re.match(r"h = e\^-ell underflows to 0 after ell = 744\.\d+: only 0 "
-                    r"points of the tail window \[1000\.\d+, 100000\] have h > 0",
-                    payloads[2]["diagnostic"])
+    assert [p["classification"] for p in payloads] == ["Divergent"] * 3
+    assert all(p["total"] is not None and p["total"] > 0.0 for p in payloads)
+    assert [p["diagnostic"] for p in payloads] == [""] * 3
+
 
 def test_epsilon_sweep_flips_verdict(tmp_path):
     doc = one_scenario("eps", "sweep", {

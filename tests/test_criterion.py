@@ -558,7 +558,7 @@ def test_verdict_record_and_certificate():
     traj = criterion.integrate(
         criterion.build_criterion(1, "multiplicative", STAR, ZERO),
         -1.0, 10.0, 1e9)
-    rec = criterion.verdict(traj).as_record()
+    rec = dataclasses.asdict(criterion.verdict(traj))
     assert set(rec) == {"verdict", "ln_a0_final", "tail_exponent", "tail",
                         "certificate", "trajectory_ref"}
     assert rec["tail_exponent"] == criterion.verdict(traj).tail_exponent

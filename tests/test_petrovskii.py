@@ -2,7 +2,6 @@
 form equivalence, and the oscillatory fourth-order partial sums."""
 
 import math
-import re
 import warnings
 
 import numpy as np
@@ -20,8 +19,13 @@ STAR = funcs.lookup("petrovskii-critical")
 SUPER = funcs.lookup("petrovskii-super")
 
 
-def rho_of(phi):
-    return lambda h: np.exp(-np.asarray(phi.phi(-np.log(h)), dtype=float) ** 2 / 4.0)
+# the widths of the densities rho = h and rho = h^2: rho = e^{-phi^2/4} with
+# ell = -ln h gives phi = 2 sqrt(ell) and 2 sqrt(2 ell); tau_min 1 lets the
+# density form start at ell = ln 10, that is at h = 0.1
+LINEAR = funcs.SlowGrowthFn("rho-h", lambda t: 2.0 * np.sqrt(t), None, 1.0)
+SQUARE = funcs.SlowGrowthFn("rho-h2", lambda t: 2.0 * np.sqrt(2.0 * t), None,
+                            1.0)
+LN10 = math.log(10.0)
 
 
 # -- heat-kernel form -----------------------------------------------------------
@@ -96,13 +100,14 @@ def test_integral_preconditions():
 # -- density form ----------------------------------------------------------------
 
 def test_reciprocal_log_density_diverges():
-    trace = petrovskii.dini_osgood_form(lambda h: 1.0 / np.abs(np.log(h)))
+    # rho = 1/|ln h| = 1/ell is the critical width's density
+    trace = petrovskii.dini_osgood_form(STAR, tau0=LN10)
     assert trace.classification is Classification.DIVERGENT
     assert trace.fit.slope == pytest.approx(0.89, abs=0.03)
 
 
 def test_linear_density_converges():
-    trace = petrovskii.dini_osgood_form(lambda h: h)
+    trace = petrovskii.dini_osgood_form(LINEAR, tau0=LN10)
     # in ell = -ln h the integrand is sqrt(ell) e^{-ell}
     oracle, _ = quad(lambda ell: math.sqrt(ell) * math.exp(-ell),
                      math.log(10.0), np.inf)
@@ -111,44 +116,39 @@ def test_linear_density_converges():
     assert trace.fit.extrapolation == pytest.approx(oracle, rel=2e-3)
 
 
-def test_density_float_underflow_tolerated():
-    trace = petrovskii.dini_osgood_form(lambda h: h ** 2)
+def test_squared_density_converges():
+    trace = petrovskii.dini_osgood_form(SQUARE, tau0=LN10)
     assert trace.classification is Classification.CONVERGENT
 
 
 def test_density_domain_errors():
-    with pytest.raises(DomainError):
-        petrovskii.dini_osgood_form(lambda h: 1.0 + h)
-    with pytest.raises(DomainError):
-        petrovskii.dini_osgood_form(lambda h: -h)
-    with pytest.raises(DomainError):
-        petrovskii.dini_osgood_form(lambda h: np.where(h < 0.05, np.nan, h))
+    # e^{-phi^2/4} lies in (0, 1) for any positive width, so what is left to
+    # refuse is a width that is not positive (NaN included) and a bad span
+    for values in (lambda t: 1.0 - np.log(t), lambda t: 0.0 * t,
+                   lambda t: np.where(t > 50.0, np.nan, 1.0)):
+        with pytest.raises(DomainError):
+            petrovskii.dini_osgood_form(funcs.SlowGrowthFn("bad", values, None))
     with pytest.raises(ValueError):
-        petrovskii.dini_osgood_form(lambda h: h, h_max=1.5)
+        petrovskii.dini_osgood_form(STAR, tau0=1.5)
     with pytest.raises(ValueError):
-        petrovskii.dini_osgood_form(lambda h: h, h_max=0.1, ell_max=2.0)
+        petrovskii.dini_osgood_form(STAR, tau0=LN10, ell_max=2.0)
 
 
 def test_h_column_decreasing_partial_nondecreasing():
-    trace = petrovskii.dini_osgood_form(lambda h: 1.0 / np.abs(np.log(h)))
+    trace = petrovskii.dini_osgood_form(STAR, tau0=LN10)
     assert np.all(np.diff(trace.partial_values[:, 0]) < 0.0)
     assert np.all(np.diff(trace.partial_values[:, 1]) >= 0.0)
 
 
-def test_partial_values_past_h_underflow_are_unknown():
-    # from the first ell where h = e^-ell is 0, the density says nothing, so
-    # neither does the integral: NaN there, and the diagnostic names the point
-    def rho(h):
-        with np.errstate(divide="ignore"):
-            return 1.0 / np.abs(np.log(h))
-
-    trace = petrovskii.dini_osgood_form(rho, ell_max=800.0)
+def test_density_form_runs_past_h_underflow():
+    # the form works in ell, so where h = e^-ell reads 0 (past ell of about
+    # 745) only the trace's h column says so; the integral goes on
+    trace = petrovskii.dini_osgood_form(STAR, tau0=LN10, ell_max=800.0)
     h, partial = trace.partial_values.T
-    assert np.all(np.isfinite(partial[h > 0.0]))
-    assert h[-1] == 0.0 and np.all(np.isnan(partial[h == 0.0]))
-    assert math.isnan(trace.total)
-    assert re.fullmatch(r"h = e\^-ell underflows to 0 after ell = 74\d\.\d+: "
-                        r"the partial values past it are NaN", trace.diagnostic)
+    ell = np.geomspace(LN10, 800.0, h.size)
+    assert h[-1] == 0.0 and 744.0 < ell[np.argmax(h == 0.0)] < 746.0
+    assert np.all(np.isfinite(partial)) and np.all(np.diff(partial) >= 0.0)
+    assert math.isfinite(trace.total) and trace.diagnostic == ""
 
 
 # -- equivalence of the two sign-definite forms ------------------------------------
@@ -157,37 +157,37 @@ def test_change_of_variables_factor_two():
     # h = e^{-tau} sends dh/h to -dtau and sqrt|ln rho| to phi/2, so on a
     # shared span the heat-kernel accumulation is exactly twice the density one
     pe = petrovskii.petrovskii_integral(STAR, 1, 10.0, 690.0, n_points=6000)
-    dm = petrovskii.dini_osgood_form(rho_of(STAR), h_max=math.exp(-10.0),
-                                     ell_max=690.0, n_points=6000)
+    dm = petrovskii.dini_osgood_form(STAR, tau0=10.0, ell_max=690.0,
+                                     n_points=6000)
     assert pe.total / dm.total == pytest.approx(2.0, rel=1e-4)
 
 
 def test_form_equivalence_on_catalog():
-    # float h = e^{-tau} cannot reach past tau ~ 690, so the comparison runs
-    # both forms over that shared span; there the transformed integrands are
-    # identical up to a constant and the classifications must agree exactly
+    # over a shared span the transformed integrands are identical up to a
+    # constant, so the classifications must agree exactly
     for phi in funcs.builtin_catalog():
         if not isinstance(phi, funcs.SlowGrowthFn):
             continue
         a = petrovskii.petrovskii_integral(phi, 1, 10.0, 690.0,
                                            n_points=6000).classification
-        b = petrovskii.dini_osgood_form(rho_of(phi), h_max=math.exp(-10.0),
-                                        ell_max=690.0,
+        b = petrovskii.dini_osgood_form(phi, tau0=10.0, ell_max=690.0,
                                         n_points=6000).classification
         assert a == b, phi.name
 
 
-def test_forms_agree_across_the_super_scan():
+@pytest.mark.parametrize("horizon", [690.0, 800.0, 7.0e4, 1.0e12])
+def test_forms_agree_across_the_super_scan(horizon):
     # both forms sample log-uniformly, in tau and in ell = tau, so they fit
-    # one p and a width near the margin (eps 0.06 to 0.065 here) gets one
-    # class from both
+    # one p and a width near the margin (eps 0.06 to 0.065 at 690) gets one
+    # class from both, at horizons where h = e^-ell is 0 too
     for eps in np.arange(0.05, 0.2 + 1e-9, 0.0025):
         phi = funcs.lookup("petrovskii-super", eps=float(eps))
-        a = petrovskii.petrovskii_integral(phi, 1, 10.0, 690.0, n_points=6000)
-        b = petrovskii.dini_osgood_form(rho_of(phi), h_max=math.exp(-10.0),
-                                        ell_max=690.0, n_points=6000)
+        a = petrovskii.petrovskii_integral(phi, 1, 10.0, horizon, n_points=6000)
+        b = petrovskii.dini_osgood_form(phi, tau0=10.0, ell_max=horizon,
+                                        n_points=6000)
         assert a.classification == b.classification, eps
         assert a.fit.slope == pytest.approx(b.fit.slope, abs=1e-12)
+        assert math.isfinite(a.total) and math.isfinite(b.total), eps
 
 
 def test_classification_matches_amplitude_verdict_on_catalog():
@@ -346,7 +346,7 @@ def test_export_trace_csv(tmp_path):
     assert x == pytest.approx(1e6, rel=1e-12)
     assert s == pytest.approx(trace.total, rel=1e-15)
 
-    dens = petrovskii.dini_osgood_form(lambda h: h, n_points=40)
+    dens = petrovskii.dini_osgood_form(LINEAR, tau0=LN10, n_points=40)
     path2 = tmp_path / "dens.csv"
     petrovskii.export_trace_csv(dens, str(path2))
     assert path2.read_text().splitlines()[0] == "h,partial_value"

@@ -1,6 +1,8 @@
 """src/ holds only what a run reaches: every public top-level function and
-class of vertexreg is referenced from some other place in src/, and every
-field of the simulation's config is set by src/ but the named test hooks."""
+class of vertexreg is referenced from some other place in src/, every
+field of the simulation's config is set by src/ but the named test hooks,
+and every optional parameter is passed by some call in src/ but the named
+entry points."""
 
 import ast
 import graphlib
@@ -98,3 +100,58 @@ def test_no_module_imports_one_that_imports_it_back():
     # the tail test and the agreement rule sit below both routes
     assert graph["tails"] == set()
     assert "petrovskii" not in graph["criterion"]
+
+
+# optional parameters that no call in src/ passes, each reached otherwise
+UNPASSED_OPTIONALS = {
+    ("cli", "main", "argv"),  # the console entry point reads sys.argv
+    ("cli", "run_scenarios", "workers"),  # perfbench passes it
+    # lookup(**params) passes a config's parameters to the factories
+    ("funcs", "_kappa_neg_log", "c"),
+    ("funcs", "_kappa_pos_log", "c"),
+    ("funcs", "_kappa_critical", "c"),
+    ("funcs", "_kappa_neg_power", "q"),
+}
+
+
+def test_every_optional_parameter_is_passed_from_src():
+    """Each parameter with a default, of a function defined anywhere in
+    src/, is passed by some call in src/ to a function of that name: by
+    keyword, by position, or through * or ** unpacking."""
+    optional, calls = set(), {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {fn for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                # a method's self is not among the call's arguments
+                shift = 1 if node in methods and not any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in node.decorator_list) else 0
+                with_default = positional[len(positional) - len(a.defaults):]
+                optional.update(
+                    (path.stem, node.name, p.arg, positional.index(p) - shift)
+                    for p in with_default)
+                optional.update((path.stem, node.name, p.arg, None)
+                                for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                                if d is not None)
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                calls.setdefault(name, []).append(node)
+
+    def passed(name, param, index):
+        for call in calls.get(name, []):
+            keys = {k.arg for k in call.keywords}
+            if param in keys or None in keys:  # None: a ** unpacking
+                return True
+            if index is not None and (
+                    index < len(call.args)
+                    or any(isinstance(x, ast.Starred) for x in call.args)):
+                return True
+        return False
+
+    unpassed = {(m, f, p) for m, f, p, i in optional if not passed(f, p, i)}
+    assert unpassed == UNPASSED_OPTIONALS
