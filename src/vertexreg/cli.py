@@ -18,6 +18,7 @@ independently; one failure never blocks the others. Identical configs
 produce byte-identical outputs apart from the report timestamp.
 """
 
+import collections
 import copy
 import datetime
 import json
@@ -463,7 +464,7 @@ def _jsonable(obj):
 # task runners
 
 
-def _run_criterion(params, outdir):
+def _run_criterion(params, outdir, _trajectories):
     phi = _resolve(params["phi"])
     kappa = _resolve(params["kappa"])
     ode = criterion.build_criterion(params["m"], params["kind"], phi, kappa,
@@ -497,7 +498,7 @@ def _run_criterion(params, outdir):
     return payload, ["trajectory.csv"]
 
 
-def _run_petrovskii(params, outdir):
+def _run_petrovskii(params, outdir, _trajectories):
     phi = _resolve(params["phi"])
     variant = params["variant"]
     # the order m and radial exponent N of the problem the integral decides
@@ -536,7 +537,7 @@ def _kernel_mass(model):
     return 2.0 * float(simpson(model.F(ys), x=ys))
 
 
-def _run_kernel(params, outdir):
+def _run_kernel(params, outdir, _trajectories):
     m = params["m"]
     model = spectral.default_kernel(m)
     cst = model.constants
@@ -562,10 +563,59 @@ def _run_kernel(params, outdir):
     return payload, ["kernel.csv"]
 
 
-def _run_simulate(params, outdir):
+def _sim_key(params):
+    """The problem a simulate or compare run steps: every field _sim_config
+    reads. Equal reprs of these YAML values are equal values."""
+    return repr([params.get(field) for field in (*_SIM_FIELDS, "freeze_phi")])
+
+
+class _Trajectories:
+    """The simulations of one batch, each distinct problem stepped once.
+
+    The simulate and compare runs of the batch, sweep points included, are
+    counted by _sim_key up front. A trajectory whose problem comes up again
+    later in the batch is kept, its arrays read-only, until its last use;
+    every other one is dropped with the run that asked for it. A run that
+    raises is not kept, so each scenario that shares it steps it again. A
+    sweep that stops at a failing point leaves its later points counted,
+    so a run they share with a later scenario is kept to the batch's end.
+    """
+
+    def __init__(self, scenarios):
+        self._uses = collections.Counter()
+        for s in scenarios:
+            task, points = s.task, [s.parameters]
+            if task == "sweep":
+                task = s.parameters["task"]
+                points = [p["params"] for p in s.parameters["points"]]
+            if task in ("simulate", "compare"):
+                self._uses.update(_sim_key(p) for p in points)
+        self._kept = {}
+
+    def get(self, params):
+        """The trajectory of params' problem, from pdesim.run or kept."""
+        from . import pdesim
+
+        key = _sim_key(params)
+        self._uses[key] -= 1
+        keep = self._uses[key] > 0
+        traj = self._kept.get(key) if keep else self._kept.pop(key, None)
+        if traj is None:
+            traj = pdesim.run(_sim_config(params))
+            if keep:
+                for a in (*vars(traj).values(), *(w for _, w in traj.snapshots)):
+                    if isinstance(a, np.ndarray):
+                        a.flags.writeable = False
+                self._kept[key] = traj
+        return traj
+
+
+def _run_simulate(params, outdir, trajectories):
+    """Export the series, metadata and (unless write_snapshots is false)
+    snapshots of one run, which trajectories steps or hands back kept."""
     from . import pdesim
 
-    traj = pdesim.run(_sim_config(params))
+    traj = trajectories.get(params)
     artifacts = ["series.csv", "metadata.json"]
     pdesim.export_series_csv(traj, os.path.join(outdir, "series.csv"))
     pdesim.export_metadata_json(traj, os.path.join(outdir, "metadata.json"))
@@ -587,10 +637,13 @@ def _run_simulate(params, outdir):
     return payload, artifacts
 
 
-def _run_compare(params, outdir):
+def _run_compare(params, outdir, trajectories):
+    """Compare one run's a0 slopes with the amplitude ODE's; the run is
+    stepped by trajectories, or handed back kept from an earlier scenario
+    of the batch that simulates the same problem."""
     from . import pdesim
 
-    traj = pdesim.run(_sim_config(params))
+    traj = trajectories.get(params)
     ode = criterion.build_criterion(params["m"], params["kind"],
                                     _resolve(params["phi"]),
                                     _resolve(params["kappa"]))
@@ -667,7 +720,7 @@ VALIDATION_CHECKS = {
 }
 
 
-def _run_validate(params, outdir):
+def _run_validate(params, outdir, _trajectories):
     rows = []
     for name in params["checks"]:
         rows.extend(VALIDATION_CHECKS[name](params))
@@ -681,14 +734,14 @@ def _run_validate(params, outdir):
     return payload, ["checks.csv"]
 
 
-def _run_sweep(params, outdir):
+def _run_sweep(params, outdir, trajectories):
     runner = _RUNNERS[params["task"]]
     points = []
     artifacts = []
     for i, point in enumerate(params["points"]):
         subdir = os.path.join(outdir, f"point-{i:02d}")
         os.makedirs(subdir, exist_ok=True)
-        sub_payload, sub_artifacts = runner(point["params"], subdir)
+        sub_payload, sub_artifacts = runner(point["params"], subdir, trajectories)
         summary = {"value": point["value"]}
         for key in ("verdict", "classification"):
             if key in sub_payload:
@@ -720,11 +773,12 @@ _RUNNERS = {
 # orchestration
 
 
-def _execute(scenario, out_dir):
+def _execute(scenario, out_dir, trajectories):
     subdir = os.path.join(out_dir, scenario.id)
     os.makedirs(subdir, exist_ok=True)
     try:
-        payload, artifacts = _RUNNERS[scenario.task](scenario.parameters, subdir)
+        payload, artifacts = _RUNNERS[scenario.task](scenario.parameters, subdir,
+                                                     trajectories)
     except Exception as exc:  # isolation: one scenario never sinks the batch
         return Report(scenario=scenario.id, task=scenario.task, status="error",
                       payload={}, artifacts=[],
@@ -775,13 +829,17 @@ def run_scenarios(config_path, out_dir, workers=1):
     """Run every scenario in the config; returns (exit_code, report doc).
 
     Scenarios run one after another in config order; workers accepts only
-    1. The exit code is 1 when any scenario errored, else 0.
+    1. A simulation that several simulate and compare runs of the batch
+    share (sweep points included) is stepped once and kept, read-only,
+    until its last use, so every artifact is as if each scenario ran
+    alone. The exit code is 1 when any scenario errored, else 0.
     """
     if workers != 1:
         raise ValueError(f"workers must be 1 (scenarios run serially), got {workers!r}")
     doc, scenarios = load_config(config_path)
     os.makedirs(out_dir, exist_ok=True)
-    reports = [_execute(s, out_dir) for s in scenarios]
+    trajectories = _Trajectories(scenarios)
+    reports = [_execute(s, out_dir, trajectories) for s in scenarios]
 
     failed = [r.scenario for r in reports if r.status == "error"]
     report_doc = {

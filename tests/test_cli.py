@@ -2,6 +2,7 @@
 determinism across reruns, and the canonical configs."""
 
 import datetime
+import gc
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -583,6 +585,147 @@ def test_compare_payload_shows_matched_agreement(tmp_path):
     assert payload["boundary_multiplicity"] == 2
 
 
+# one small problem that a simulate, a compare and a one-point sweep share,
+# and another that only one simulate runs
+SHARED = {"m": 1, "phi": STAR, "grid_points": 201, "tau_span": [10.0, 16.0],
+          "n_checkpoints": 20}
+SHARING_BATCH = [
+    ("sim", "simulate", SHARED),
+    ("cmp", "compare", {**SHARED, "window": [13.0, 16.0]}),
+    ("scan", "sweep", {"task": "simulate",
+                       "base": {**SHARED, "write_snapshots": False},
+                       "vary": {"field": "amplitude", "values": [1.0]}}),
+    ("other", "simulate", {**SHARED, "amplitude": 0.5}),
+]
+
+
+def run_batch(tmp_path, batch, out="out"):
+    doc = {"version": 1, "scenarios": [
+        {"id": sid, "task": task, "parameters": params}
+        for sid, task, params in batch]}
+    return cli.run_scenarios(write_config(tmp_path, doc, f"{out}.yaml"),
+                             str(tmp_path / out))
+
+
+def recorded_runs(monkeypatch, record):
+    """pdesim.run, with record(config, trajectory) after each call."""
+    from vertexreg import pdesim
+
+    real = pdesim.run
+
+    def run(config):
+        traj = real(config)
+        record(config, traj)
+        return traj
+
+    monkeypatch.setattr(pdesim, "run", run)
+
+
+def test_sim_key_reads_what_the_run_config_reads():
+    class Reads(dict):
+        def __init__(self, params):
+            super().__init__(params)
+            self.read = set()
+
+        def __getitem__(self, key):
+            self.read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            self.read.add(key)
+            return super().get(key, default)
+
+    params = cli._validate_simulate("s", {"m": 1, "phi": STAR})
+    config, key = Reads(params), Reads(params)
+    cli._sim_config(config)
+    cli._sim_key(key)
+    assert config.read == key.read
+    assert "write_snapshots" not in key.read
+
+
+def test_a_batch_steps_each_distinct_simulation_once(tmp_path, monkeypatch):
+    calls = []
+    recorded_runs(monkeypatch, lambda config, traj: calls.append(config))
+    code, report = run_batch(tmp_path, SHARING_BATCH)
+    assert code == 0
+    assert [c.initial_data.amplitude for c in calls] == [1.0, 0.5]
+
+
+def test_shared_runs_write_what_lone_runs_write(tmp_path):
+    _, together = run_batch(tmp_path, SHARING_BATCH)
+    for scenario, rec in zip(SHARING_BATCH, together["reports"]):
+        _, alone = run_batch(tmp_path, [scenario], out=f"alone-{scenario[0]}")
+        assert alone["reports"] == [rec]
+        assert rec["status"] == "ok" and rec["artifacts"]
+        for rel in rec["artifacts"]:
+            assert (tmp_path / "out" / rel).read_bytes() == \
+                (tmp_path / f"alone-{scenario[0]}" / rel).read_bytes()
+
+
+def test_a_kept_trajectory_is_read_only(tmp_path, monkeypatch):
+    runs = []
+    recorded_runs(monkeypatch, lambda config, traj: runs.append(traj))
+    code, report = run_batch(tmp_path, SHARING_BATCH)
+    assert code == 0
+    for rec in report["reports"]:
+        for rel in rec["artifacts"]:
+            assert (tmp_path / "out" / rel).stat().st_size > 0
+    kept, alone = runs
+
+    def arrays(traj):
+        return [traj.z, traj.vertex_values, traj.a0_series,
+                traj.boundary_derivs, traj.bl_deviation, traj.rho_series,
+                *(w for _, w in traj.snapshots)]
+
+    assert not any(a.flags.writeable for a in arrays(kept))
+    assert all(a.flags.writeable for a in arrays(alone))
+    with pytest.raises(ValueError, match="read-only"):
+        kept.a0_series[0, 1] = 0.0
+
+
+def test_a_run_that_raises_fails_every_scenario_that_shares_it(
+        tmp_path, monkeypatch):
+    from vertexreg import pdesim
+
+    real, calls = pdesim.run, []
+
+    def run(config):
+        calls.append(config.initial_data.amplitude)
+        if config.initial_data.amplitude == 1.0:
+            raise errors.StepFailure("implicit solve failed at tau=10")
+        return real(config)
+
+    monkeypatch.setattr(pdesim, "run", run)
+    code, report = run_batch(tmp_path, SHARING_BATCH)
+    assert code == 1
+    assert report["failed_scenarios"] == ["sim", "cmp", "scan"]
+    assert {r["error"] for r in report["reports"][:3]} == {
+        "StepFailure: implicit solve failed at tau=10"}
+    assert report["reports"][3]["status"] == "ok"
+    # nothing was kept, so each scenario stepped the run again
+    assert calls == [1.0, 1.0, 1.0, 0.5]
+
+
+def test_a_trajectory_is_kept_only_until_its_last_use(tmp_path, monkeypatch):
+    batch = [("a", "simulate", SHARED),
+             ("b", "simulate", {**SHARED, "amplitude": 0.5}),
+             ("a-again", "compare", {**SHARED, "window": [13.0, 16.0]}),
+             ("c", "simulate", {**SHARED, "amplitude": 2.0})]
+    refs, alive = [], []
+
+    def record(config, traj):
+        gc.collect()
+        alive.append([ref() is not None for ref in refs])
+        refs.append(weakref.ref(traj))
+
+    recorded_runs(monkeypatch, record)
+    code, _ = run_batch(tmp_path, batch)
+    assert code == 0
+    # a is kept past b's run and dropped after the compare, its last use;
+    # b, with no later use, is gone by c's run
+    assert alive == [[], [True], [False, False]]
+
+
 # the default window, and two that the fit weighted by absolute residual
 # failed: its residual check on [4, 25], its sign-change count on [6, 12]
 @pytest.mark.parametrize("window", [[5.0, 15.0], [4.0, 25.0], [6.0, 12.0]])
@@ -958,6 +1101,6 @@ def test_accepted_configs_run_or_fail_typed(case):
             _, scenarios = cli.load_config(path)
         except ConfigError:
             return
-        report = cli._execute(scenarios[0], tmp)
+        report = cli._execute(scenarios[0], tmp, cli._Trajectories(scenarios))
     assert report.status == "ok" or \
         report.error.split(":")[0] in ERROR_TYPES, report.error
