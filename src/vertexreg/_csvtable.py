@@ -30,7 +30,6 @@ temporaries to about 1 MB, whatever the table's length:
 """
 
 import functools
-import math
 
 import numpy as np
 
@@ -74,17 +73,10 @@ def _tables():
         # 10^e * 2^-s = num / den exactly; int / int rounds correctly
         num = 10 ** max(e, 0) << max(-s, 0)
         den = 10 ** max(-e, 0) << max(s, 0)
-        if 0 <= e <= 308:
-            # den = 2^s and num fits a float: int to float rounds correctly,
-            # and scaling by 2^-s, to a normal value, is exact
-            f = float(num)
-            hi.append(math.ldexp(f, -s))
-            lo.append(math.ldexp(float(num - int(f)), -s))
-        else:
-            h = num / den
-            hn, hd = h.as_integer_ratio()
-            hi.append(h)
-            lo.append((num * hd - hn * den) / (den * hd))
+        h = num / den
+        hn, hd = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * hd - hn * den) / (den * hd))
     hi, lo = np.array(hi), np.array(lo)
     c = hi * _SPLIT
     hh = c - (c - hi)

@@ -371,6 +371,15 @@ def _validate_sweep(sid, params):
     return {"task": out["task"], "field": field, "points": points}
 
 
+def _runs(task, params):
+    """(task, value, params) of each run a validated scenario makes: the
+    points of a sweep in order, with the value of the varied field, or the
+    scenario itself, with value None."""
+    if task != "sweep":
+        return [(task, None, params)]
+    return [(params["task"], p["value"], p["params"]) for p in params["points"]]
+
+
 _VALIDATORS = {
     "validate": _validate_validate,
     "kernel": _validate_kernel,
@@ -464,7 +473,7 @@ def _jsonable(obj):
 # task runners
 
 
-def _run_criterion(params, outdir, _trajectories):
+def _run_criterion(params, outdir):
     phi = _resolve(params["phi"])
     kappa = _resolve(params["kappa"])
     ode = criterion.build_criterion(params["m"], params["kind"], phi, kappa,
@@ -498,7 +507,7 @@ def _run_criterion(params, outdir, _trajectories):
     return payload, ["trajectory.csv"]
 
 
-def _run_petrovskii(params, outdir, _trajectories):
+def _run_petrovskii(params, outdir):
     phi = _resolve(params["phi"])
     variant = params["variant"]
     # the order m and radial exponent N of the problem the integral decides
@@ -537,7 +546,7 @@ def _kernel_mass(model):
     return 2.0 * float(simpson(model.F(ys), x=ys))
 
 
-def _run_kernel(params, outdir, _trajectories):
+def _run_kernel(params, outdir):
     m = params["m"]
     model = spectral.default_kernel(m)
     cst = model.constants
@@ -572,24 +581,19 @@ def _sim_key(params):
 class _Trajectories:
     """The simulations of one batch, each distinct problem stepped once.
 
-    The simulate and compare runs of the batch, sweep points included, are
-    counted by _sim_key up front. A trajectory whose problem comes up again
-    later in the batch is kept, its arrays read-only, until its last use;
-    every other one is dropped with the run that asked for it. A run that
-    raises is not kept, so each scenario that shares it steps it again. A
-    sweep that stops at a failing point leaves its later points counted,
-    so a run they share with a later scenario is kept to the batch's end.
+    A problem that more than one simulate or compare run of the batch asks
+    for (sweep points included), by _sim_key, is kept once stepped, its
+    arrays read-only, until the last scenario that asks for it ends; every
+    other run is dropped with the run that asked for it. A run that raises
+    is not kept, so each run that shares it steps it again.
     """
 
     def __init__(self, scenarios):
-        self._uses = collections.Counter()
-        for s in scenarios:
-            task, points = s.task, [s.parameters]
-            if task == "sweep":
-                task = s.parameters["task"]
-                points = [p["params"] for p in s.parameters["points"]]
-            if task in ("simulate", "compare"):
-                self._uses.update(_sim_key(p) for p in points)
+        uses = [(_sim_key(params), i) for i, s in enumerate(scenarios)
+                for task, _, params in _runs(s.task, s.parameters)
+                if task in ("simulate", "compare")]
+        self._uses = collections.Counter(key for key, _ in uses)
+        self._last = dict(uses)  # the index of the last scenario asking
         self._kept = {}
 
     def get(self, params):
@@ -597,17 +601,20 @@ class _Trajectories:
         from . import pdesim
 
         key = _sim_key(params)
-        self._uses[key] -= 1
-        keep = self._uses[key] > 0
-        traj = self._kept.get(key) if keep else self._kept.pop(key, None)
+        traj = self._kept.get(key)
         if traj is None:
             traj = pdesim.run(_sim_config(params))
-            if keep:
+            if self._uses[key] > 1:
                 for a in (*vars(traj).values(), *(w for _, w in traj.snapshots)):
                     if isinstance(a, np.ndarray):
                         a.flags.writeable = False
                 self._kept[key] = traj
         return traj
+
+    def end(self, index):
+        """Drop each kept run that no scenario after the index-th asks for."""
+        self._kept = {key: traj for key, traj in self._kept.items()
+                      if self._last[key] > index}
 
 
 def _run_simulate(params, outdir, trajectories):
@@ -720,7 +727,7 @@ VALIDATION_CHECKS = {
 }
 
 
-def _run_validate(params, outdir, _trajectories):
+def _run_validate(params, outdir):
     rows = []
     for name in params["checks"]:
         rows.extend(VALIDATION_CHECKS[name](params))
@@ -735,14 +742,13 @@ def _run_validate(params, outdir, _trajectories):
 
 
 def _run_sweep(params, outdir, trajectories):
-    runner = _RUNNERS[params["task"]]
     points = []
     artifacts = []
-    for i, point in enumerate(params["points"]):
+    for i, (task, value, point) in enumerate(_runs("sweep", params)):
         subdir = os.path.join(outdir, f"point-{i:02d}")
         os.makedirs(subdir, exist_ok=True)
-        sub_payload, sub_artifacts = runner(point["params"], subdir, trajectories)
-        summary = {"value": point["value"]}
+        sub_payload, sub_artifacts = _run(task, point, subdir, trajectories)
+        summary = {"value": value}
         for key in ("verdict", "classification"):
             if key in sub_payload:
                 summary[key] = sub_payload[key]
@@ -773,12 +779,20 @@ _RUNNERS = {
 # orchestration
 
 
+def _run(task, params, outdir, trajectories):
+    """Run one task; simulate, compare and sweep runs take the batch's
+    trajectories."""
+    if task in ("simulate", "compare", "sweep"):
+        return _RUNNERS[task](params, outdir, trajectories)
+    return _RUNNERS[task](params, outdir)
+
+
 def _execute(scenario, out_dir, trajectories):
     subdir = os.path.join(out_dir, scenario.id)
     os.makedirs(subdir, exist_ok=True)
     try:
-        payload, artifacts = _RUNNERS[scenario.task](scenario.parameters, subdir,
-                                                     trajectories)
+        payload, artifacts = _run(scenario.task, scenario.parameters, subdir,
+                                  trajectories)
     except Exception as exc:  # isolation: one scenario never sinks the batch
         return Report(scenario=scenario.id, task=scenario.task, status="error",
                       payload={}, artifacts=[],
@@ -803,10 +817,9 @@ def _consistency_checks(scenarios, reports):
     runs = []
     for s, r in zip(scenarios, reports):
         if r.status == "ok" and r.task == "sweep":
-            runs += [(f"{r.scenario}[{i}]", r.payload["task"], point["payload"],
-                      params["params"])
-                     for i, (point, params) in enumerate(
-                         zip(r.payload["points"], s.parameters["points"]))]
+            runs += [(f"{r.scenario}[{i}]", task, point["payload"], params)
+                     for i, (point, (task, _, params)) in enumerate(
+                         zip(r.payload["points"], _runs(s.task, s.parameters)))]
         elif r.status == "ok":
             runs.append((r.scenario, r.task, r.payload, s.parameters))
 
@@ -831,15 +844,18 @@ def run_scenarios(config_path, out_dir, workers=1):
     Scenarios run one after another in config order; workers accepts only
     1. A simulation that several simulate and compare runs of the batch
     share (sweep points included) is stepped once and kept, read-only,
-    until its last use, so every artifact is as if each scenario ran
-    alone. The exit code is 1 when any scenario errored, else 0.
+    until the last scenario that asks for it ends, so every artifact is as
+    if each scenario ran alone. The exit code is 1 when any scenario errored, else 0.
     """
     if workers != 1:
         raise ValueError(f"workers must be 1 (scenarios run serially), got {workers!r}")
     doc, scenarios = load_config(config_path)
     os.makedirs(out_dir, exist_ok=True)
     trajectories = _Trajectories(scenarios)
-    reports = [_execute(s, out_dir, trajectories) for s in scenarios]
+    reports = []
+    for i, s in enumerate(scenarios):
+        reports.append(_execute(s, out_dir, trajectories))
+        trajectories.end(i)
 
     failed = [r.scenario for r in reports if r.status == "error"]
     report_doc = {

@@ -60,10 +60,10 @@ _SHAPES = ("plateau", "bump", "g0")
 # the drift's CFL limit, so accuracy alone sets this
 _DT_PER_DZ = 5.0
 # checkpoints per project_a0 and extract_boundary_layer call, where a call
-# per checkpoint was mostly numpy call overhead; against blocks of 8, 64
-# take those calls on 800 m=2 checkpoints from about 41 to 29 ms and add
-# up to 1.5 MB of temporaries (a 1601-node block is 0.8 MB)
-_BLOCK = 64
+# per checkpoint was mostly numpy call overhead; blocks of 64 cut the m=2
+# post-pass by about 12 ms but raised the program's peak by up to 3 MB,
+# with no batch time gained end to end
+_BLOCK = 8
 
 
 @dataclass(frozen=True)

@@ -726,6 +726,35 @@ def test_a_trajectory_is_kept_only_until_its_last_use(tmp_path, monkeypatch):
     assert alive == [[], [True], [False, False]]
 
 
+def test_a_failed_sweep_keeps_no_run_past_its_last_scenario(
+        tmp_path, monkeypatch):
+    from vertexreg import pdesim
+
+    batch = [("scan", "sweep", {"task": "simulate",
+                                "base": {**SHARED, "write_snapshots": False},
+                                "vary": {"field": "amplitude",
+                                         "values": [0.25, 1.0]}}),
+             ("a", "simulate", SHARED),
+             ("c", "simulate", {**SHARED, "amplitude": 2.0})]
+    real, refs, alive = pdesim.run, [], []
+
+    def run(config):
+        if config.initial_data.amplitude == 0.25:
+            raise errors.StepFailure("implicit solve failed at tau=10")
+        gc.collect()
+        alive.append([ref() is not None for ref in refs])
+        traj = real(config)
+        refs.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(pdesim, "run", run)
+    code, report = run_batch(tmp_path, batch)
+    assert code == 1 and report["failed_scenarios"] == ["scan"]
+    # the sweep stopped before its point at amplitude 1.0; a's run, kept
+    # for that point, is gone once a ends
+    assert alive == [[], [False]]
+
+
 # the default window, and two that the fit weighted by absolute residual
 # failed: its residual check on [4, 25], its sign-change count on [6, 12]
 @pytest.mark.parametrize("window", [[5.0, 15.0], [4.0, 25.0], [6.0, 12.0]])

@@ -88,35 +88,6 @@ def test_exact_ties_of_large_values_round_half_even():
     assert _formatted(values) == _expected(values)
 
 
-def _power_table_by_division():
-    """The power table and its inexact flags with every 10^(16-k) 2^-s
-    split into hi + lo by correctly rounded int / int division."""
-    k = np.arange(-_csvtable._K0, 309)
-    scale = np.where(k < -250, 200, np.where(k > 250, -200, 0))
-    hi, lo = [], []
-    for e, s in zip((16 - k).tolist(), scale.tolist()):
-        num = 10 ** max(e, 0) << max(-s, 0)
-        den = 10 ** max(-e, 0) << max(s, 0)
-        h = num / den
-        hn, hd = h.as_integer_ratio()
-        hi.append(h)
-        lo.append((num * hd - hn * den) / (den * hd))
-    hi, lo = np.array(hi), np.array(lo)
-    c = hi * _csvtable._SPLIT
-    hh = c - (c - hi)
-    return np.stack([np.ldexp(1.0, scale), hi, hh, hi - hh, lo]), lo != 0.0
-
-
-def test_power_table_has_the_bits_of_int_division():
-    # the rows whose power is 10^e 2^-s with e >= 0 are built by scaling a
-    # float; the oracle divides every row
-    power, inexact = _csvtable._tables()[:2]
-    expected_power, expected_inexact = _power_table_by_division()
-    assert power.dtype == expected_power.dtype
-    assert power.tobytes() == expected_power.tobytes()
-    assert np.array_equal(inexact, expected_inexact)
-
-
 def test_powers_of_ten_and_their_neighbours():
     # where a 17-digit rounding can carry into the next decade, and where
     # log10 rounds across a power of ten
